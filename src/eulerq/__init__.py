@@ -10,6 +10,8 @@ from .permstats import (
     CapacityError,
     Partition,
     Permutation,
+    census,
+    class_census,
     derangements,
     enumerate_by_cycle_type,
     enumerate_permutations,

@@ -33,7 +33,15 @@ from .eulerian import (
     verify_structure_identities,
     verify_symmetry_unimodality,
 )
-from .permstats import CapacityError, Partition, Permutation, enumerate_permutations, statistics
+from .permstats import (
+    CapacityError,
+    Partition,
+    Permutation,
+    census,
+    row_stat,
+    stat_rows,
+    statistics,
+)
 from .related import related_registry, verify_related
 from .symfunc import SymF
 
@@ -213,18 +221,22 @@ def cmd_stats(args):
         if bad:
             raise UsageError(f"unknown statistics {bad}; choose from {_STAT_NAMES}")
     try:
-        rows = [statistics(sigma) for sigma in enumerate_permutations(n)]
+        counts = census(n)
     except CapacityError as e:
         raise UsageError(str(e))
-    sums = {s: sum(getattr(st, s) for st in rows) for s in names}
+    reads = [row_stat(s, n) for s in names]
+    # word and statistics per permutation, only when a table is asked for
+    rows = [(w, [read(row) for read in reads]) for w, row in stat_rows(n)] if args.table else []
+    sums = {s: sum(read(row) * c for row, c in counts.items()) for s, read in zip(names, reads)}
+    total = sum(counts.values())
     want = _stat_totals(n)
     checked = {s: sums[s] == want[s] for s in names}
     if args.output == "json":
         payload = {
             "n": n,
-            "permutations": len(rows),
+            "permutations": total,
             "columns": list(names),
-            "rows": [[list(st.word)] + [getattr(st, s) for s in names] for st in rows] if args.table else None,
+            "rows": [[list(w)] + vals for w, vals in rows] if args.table else None,
             "sums": {s: sums[s] for s in names},
             "cross_check": checked,
         }
@@ -235,10 +247,10 @@ def cmd_stats(args):
         if args.table:
             width = max(n, 4)
             print("word".ljust(width) + "  " + "  ".join(s.rjust(5) for s in names))
-            for st in rows:
-                word = "".join(map(str, st.word)) if n < 10 else ",".join(map(str, st.word))
-                print(word.ljust(width) + "  " + "  ".join(str(getattr(st, s)).rjust(5) for s in names))
-        print(f"permutations: {len(rows)}")
+            for w, vals in rows:
+                word = "".join(map(str, w)) if n < 10 else ",".join(map(str, w))
+                print(word.ljust(width) + "  " + "  ".join(str(v).rjust(5) for v in vals))
+        print(f"permutations: {total}")
         print("sums: " + "  ".join(f"{s}={sums[s]}" for s in names))
         print("cross-check vs closed forms: " +
               ("OK" if all(checked.values()) else "MISMATCH " + str(checked)))

@@ -25,14 +25,16 @@ from functools import lru_cache
 from math import comb, gcd
 
 from .permstats import (
+    EXC,
+    EXD_MASK,
+    FIX,
     Partition,
-    derangements,
-    enumerate_by_cycle_type,
-    enumerate_permutations,
+    census,
+    class_census,
     eulerian_number,
     eulerian_poly,
     partitions,
-    statistics,
+    row_stat,
     z_lambda,
 )
 from .polyalg import (
@@ -58,28 +60,34 @@ from .symfunc import (
 )
 
 # ---------------------------------------------------------------------------
-# raw class data: EXD multisets per selected class
+# raw class data: EXD multisets per selected class, grouped from the census
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _mask_set(mask):
+    """The set of bit positions of an EXD bitmask."""
+    return frozenset(i for i in range(1, mask.bit_length()) if mask >> i & 1)
+
+
+def _group_exd(rows, key):
+    """dict key(row) -> Counter of EXD sets over a Counter of census rows."""
+    out = {}
+    for row, count in rows.items():
+        out.setdefault(key(row), Counter())[_mask_set(row[EXD_MASK])] += count
+    return out
 
 
 @lru_cache(maxsize=None)
 def _exc_fix_data(n):
     """dict (exc, fix) -> Counter of EXD sets over S_n."""
-    out = {}
-    for sigma in enumerate_permutations(n):
-        st = statistics(sigma)
-        out.setdefault((st.exc, st.fix), Counter())[st.exd_set] += 1
-    return out
+    return _group_exd(census(n), lambda row: (row[EXC], row[FIX]))
 
 
 @lru_cache(maxsize=None)
 def _type_data(lam):
     """dict exc -> Counter of EXD sets over the conjugacy class of type lam."""
-    out = {}
-    for sigma in enumerate_by_cycle_type(lam):
-        st = statistics(sigma)
-        out.setdefault(st.exc, Counter())[st.exd_set] += 1
-    return out
+    return _group_exd(class_census(lam), lambda row: row[EXC])
 
 
 def _qsym(counters, n):
@@ -235,42 +243,49 @@ def q_poly_closed(n) -> SymPoly:
 # ---------------------------------------------------------------------------
 
 _VAR_OF = {"maj": "q", "comaj": "q", "inv": "q", "des": "p", "exc": "t", "fix": "r"}
+_SLOT_OF = {"q": 0, "p": 1, "t": 2, "r": 3}
 
 
-def stat_poly(perms, stats) -> Poly:
-    """Joint distribution of the listed statistics over the given
-    permutations (maj/comaj/inv tracked by q, des by p, exc by t, fix by r)."""
+def _census_poly(rows, n, stats) -> Poly:
+    """Joint distribution of the listed statistics over a Counter of census
+    rows of S_n (maj/comaj/inv tracked by q, des by p, exc by t, fix by r)."""
     names = tuple(stats)
     vars_ = [_VAR_OF[s] for s in names]
     if len(set(vars_)) != len(vars_):
         raise ValueError(f"statistics {names} collide on a variable")
+    reads = [(_SLOT_OF[v], row_stat(s, n)) for s, v in zip(names, vars_)]
     acc = Counter()
-    for sigma in perms:
-        st = statistics(sigma)
-        e = {v: getattr(st, s) for s, v in zip(names, vars_)}
-        acc[(e.get("q", 0), e.get("p", 0), e.get("t", 0), e.get("r", 0))] += 1
+    for row, count in rows.items():
+        e = [0, 0, 0, 0]
+        for slot, read in reads:
+            e[slot] = read(row)
+        acc[tuple(e)] += count
     return Poly(dict(acc))
+
+
+def _fix_rows(n, k):
+    return {row: c for row, c in census(n).items() if row[FIX] == k}
 
 
 @lru_cache(maxsize=None)
 def a_poly(n, stats=("maj", "exc", "fix")) -> Poly:
-    return stat_poly(enumerate_permutations(n), stats)
+    return _census_poly(census(n), n, stats)
 
 
 @lru_cache(maxsize=None)
 def a_poly_fix(n, k, stats=("maj", "des", "exc")) -> Poly:
-    perms = (s for s in enumerate_permutations(n) if statistics(s).fix == k)
-    return stat_poly(perms, stats)
+    return _census_poly(_fix_rows(n, k), n, stats)
 
 
 @lru_cache(maxsize=None)
 def a_poly_type(lam, stats=("maj", "des", "exc")) -> Poly:
-    return stat_poly(enumerate_by_cycle_type(Partition(lam)), stats)
+    lam = Partition(lam)
+    return _census_poly(class_census(lam), lam.n, stats)
 
 
 @lru_cache(maxsize=None)
 def a_poly_derangements(n, stats=("maj", "exc")) -> Poly:
-    return stat_poly(derangements(n), stats)
+    return _census_poly(_fix_rows(n, 0), n, stats)
 
 
 def a_coeff(lam, j) -> Poly:
@@ -926,11 +941,17 @@ def _poly_log_concave(cs) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _single_cycle_p(n, j) -> SymF:
+    """Q((n), j) in the power-sum basis, converted once per (n, j)."""
+    return q_symf_type(Partition([n]), j).to_basis("p")
+
+
 def character_value(n, j, mu) -> int:
     """Character of the degree-n single-cycle slice at the class mu: z_mu
     times the power-sum coefficient of Q((n), j)."""
     mu = Partition(mu)
-    c = q_symf_type(Partition([n]), j).to_basis("p").coefficient(mu)
+    c = _single_cycle_p(n, j).coefficient(mu)
     val = Fraction(c) * z_lambda(mu)
     if val.denominator != 1:
         raise ArithmeticError(f"non-integral character value at {tuple(mu)}")
@@ -987,13 +1008,14 @@ def verify_character_formula(n_max=7) -> VerifyReport:
         rep.record("character columns palindromic", {"n": n}, ok)
     for n in range(1, n_max + 1):
         ok = True
+        p_forms = [_p_form(q_symf(n, j)) for j in range(n)]
         for mu in partitions(n):
             want = eulerian_poly(mu.length)
             for part in mu:
                 want = want * Poly({(0, 0, i, 0): 1 for i in range(part)})
             got = Poly.zero()
             for j in range(n):
-                c = Fraction(q_symf(n, j).to_basis("p").coefficient(mu)) * z_lambda(mu)
+                c = Fraction(p_forms[j].coefficient(mu)) * z_lambda(mu)
                 if c:
                     got = got + Poly.term(int(c), t=j)
             if got != want:
@@ -1050,8 +1072,8 @@ def verify_structure_identities(n_max=6, restrict_max=6, dims_max=None) -> Verif
     for n in range(1, dims_max + 1):
         for lam in partitions(n):
             counts = Counter()
-            for sigma in enumerate_by_cycle_type(lam):
-                counts[statistics(sigma).exc] += 1
+            for row, c in class_census(lam).items():
+                counts[row[EXC]] += c
             ok = all(
                 q_symf_type(lam, j).squarefree_coefficient() == counts.get(j, 0)
                 for j in range(n)
@@ -1125,9 +1147,10 @@ def verify_specializations(n_max=6) -> VerifyReport:
         for lam in partitions(n):
             for j in range(n + 1):
                 total_type = total_type + q_qsym_type(lam, j)
-        everything = QSymF.zero()
-        for sigma in enumerate_permutations(n):
-            everything = everything + QSymF.fundamental(statistics(sigma).exd_set, n)
+        masks = Counter()
+        for row, c in census(n).items():
+            masks[row[EXD_MASK]] += c
+        everything = QSymF({(n, _mask_set(m)): c for m, c in masks.items()})
         rep.record("partitions of the full sum agree", {"n": n},
                    total_jk == everything and total_type == everything)
         lhs = PolyFraction(Poly.zero())

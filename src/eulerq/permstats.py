@@ -20,10 +20,16 @@ EXD drives the quasisymmetric constructions: sum(EXD) = maj - exc, and
 |EXD| = des when sigma_1 = 1, |EXD| = des - 1 otherwise.
 
 The unique permutation of the empty set has every statistic equal to zero.
+
+`statistics` gives every statistic of one permutation.  Brute force over a
+whole group reads `census(n)` or `class_census(lam)` instead: one pass that
+counts compact integer rows (exc, fix, des, maj, inv, exd_mask), where
+exd_mask has bit i set for i in EXD and comaj is derived from maj.
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, gcd
@@ -115,14 +121,6 @@ def partitions(n) -> tuple:
     raw = [Partition(p) for p in gen(n, n)] if n > 0 else [Partition()]
     raw.sort(key=lambda p: (p.length, tuple(-x for x in p)))
     return tuple(raw)
-
-
-def partitions_upto(n):
-    """Partitions of every size 0..n."""
-    out = []
-    for m in range(n + 1):
-        out.extend(partitions(m))
-    return out
 
 
 class Permutation:
@@ -251,14 +249,10 @@ def enumerate_permutations(n, cap=None):
         yield Permutation(w)
 
 
-def enumerate_by_cycle_type(lam, cap=None):
-    """All permutations of cycle type lam, built directly from cycle choices.
-
-    Deterministic order; the number produced is n!/z_lambda.
-    """
-    lam = Partition(lam)
+def _cycle_type_words(lam):
+    """One line words of the permutations of cycle type lam, built directly
+    from cycle choices, in a deterministic order; n!/z_lambda of them."""
     n = lam.n
-    _check_cap(n, cap)
 
     def build(elems, parts):
         if not parts:
@@ -279,13 +273,97 @@ def enumerate_by_cycle_type(lam, cap=None):
                     yield (cyc,) + tail
 
     for cycs in build(tuple(range(1, n + 1)), tuple(lam)):
-        yield Permutation.from_cycles(cycs, n)
+        word = list(range(1, n + 1))
+        for cyc in cycs:
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                word[a - 1] = b
+        yield tuple(word)
+
+
+def enumerate_by_cycle_type(lam, cap=None):
+    """All permutations of cycle type lam, built directly from cycle choices.
+
+    Deterministic order; the number produced is n!/z_lambda.
+    """
+    lam = Partition(lam)
+    _check_cap(lam.n, cap)
+    for word in _cycle_type_words(lam):
+        yield Permutation(word)
 
 
 def derangements(n, cap=None):
     for sigma in enumerate_permutations(n, cap):
         if all(sigma(i) != i for i in range(1, n + 1)):
             yield sigma
+
+
+# ---------------------------------------------------------------------------
+# the census: one pass over a group, counted as integer rows
+# ---------------------------------------------------------------------------
+
+CENSUS_FIELDS = ("exc", "fix", "des", "maj", "inv", "exd_mask")
+EXC, FIX, DES, MAJ, INV, EXD_MASK = range(len(CENSUS_FIELDS))
+
+
+def _row(w):
+    """(exc, fix, des, maj, inv, exd_mask) of the one line word w, in one
+    left-to-right scan; barred letters v' sort as v, unbarred ones as v + n."""
+    n = len(w)
+    exc = fix = des = maj = inv = mask = seen = prev = prev_key = 0
+    for i, v in enumerate(w, 1):
+        if v > i:
+            exc += 1
+            key = v
+        else:
+            key = v + n
+            fix += v == i
+        inv += (seen >> v).bit_count()
+        seen |= 1 << v
+        if prev > v:
+            des += 1
+            maj += i - 1
+        if prev_key > key:
+            mask |= 1 << (i - 1)
+        prev, prev_key = v, key
+    return exc, fix, des, maj, inv, mask
+
+
+def row_stat(name, n):
+    """A function reading the statistic `name` off a census row of S_n;
+    comaj is derived as binomial(n, 2) - maj."""
+    if name == "comaj":
+        top = comb(n, 2)
+        return lambda row: top - row[MAJ]
+    index = CENSUS_FIELDS.index(name)
+    return lambda row: row[index]
+
+
+@lru_cache(maxsize=None)
+def census(n, cap=None) -> Counter:
+    """Counter of the rows (exc, fix, des, maj, inv, exd_mask) over S_n.
+
+    One pass over the one line words; no Permutation is built.  The result
+    is cached and shared, so callers must not mutate it.
+    """
+    _check_cap(n, cap)
+    return Counter(map(_row, itertools.permutations(range(1, n + 1))))
+
+
+@lru_cache(maxsize=None)
+def class_census(lam, cap=None) -> Counter:
+    """Counter of census rows over the permutations of cycle type lam,
+    enumerated on their own (n!/z_lambda words), not filtered from census."""
+    lam = Partition(lam)
+    _check_cap(lam.n, cap)
+    return Counter(map(_row, _cycle_type_words(lam)))
+
+
+def stat_rows(n, cap=None):
+    """(word, census row) for every permutation of [n], in lexicographic
+    order of the words."""
+    _check_cap(n, cap)
+    for w in itertools.permutations(range(1, n + 1)):
+        yield w, _row(w)
 
 
 @lru_cache(maxsize=None)
@@ -306,10 +384,9 @@ def eulerian_counts(n) -> tuple:
     if n <= 7:
         by_des = [0] * n
         by_exc = [0] * n
-        for sigma in enumerate_permutations(n):
-            st = statistics(sigma)
-            by_des[st.des] += 1
-            by_exc[st.exc] += 1
+        for row, count in census(n).items():
+            by_des[row[DES]] += count
+            by_exc[row[EXC]] += count
         assert by_des == cur == by_exc, f"Eulerian recurrence mismatch at n={n}"
     return tuple(cur)
 

@@ -247,20 +247,28 @@ def _comp_partition(T, n):
     return Partition(p for p in parts if p)
 
 
+@lru_cache(maxsize=None)
 def _descent_sets_of_rearrangements(lam):
     """Descent sets realizable by weakly decreasing words of every content
     that is a rearrangement of lam: the partial-sum sets of distinct
-    permutations of the parts."""
+    permutations of the parts.  Only the distinct rearrangements are
+    generated, as multiset permutations, so (1^n) costs one, not n!."""
     n = sum(lam)
+    left = Partition(lam).multiplicities()
     out = set()
-    for arrangement in set(itertools.permutations(lam)):
-        acc = 0
-        S = []
-        for part in arrangement[:-1]:
-            acc += part
-            S.append(acc)
-        out.add(frozenset(S))
-    return out
+
+    def place(acc, cuts):
+        if acc == n:
+            out.add(frozenset(cuts))
+            return
+        for part, m in left.items():
+            if m:
+                left[part] = m - 1
+                place(acc + part, cuts + (acc,) if acc else cuts)
+                left[part] = m
+
+    place(0, ())
+    return frozenset(out)
 
 
 def _weakly_decreasing_sequences(n, N, strict_at):

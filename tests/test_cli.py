@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from eulerq import cli
+from eulerq import cli, enumerate_permutations, statistics
 from eulerq.cache import CacheEntry, list_entries, load, store
 from eulerq.report import VerifyReport
 from fixtures_tables import CHAR_TABLES
@@ -53,6 +53,54 @@ def test_stats_usage_errors(capsys):
     assert cli.main(["stats", "--n", "4", "--table", "zeta"]) == 2
     assert cli.main(["stats", "--n", "11"]) == 2
     capsys.readouterr()
+
+
+STAT_NAMES = ("des", "exc", "maj", "comaj", "inv", "fix")
+
+
+def brute_stat_sums(n):
+    stats = [statistics(sigma) for sigma in enumerate_permutations(n)]
+    return len(stats), {s: sum(getattr(st, s) for st in stats) for s in STAT_NAMES}
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_stats_n_sums_match_statistics(capsys, n):
+    count, sums = brute_stat_sums(n)
+    rc, out = run(capsys, "stats", "--n", str(n))
+    assert rc == 0
+    assert f"permutations: {count}\n" in out
+    assert "sums: " + "  ".join(f"{s}={sums[s]}" for s in STAT_NAMES) + "\n" in out
+    assert out.endswith("cross-check vs closed forms: OK\n")
+    rc, out = run(capsys, "stats", "--n", str(n), "--output", "json")
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["permutations"] == count
+    assert payload["sums"] == sums
+    assert payload["rows"] is None
+    assert all(payload["cross_check"].values())
+
+
+def test_stats_n_table_lists_every_permutation(capsys):
+    rc, out = run(capsys, "stats", "--n", "5", "--table", "maj,exc")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0].split() == ["word", "maj", "exc"]
+    body = lines[1:121]
+    want = [statistics(sigma) for sigma in enumerate_permutations(5)]
+    assert [line.split() for line in body] == [
+        ["".join(map(str, st.word)), str(st.maj), str(st.exc)] for st in want]
+    assert lines[121] == "permutations: 120"
+    rc, out = run(capsys, "stats", "--n", "5", "--table", "comaj,inv", "--output", "json")
+    assert rc == 0
+    rows = json.loads(out)["rows"]
+    assert rows == [[list(st.word), st.comaj, st.inv] for st in want]
+
+
+def test_stats_n_over_cap_message(capsys):
+    assert cli.main(["stats", "--n", "11"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n=11 exceeds cap 10; pass a larger cap explicitly\n"
 
 
 def test_qfun_text(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Symmetric and quasisymmetric function arithmetic."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,7 @@ from eulerq import (
     sym_p,
     sym_s,
 )
+from eulerq.symfunc import _descent_sets_of_rearrangements
 
 BASES = "hespm"
 
@@ -194,3 +197,24 @@ def test_restriction():
     assert got == sym_s([2, 2]) + sym_s([3, 1])
     with pytest.raises(ValueError):
         restrict_frobenius(sym_h([2]) + sym_h([1]))
+
+
+def old_descent_sets_of_rearrangements(lam):
+    """The definition before multiset permutations: every one of the
+    len(lam)! orderings of the parts, deduplicated."""
+    out = set()
+    for arrangement in set(itertools.permutations(lam)):
+        acc = 0
+        S = []
+        for part in arrangement[:-1]:
+            acc += part
+            S.append(acc)
+        out.add(frozenset(S))
+    return out
+
+
+def test_descent_sets_of_rearrangements_match_definition():
+    for n in range(9):
+        for lam in partitions(n):
+            assert _descent_sets_of_rearrangements(lam) == old_descent_sets_of_rearrangements(lam)
+    assert _descent_sets_of_rearrangements(Partition([1] * 12)) == {frozenset(range(1, 12))}
