@@ -7,6 +7,7 @@ identical inputs produce byte-identical bytes regardless of --jobs.
 """
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -37,9 +38,9 @@ from .permstats import (
     CapacityError,
     Partition,
     Permutation,
+    _row,
     census,
     row_stat,
-    stat_rows,
     statistics,
 )
 from .related import related_registry, verify_related
@@ -226,7 +227,11 @@ def cmd_stats(args):
         raise UsageError(str(e))
     reads = [row_stat(s, n) for s in names]
     # word and statistics per permutation, only when a table is asked for
-    rows = [(w, [read(row) for read in reads]) for w, row in stat_rows(n)] if args.table else []
+    rows = []
+    if args.table:
+        for w in itertools.permutations(range(1, n + 1)):
+            row = _row(w)
+            rows.append((w, [read(row) for read in reads]))
     sums = {s: sum(read(row) * c for row, c in counts.items()) for s, read in zip(names, reads)}
     total = sum(counts.values())
     want = _stat_totals(n)

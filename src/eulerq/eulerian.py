@@ -25,9 +25,6 @@ from functools import lru_cache
 from math import comb, gcd
 
 from .permstats import (
-    EXC,
-    EXD_MASK,
-    FIX,
     Partition,
     census,
     class_census,
@@ -64,30 +61,26 @@ from .symfunc import (
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _mask_set(mask):
-    """The set of bit positions of an EXD bitmask."""
-    return frozenset(i for i in range(1, mask.bit_length()) if mask >> i & 1)
-
-
-def _group_exd(rows, key):
+def _group_exd(rows, n, key):
     """dict key(row) -> Counter of EXD sets over a Counter of census rows."""
+    exd = row_stat("exd_set", n)
     out = {}
     for row, count in rows.items():
-        out.setdefault(key(row), Counter())[_mask_set(row[EXD_MASK])] += count
+        out.setdefault(key(row), Counter())[exd(row)] += count
     return out
 
 
 @lru_cache(maxsize=None)
 def _exc_fix_data(n):
     """dict (exc, fix) -> Counter of EXD sets over S_n."""
-    return _group_exd(census(n), lambda row: (row[EXC], row[FIX]))
+    exc, fix = row_stat("exc", n), row_stat("fix", n)
+    return _group_exd(census(n), n, lambda row: (exc(row), fix(row)))
 
 
 @lru_cache(maxsize=None)
 def _type_data(lam):
     """dict exc -> Counter of EXD sets over the conjugacy class of type lam."""
-    return _group_exd(class_census(lam), lambda row: row[EXC])
+    return _group_exd(class_census(lam), lam.n, row_stat("exc", lam.n))
 
 
 def _qsym(counters, n):
@@ -264,7 +257,8 @@ def _census_poly(rows, n, stats) -> Poly:
 
 
 def _fix_rows(n, k):
-    return {row: c for row, c in census(n).items() if row[FIX] == k}
+    fix = row_stat("fix", n)
+    return {row: c for row, c in census(n).items() if fix(row) == k}
 
 
 @lru_cache(maxsize=None)
@@ -1071,9 +1065,10 @@ def verify_structure_identities(n_max=6, restrict_max=6, dims_max=None) -> Verif
                        got == _pair_single_expansion(n, a, N))
     for n in range(1, dims_max + 1):
         for lam in partitions(n):
+            exc = row_stat("exc", n)
             counts = Counter()
             for row, c in class_census(lam).items():
-                counts[row[EXC]] += c
+                counts[exc(row)] += c
             ok = all(
                 q_symf_type(lam, j).squarefree_coefficient() == counts.get(j, 0)
                 for j in range(n)
@@ -1147,10 +1142,11 @@ def verify_specializations(n_max=6) -> VerifyReport:
         for lam in partitions(n):
             for j in range(n + 1):
                 total_type = total_type + q_qsym_type(lam, j)
-        masks = Counter()
+        exd = row_stat("exd_set", n)
+        sets = Counter()
         for row, c in census(n).items():
-            masks[row[EXD_MASK]] += c
-        everything = QSymF({(n, _mask_set(m)): c for m, c in masks.items()})
+            sets[(n, exd(row))] += c
+        everything = QSymF(dict(sets))
         rep.record("partitions of the full sum agree", {"n": n},
                    total_jk == everything and total_type == everything)
         lhs = PolyFraction(Poly.zero())

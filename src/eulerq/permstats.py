@@ -24,7 +24,8 @@ The unique permutation of the empty set has every statistic equal to zero.
 `statistics` gives every statistic of one permutation.  Brute force over a
 whole group reads `census(n)` or `class_census(lam)` instead: one pass that
 counts compact integer rows (exc, fix, des, maj, inv, exd_mask), where
-exd_mask has bit i set for i in EXD and comaj is derived from maj.
+exd_mask has bit i set for i in EXD.  Other modules read a row only through
+`row_stat`, so the row layout is known to this module alone.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, gcd
+from types import MappingProxyType
 
 DEFAULT_CAP = 10
 
@@ -302,7 +304,7 @@ def derangements(n, cap=None):
 # ---------------------------------------------------------------------------
 
 CENSUS_FIELDS = ("exc", "fix", "des", "maj", "inv", "exd_mask")
-EXC, FIX, DES, MAJ, INV, EXD_MASK = range(len(CENSUS_FIELDS))
+_EXC, _FIX, _DES, _MAJ, _INV, _EXD_MASK = range(len(CENSUS_FIELDS))
 
 
 def _row(w):
@@ -328,42 +330,45 @@ def _row(w):
     return exc, fix, des, maj, inv, mask
 
 
+@lru_cache(maxsize=None)
+def _mask_set(mask):
+    """The set of bit positions of an EXD bitmask."""
+    return frozenset(i for i in range(1, mask.bit_length()) if mask >> i & 1)
+
+
 def row_stat(name, n):
-    """A function reading the statistic `name` off a census row of S_n;
-    comaj is derived as binomial(n, 2) - maj."""
+    """A function reading the statistic `name` off a census row of S_n:
+    one of CENSUS_FIELDS, "comaj" (binomial(n, 2) - maj) or "exd_set"
+    (EXD as a frozenset)."""
     if name == "comaj":
         top = comb(n, 2)
-        return lambda row: top - row[MAJ]
+        return lambda row: top - row[_MAJ]
+    if name == "exd_set":
+        return lambda row: _mask_set(row[_EXD_MASK])
     index = CENSUS_FIELDS.index(name)
     return lambda row: row[index]
 
 
 @lru_cache(maxsize=None)
-def census(n, cap=None) -> Counter:
-    """Counter of the rows (exc, fix, des, maj, inv, exd_mask) over S_n.
+def census(n) -> MappingProxyType:
+    """Read-only Counter of the rows (exc, fix, des, maj, inv, exd_mask)
+    over S_n.
 
     One pass over the one line words; no Permutation is built.  The result
-    is cached and shared, so callers must not mutate it.
+    is cached and shared by every caller.
     """
-    _check_cap(n, cap)
-    return Counter(map(_row, itertools.permutations(range(1, n + 1))))
+    _check_cap(n, None)
+    return MappingProxyType(Counter(map(_row, itertools.permutations(range(1, n + 1)))))
 
 
 @lru_cache(maxsize=None)
-def class_census(lam, cap=None) -> Counter:
-    """Counter of census rows over the permutations of cycle type lam,
-    enumerated on their own (n!/z_lambda words), not filtered from census."""
+def class_census(lam) -> MappingProxyType:
+    """Read-only Counter of census rows over the permutations of cycle type
+    lam, enumerated on their own (n!/z_lambda words), not filtered from
+    census."""
     lam = Partition(lam)
-    _check_cap(lam.n, cap)
-    return Counter(map(_row, _cycle_type_words(lam)))
-
-
-def stat_rows(n, cap=None):
-    """(word, census row) for every permutation of [n], in lexicographic
-    order of the words."""
-    _check_cap(n, cap)
-    for w in itertools.permutations(range(1, n + 1)):
-        yield w, _row(w)
+    _check_cap(lam.n, None)
+    return MappingProxyType(Counter(map(_row, _cycle_type_words(lam))))
 
 
 @lru_cache(maxsize=None)
@@ -385,8 +390,8 @@ def eulerian_counts(n) -> tuple:
         by_des = [0] * n
         by_exc = [0] * n
         for row, count in census(n).items():
-            by_des[row[DES]] += count
-            by_exc[row[EXC]] += count
+            by_des[row[_DES]] += count
+            by_exc[row[_EXC]] += count
         assert by_des == cur == by_exc, f"Eulerian recurrence mismatch at n={n}"
     return tuple(cur)
 

@@ -23,7 +23,7 @@ from eulerq import (
     statistics,
     z_lambda,
 )
-from eulerq.permstats import CENSUS_FIELDS, row_stat, stat_rows
+from eulerq.permstats import CENSUS_FIELDS, _row, row_stat
 
 VAR_OF = {"maj": "q", "comaj": "q", "inv": "q", "des": "p", "exc": "t", "fix": "r"}
 
@@ -75,18 +75,23 @@ def test_census_capacity():
         census(11)
     with pytest.raises(CapacityError):
         class_census(Partition([11]))
-    with pytest.raises(CapacityError):
-        census(5, cap=4)
-    with pytest.raises(CapacityError):
-        next(stat_rows(11))
+
+
+def test_census_is_read_only():
+    for counts in (census(4), class_census(Partition([2, 1, 1]))):
+        row = next(iter(counts))
+        with pytest.raises(TypeError):
+            counts[row] += 1
+        with pytest.raises(AttributeError):
+            counts.update({row: 1})
+    assert sum(census(4).values()) == 24
 
 
 def test_row_stat_reads_every_statistic():
-    for w, row in stat_rows(5):
-        st = statistics(w)
-        for name in CENSUS_FIELDS[:-1] + ("comaj",):
+    for sigma in enumerate_permutations(5):
+        row, st = _row(sigma.word), statistics(sigma)
+        for name in CENSUS_FIELDS[:-1] + ("comaj", "exd_set"):
             assert row_stat(name, 5)(row) == getattr(st, name)
-    assert [w for w, _ in stat_rows(4)] == [s.word for s in enumerate_permutations(4)]
 
 
 STATS = [("maj", "exc", "fix"), ("maj", "des", "exc"), ("comaj", "exc"),
