@@ -1,9 +1,10 @@
 """Exact computation with the fixed-excedance quasisymmetric functions.
 
 The package builds the families Q(n, j), Q(n, j, k), and Q(lam, j) from
-scratch over exact rationals, exposes their expansions in the standard
-symmetric function bases, implements the bijections behind them, and ships
-verification suites that check every identity against brute force.
+their closed formulas over exact rationals, exposes their expansions in the
+standard symmetric function bases, implements the bijections behind them,
+and ships verification suites that check every identity, and every formula,
+against brute force (the *_oracle functions in `eulerian`).
 """
 
 from .permstats import (
@@ -57,9 +58,7 @@ from .eulerian import (
     char_table,
     character_poly,
     character_value,
-    q_fun,
     q_poly,
-    q_poly_closed,
     q_qsym,
     q_qsym_type,
     q_symf,

@@ -700,14 +700,6 @@ def enumerate_seamless_banners(n, max_value, cap=DEFAULT_CAP):
             if n > 0 and increasing_factorize(b.word) is not None]
 
 
-def enumerate_marked_sequences(d, max_value):
-    out = []
-    for vals in itertools.combinations_with_replacement(range(1, max_value + 1), d):
-        for b in range(1, d):
-            out.append(MarkedSequence(vals, b))
-    return out
-
-
 def _weight_terms(items, max_value):
     terms = {}
     for obj in items:

@@ -2,8 +2,9 @@
 suites, character tables, expression expansion, and the table cache.
 
 Exit codes are stable for scripting: 0 success, 1 a verification check
-failed, 2 usage or parse error.  JSON output is key-sorted and compact, so
-identical inputs produce byte-identical bytes regardless of --jobs.
+failed, 2 usage or parse error.  JSON output is key-sorted and compact, and
+verify runs its suites one after another in registry order, so identical
+inputs produce byte-identical bytes.
 """
 
 import argparse
@@ -12,8 +13,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from math import factorial
 
 from . import cache as cachestore
@@ -49,17 +48,6 @@ from .symfunc import SymF
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Effective run settings for the verify driver."""
-
-    n_max: int = 0          # 0 means suite defaults
-    mode: str = "ci"
-    output: str = "text"
-    cache_dir: str = ""
-    jobs: int = 1
 
 
 # ---------------------------------------------------------------------------
@@ -98,43 +86,36 @@ def full_registry(mode):
     return list(suite_registry(mode)) + list(related_registry(mode))
 
 
-def selected_entries(suite, cfg):
-    entries = full_registry(cfg.mode)
+def selected_entries(suite, mode, n_max):
+    """(name, thunk) pairs for one suite or all; n_max 0 keeps the defaults."""
+    entries = full_registry(mode)
     if suite != "all":
         entries = [e for e in entries if e[0] == suite]
         if not entries:
-            names = ", ".join(n for n, _ in full_registry(cfg.mode))
+            names = ", ".join(n for n, _ in full_registry(mode))
             raise UsageError(f"unknown suite {suite!r}; choose from: {names}, all")
-    if cfg.n_max:
+    if n_max:
         rebound = []
         for name, _ in entries:
             cap = _SUITE_MAX[name]
-            if cfg.mode == "ci":
+            if mode == "ci":
                 cap = min(cap, _CI_SPECIAL.get(name, 6))
-            bound = max(1, min(cfg.n_max, cap))
-            rebound.append((name, _suite_thunk(name, bound, cfg.mode)))
+            bound = max(1, min(n_max, cap))
+            rebound.append((name, _suite_thunk(name, bound, mode)))
         entries = rebound
     return entries
 
 
-def _run_entries(entries, jobs):
-    if jobs <= 1:
-        return [report_fn() for _, report_fn in entries]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(report_fn) for _, report_fn in entries]
-        return [f.result() for f in futures]
-
-
 def cmd_verify(args):
-    cfg = RunConfig(n_max=args.n_max or 0, mode=args.mode, output=args.output,
-                    jobs=max(1, args.jobs))
-    entries = selected_entries(args.suite, cfg)
-    reports = _run_entries(entries, cfg.jobs)
+    if args.n_max < 0:
+        raise UsageError("--n-max must be nonnegative")
+    entries = selected_entries(args.suite, args.mode, args.n_max)
+    reports = [report_fn() for _, report_fn in entries]
     passed = all(r.ok for r in reports)
-    if cfg.output == "json":
+    if args.output == "json":
         envelope = {
             "command": "verify",
-            "mode": cfg.mode,
+            "mode": args.mode,
             "suite": args.suite,
             "passed": passed,
             "suites": [r.to_jsonable() for r in reports],
@@ -535,7 +516,6 @@ def _parser():
     p.add_argument("suite", help="suite name or 'all'")
     p.add_argument("--n-max", type=int, default=0)
     p.add_argument("--mode", choices=("ci", "extended"), default="ci")
-    p.add_argument("--jobs", type=int, default=1)
     common(p)
     p.set_defaults(fn=cmd_verify)
 

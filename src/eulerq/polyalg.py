@@ -73,9 +73,6 @@ class Poly:
             raise ValueError(f"not a constant: {self}")
         return self.terms.get(_ZERO4, 0)
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     def has_integer_coeffs(self):
         return all(isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1) for c in self.terms.values())
 
@@ -162,10 +159,6 @@ class Poly:
     def degree(self, name):
         i = _VIDX[name]
         return max((e[i] for e in self.terms), default=0)
-
-    def min_degree(self, name):
-        i = _VIDX[name]
-        return min((e[i] for e in self.terms), default=0)
 
     def coefficient(self, name, power):
         """Coefficient of name**power, as a Poly in the remaining variables."""
@@ -346,16 +339,6 @@ def pochhammer(a, n):
     for i in range(n):
         out = out * (Poly.one() - a * Poly.var("q", i))
     return out
-
-
-def inv_pochhammer_coeff(n, m):
-    """Coefficient of p^m in 1/(p;q)_{n+1}, namely [m+n choose n]_q."""
-    return q_binomial(m + n, n)
-
-
-def gauss_poly_t(n):
-    """[n]_t as a Poly in t (handy for t-weighted series)."""
-    return Poly({(0, 0, i, 0): 1 for i in range(n)})
 
 
 # ---------------------------------------------------------------------------

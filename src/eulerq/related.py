@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
 from math import comb
 
-from .eulerian import q_symf
+from .eulerian import q_symf_oracle
 from .report import VerifyReport
 from .symfunc import MonExpansion, SymF, SymPoly, sym_e, sym_h
 
@@ -310,7 +310,7 @@ def _y_sympoly(n):
 def _q_sympoly(n):
     out = SymPoly.zero()
     for j in range(max(n, 1)):
-        f = q_symf(n, j)
+        f = q_symf_oracle(n, j)
         if not f.is_zero():
             out = out + SymPoly.wrap(f, t=j)
     return out
@@ -361,13 +361,13 @@ def verify_related(n_words=5, n_gessel=4) -> VerifyReport:
     # bridges: omega images of the fixed-excedance slices
     for n in range(1, n_words + 1):
         okd = all(
-            d_poly(n, j, n) == q_symf(n, j, 0).omega().to_monomial(n)
+            d_poly(n, j, n) == q_symf_oracle(n, j, 0).omega().to_monomial(n)
             for j in range(n)
         )
         rep.record("derangement enumerator is the omega image of the "
                    "fixed-point-free slice", {"n": n}, okd)
         oky = all(
-            y_poly(n, j, n) == q_symf(n, j).omega().to_monomial(n)
+            y_poly(n, j, n) == q_symf_oracle(n, j).omega().to_monomial(n)
             for j in range(n)
         )
         rep.record("no-repeat word enumerator is the omega image of the "
@@ -443,7 +443,7 @@ def verify_related(n_words=5, n_gessel=4) -> VerifyReport:
         lhs = 0
         for mon in no_double_descent_tdict(n, n).values():
             lhs += sum(mon.terms.values())
-        qn = sum((q_symf(n, j) for j in range(n)), SymF.zero())
+        qn = sum((q_symf_oracle(n, j) for j in range(n)), SymF.zero())
         rhs = sum(qn.to_monomial(n).terms.values())
         rep.record("doubling weight totals match", {"n": n}, lhs == rhs)
 

@@ -6,7 +6,6 @@ same JSON bytes regardless of how the work was scheduled.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -73,19 +72,6 @@ class VerifyReport:
             "checks": [c.to_jsonable() for c in self.checks],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
-
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         return f"{self.name}: {status} ({self.passed} passed, {self.failed} failed)"
-
-    def lines(self):
-        out = [self.summary()]
-        for c in self.failures():
-            params = ", ".join(f"{k}={v}" for k, v in sorted(c.params.items()))
-            line = f"  FAIL {c.identity} [{params}]"
-            if c.witness:
-                line += f" :: {c.witness}"
-            out.append(line)
-        return out

@@ -22,8 +22,8 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .permstats import Partition, partitions, z_lambda
-from .polyalg import Poly, PolyFraction, TruncSeries, q_binomial, pochhammer
+from .permstats import Partition, partitions
+from .polyalg import Poly, PolyFraction, q_binomial, pochhammer
 
 BASES = ("m", "h", "e", "p", "s")
 
@@ -210,10 +210,6 @@ class QSymF:
                 out = out + c * Poly.var("q", sum(S)) * q_binomial(m - len(S) - 1 + n, n)
         return out
 
-    def ps_series(self, order):
-        """sum_m ps_m(f) p^m as a truncated series in p."""
-        return TruncSeries("p", order, [self.ps_at(m) for m in range(order + 1)])
-
 
 def _qq_pochhammer(n):
     """(q;q)_n as a Poly."""
@@ -234,17 +230,6 @@ def _dropset(lam):
         acc += lam[v - 1]
         drops.append(acc)
     return frozenset(drops)
-
-
-def _comp_partition(T, n):
-    """Partition obtained by sorting the composition of n determined by T."""
-    cuts = sorted(T)
-    parts = []
-    prev = 0
-    for c in cuts + [n]:
-        parts.append(c - prev)
-        prev = c
-    return Partition(p for p in parts if p)
 
 
 @lru_cache(maxsize=None)
@@ -608,9 +593,6 @@ class SymF:
     def homogeneous_part(self, n):
         return SymF(self.basis, {lam: c for lam, c in self.terms.items() if lam.n == n})
 
-    def map_coeffs(self, fn):
-        return SymF(self.basis, {lam: fn(c) for lam, c in self.terms.items()})
-
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -959,11 +941,6 @@ class SymPoly:
     def __repr__(self):
         bits = [f"t^{a} r^{b}: {f.render()}" for (a, b), f in sorted(self.terms.items())]
         return "SymPoly(" + "; ".join(bits) + ")"
-
-
-def sym_poly_from_tpoly(tcoeffs, basis="h"):
-    """Build sum_j c_j t^j * 1 from an integer t-polynomial given as a dict."""
-    return SymPoly({(j, 0): SymF(basis, {Partition(): c}) for j, c in tcoeffs.items() if c})
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,19 @@ def test_verify_unknown_suite(capsys):
     assert "choose from" in err
 
 
+def test_verify_negative_n_max_is_usage_error(capsys):
+    assert cli.main(["verify", "genfun", "--n-max", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n-max must be nonnegative" in captured.err
+
+
+def test_verify_jobs_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "genfun", "--jobs", "2"])
+    assert exc.value.code == 2
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     rep = VerifyReport("stub")
     rep.record("always wrong", {"n": 1}, False, witness="broken")
@@ -217,11 +230,10 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "always wrong" in out
 
 
-def test_verify_json_deterministic_across_jobs(capsys):
+def test_verify_json_deterministic_across_runs(capsys):
     outs = []
-    for jobs in ("1", "3"):
-        rc, out = run(capsys, "verify", "all", "--n-max", "2",
-                      "--output", "json", "--jobs", jobs)
+    for _ in range(2):
+        rc, out = run(capsys, "verify", "all", "--n-max", "2", "--output", "json")
         assert rc == 0
         outs.append(out)
     assert outs[0] == outs[1]

@@ -9,7 +9,6 @@ from eulerq import (
     parse_poly,
     parse_symf,
     partitions,
-    q_fun,
     q_poly,
     q_symf,
     q_symf_type,
@@ -23,7 +22,7 @@ from eulerq.eulerian import (
     char_table,
     character_poly,
     character_value,
-    q_poly_closed,
+    q_poly_oracle,
     q_qsym,
     q_qsym_type,
     shift_exc_by_qinv,
@@ -46,7 +45,7 @@ from fixtures_tables import CHAR_TABLES
 
 def test_base_cases():
     assert q_symf(0, 0) == sym_h([])
-    assert q_fun(n=0, j=0, k=0).qsym.to_symf() == sym_h([])
+    assert q_qsym(0, 0, 0).to_symf() == sym_h([])
     assert q_symf(1, 0) == sym_h([1])
     assert q_symf(2, 1) == sym_h([2])
     assert q_symf(2, 0) == sym_h([2])
@@ -140,7 +139,7 @@ def test_brute_force_enumerators():
 
 def test_closed_formula_matches_brute_force():
     for n in range(0, 6):
-        assert q_poly_closed(n) == q_poly(n)
+        assert q_poly(n) == q_poly_oracle(n)
 
 
 def test_cycle_type_palindromicity_spot():

@@ -1,0 +1,125 @@
+"""The closed formulas behind Q against the census oracles, and the suites'
+grip on the formulas: a wrong formula must fail exactly the records that
+compare it with its oracle, and no other record."""
+
+import pytest
+
+from eulerq import eulerian, partitions, related, sym_h, sym_p, verify_related
+from eulerq.eulerian import (
+    char_table,
+    character_value_oracle,
+    q_poly,
+    q_poly_oracle,
+    q_symf,
+    q_symf_oracle,
+    q_symf_type,
+    q_symf_type_oracle,
+    q_type_poly,
+    q_type_poly_oracle,
+    verify_character_formula,
+    verify_derangement_identities,
+    verify_finite_specialization,
+    verify_four_stat_series,
+    verify_main_generating_function,
+    verify_positivity,
+    verify_qexp_generating_function,
+    verify_recurrences,
+    verify_specializations,
+    verify_structure_identities,
+    verify_symmetry_unimodality,
+)
+
+N_MAX = 7
+
+
+@pytest.mark.parametrize("n", range(N_MAX + 1))
+def test_q_poly_and_q_symf_match_oracle(n):
+    assert q_poly(n) == q_poly_oracle(n)
+    for j in range(n + 1):
+        for k in [None] + list(range(n + 1)):
+            assert q_symf(n, j, k) == q_symf_oracle(n, j, k), (j, k)
+
+
+@pytest.mark.parametrize("n", range(N_MAX + 1))
+def test_q_type_poly_and_q_symf_type_match_oracle(n):
+    for lam in partitions(n):
+        assert q_type_poly(lam) == q_type_poly_oracle(lam), tuple(lam)
+        for j in range(n + 1):
+            assert q_symf_type(lam, j) == q_symf_type_oracle(lam, j), (tuple(lam), j)
+
+
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
+def test_char_table_matches_oracle(n):
+    js, rows = char_table(n)
+    assert rows == [(mu, [character_value_oracle(n, j, mu) for j in js])
+                    for mu in partitions(n)]
+
+
+def test_production_bases():
+    assert q_symf(3, 1).basis == "h"
+    assert q_symf(3, 1, 0).basis == "h"
+    assert q_symf(2, 5).basis == "h" and q_symf(2, 5).is_zero()
+    assert q_symf_type((3, 1), 1).basis == "p"
+    assert q_symf_type((1,), 0) == sym_p([1])
+    assert q_symf_type((), 0) == sym_h([])
+
+
+# ---------------------------------------------------------------------------
+# mutation: a wrong formula fails its own records and nothing else
+# ---------------------------------------------------------------------------
+
+# The production functions with an lru_cache, held here so the caches can be
+# cleared around a mutation even while a module attribute is patched.
+PRODUCTION_CACHES = (eulerian.q_poly, eulerian.q_symf, eulerian._single_cycle_poly,
+                     eulerian.q_type_poly, eulerian.q_symf_type)
+
+SUITES = [
+    (verify_main_generating_function, (4,)),
+    (verify_recurrences, (4,)),
+    (verify_qexp_generating_function, (4,)),
+    (verify_four_stat_series, (2, 2)),
+    (verify_finite_specialization, (3, 3)),
+    (verify_derangement_identities, (4,)),
+    (verify_symmetry_unimodality, (4,)),
+    (verify_positivity, (4,)),
+    (verify_character_formula, (4,)),
+    (verify_structure_identities, (4, 4, 4)),
+    (verify_specializations, (4,)),
+    (verify_related, (4, 4)),
+]
+
+CLOSED = "closed h-positive formula"
+CHARACTERS = "gcd-erasure character formula"
+PLETHYSM = "plethysm product over cycle sizes"
+
+MUTATIONS = {
+    "none": (None, None, set()),
+    "q_poly": ("q_poly", lambda f: lambda n: f(n).scale(2), {CLOSED}),
+    "single-cycle slice": ("_single_cycle_poly", lambda f: lambda n: f(n).shift(t=1),
+                           {CHARACTERS, PLETHYSM}),
+    "q_type_poly": ("q_type_poly", lambda f: lambda lam: f(lam).scale(2),
+                    {CHARACTERS, PLETHYSM}),
+    "q_symf_type": ("q_symf_type", lambda f: lambda lam, j: f(lam, j) * 2, {CHARACTERS}),
+    "q_symf": ("q_symf", lambda f: lambda n, j, k=None: f(n, j, k) + sym_h([n]), set()),
+}
+
+
+@pytest.fixture
+def fresh_production():
+    for fn in PRODUCTION_CACHES:
+        fn.cache_clear()
+    yield
+    for fn in PRODUCTION_CACHES:
+        fn.cache_clear()
+
+
+@pytest.mark.parametrize("case", sorted(MUTATIONS))
+def test_wrong_formula_fails_only_its_records(case, fresh_production, monkeypatch):
+    target, mutate, expected = MUTATIONS[case]
+    if target is not None:
+        original = getattr(eulerian, target)
+        for module in (eulerian, related):
+            if getattr(module, target, None) is original:
+                monkeypatch.setattr(module, target, mutate(original))
+    failing = {c.identity for fn, args in SUITES for c in fn(*args).failures()}
+    assert failing == expected
