@@ -912,16 +912,16 @@ def verify_positivity(n_max=7, products_max=None) -> VerifyReport:
     for n in range(1, products_max + 1):
         ok = all(
             _schur_positive(
-                _p_or_zero(n, j) * _p_or_zero(n, j)
-                - _p_or_zero(n, j + 1) * _p_or_zero(n, j - 1)
+                _h_or_zero(n, j) * _h_or_zero(n, j)
+                - _h_or_zero(n, j + 1) * _h_or_zero(n, j - 1)
             )
             for j in range(n)
         )
         rep.record("log-concavity of full slices", {"n": n}, ok)
         ok = all(
             _schur_positive(
-                _p_form(q_symf_oracle(n, j, k)) * _p_form(q_symf_oracle(n, j, k))
-                - _p_form(q_symf_oracle(n, j + 1, k)) * _p_fix_or_zero(n, j - 1, k)
+                _h_fix_or_zero(n, j, k) * _h_fix_or_zero(n, j, k)
+                - _h_fix_or_zero(n, j + 1, k) * _h_fix_or_zero(n, j - 1, k)
             )
             for k in range(n + 1)
             for j in range(n)
@@ -932,8 +932,8 @@ def verify_positivity(n_max=7, products_max=None) -> VerifyReport:
             for lam in partitions(n)
             for j in range(n)
             if not _schur_positive(
-                _p_form(q_symf_type_oracle(lam, j)) * _p_form(q_symf_type_oracle(lam, j))
-                - _p_type_or_zero(lam, j + 1) * _p_type_or_zero(lam, j - 1)
+                _h_type_or_zero(lam, j) * _h_type_or_zero(lam, j)
+                - _h_type_or_zero(lam, j + 1) * _h_type_or_zero(lam, j - 1)
             )
         }
         # Cycle-type log-concavity is FALSE: two 4-cycles give the smallest
@@ -959,26 +959,26 @@ def verify_positivity(n_max=7, products_max=None) -> VerifyReport:
     return rep
 
 
-def _p_form(f: SymF) -> SymF:
-    return f.to_basis("p")
+# The log-concavity products are taken in the h basis, where a product is a
+# concatenation of integer terms; Schur positivity of a difference of
+# products is then a Kostka conversion.
 
-
-def _p_or_zero(n, j):
+def _h_or_zero(n, j):
     if j < 0 or j >= n:
-        return SymF.zero("p")
-    return _p_form(q_symf_oracle(n, j))
+        return SymF.zero("h")
+    return q_symf_oracle(n, j).to_basis("h")
 
 
-def _p_fix_or_zero(n, j, k):
+def _h_fix_or_zero(n, j, k):
     if j < 0:
-        return SymF.zero("p")
-    return _p_form(q_symf_oracle(n, j, k))
+        return SymF.zero("h")
+    return q_symf_oracle(n, j, k).to_basis("h")
 
 
-def _p_type_or_zero(lam, j):
+def _h_type_or_zero(lam, j):
     if j < 0 or j >= max(lam.n, 1):
-        return SymF.zero("p")
-    return _p_form(q_symf_type_oracle(lam, j))
+        return SymF.zero("h")
+    return q_symf_type_oracle(lam, j).to_basis("h")
 
 
 def _poly_log_concave(cs) -> bool:
@@ -1026,7 +1026,7 @@ def verify_character_formula(n_max=7) -> VerifyReport:
         rep.record("character columns palindromic", {"n": n}, ok)
     for n in range(1, n_max + 1):
         ok = True
-        p_forms = [_p_form(q_symf_oracle(n, j)) for j in range(n)]
+        p_forms = [q_symf_oracle(n, j).to_basis("p") for j in range(n)]
         for mu in partitions(n):
             want = eulerian_poly(mu.length)
             for part in mu:

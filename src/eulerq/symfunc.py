@@ -1,4 +1,4 @@
-"""Quasisymmetric and symmetric function algebra with exact rational arithmetic.
+"""Quasisymmetric and symmetric function algebra with exact arithmetic.
 
 Three faithful representations cooperate here:
 
@@ -9,12 +9,14 @@ Three faithful representations cooperate here:
   * SymF: symmetric functions tagged by a basis in {m, h, e, p, s} and
     keyed by partitions.
 
-Basis conversions route through the power sum basis: h and e expand
-multiplicatively, Schur functions expand through Murnaghan-Nakayama
-characters, and the monomial basis is reached by iterated multiplication by
-power sums (solving the resulting triangular systems exactly for the reverse
-direction). Denominators always divide products of z_lambda, so all
-arithmetic stays in Fraction.
+Basis conversions route through the Schur basis, with one integer Kostka
+matrix per degree, built by the Pieri rule (Macdonald, ch. I, section 6):
+h and e expand along its columns (e with conjugated shapes), s expands in m
+along its rows, and m -> s and s -> h, e are unitriangular solves.  p -> s
+uses Murnaghan-Nakayama characters.  So every conversion among m, h, e and
+s stays in the integers; only s -> p divides, by z_mu, and it serves the p
+target alone.  Products of s or m operands are taken in h, where they are
+concatenations; plethysm works in p.
 """
 from __future__ import annotations
 
@@ -232,28 +234,35 @@ def _dropset(lam):
     return frozenset(drops)
 
 
+def _rearrangements(vec):
+    """The distinct rearrangements of vec, generated as multiset
+    permutations, so (1^n) costs one, not n!."""
+    left = {}
+    for v in vec:
+        left[v] = left.get(v, 0) + 1
+    word = [None] * len(vec)
+
+    def place(i):
+        if i == len(word):
+            yield tuple(word)
+            return
+        for v, m in left.items():
+            if m:
+                left[v] = m - 1
+                word[i] = v
+                yield from place(i + 1)
+                left[v] = m
+
+    return place(0)
+
+
 @lru_cache(maxsize=None)
 def _descent_sets_of_rearrangements(lam):
     """Descent sets realizable by weakly decreasing words of every content
-    that is a rearrangement of lam: the partial-sum sets of distinct
-    permutations of the parts.  Only the distinct rearrangements are
-    generated, as multiset permutations, so (1^n) costs one, not n!."""
-    n = sum(lam)
-    left = Partition(lam).multiplicities()
-    out = set()
-
-    def place(acc, cuts):
-        if acc == n:
-            out.add(frozenset(cuts))
-            return
-        for part, m in left.items():
-            if m:
-                left[part] = m - 1
-                place(acc + part, cuts + (acc,) if acc else cuts)
-                left[part] = m
-
-    place(0, ())
-    return frozenset(out)
+    that is a rearrangement of lam: the partial-sum sets of the distinct
+    rearrangements of the parts."""
+    return frozenset(frozenset(itertools.accumulate(parts[:-1]))
+                     for parts in _rearrangements(tuple(lam)))
 
 
 def _weakly_decreasing_sequences(n, N, strict_at):
@@ -437,19 +446,139 @@ def mn_character(lam, mu) -> int:
 
 
 # ---------------------------------------------------------------------------
-# symmetric functions
+# transition matrices
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _pexp_h(n):
-    """h_n in the p basis: sum over mu of p_mu / z_mu."""
-    return {mu: Fraction(1, mu.z()) for mu in partitions(n)}
+def _index(n):
+    """Position of each partition of n in partitions(n)."""
+    return {lam: i for i, lam in enumerate(partitions(n))}
 
 
 @lru_cache(maxsize=None)
-def _pexp_e(n):
-    """e_n in the p basis: signed version of h_n."""
-    return {mu: Fraction((-1) ** (n - mu.length), mu.z()) for mu in partitions(n)}
+def _conjugates(n):
+    """Position in partitions(n) of the conjugate of each partition of n."""
+    index = _index(n)
+    return tuple(index[lam.conjugate()] for lam in partitions(n))
+
+
+def _horizontal_strips(shape, r):
+    """Every shape, as a plain tuple, that adds a horizontal strip of r boxes
+    to shape: row i grows to at most the old length of row i - 1."""
+    out = []
+
+    def grow(i, left, rows):
+        if i == len(shape):
+            if left <= (shape[-1] if shape else r):
+                out.append(rows + (left,) if left else rows)
+            return
+        room = left if i == 0 else min(left, shape[i - 1] - shape[i])
+        for d in range(room + 1):
+            grow(i + 1, left - d, rows + (shape[i] + d,))
+
+    grow(0, r, ())
+    return out
+
+
+@lru_cache(maxsize=None)
+def _kostka(n):
+    """The Kostka matrix at degree n, by positions in partitions(n): column j
+    maps i to K_{lam_i, mu_j} > 0, the coefficient of s_{lam_i} in h_{mu_j}.
+
+    Column mu comes from column mu-minus-its-last-part at the smaller degree
+    by the Pieri rule.  K_{lam, mu} is nonzero only when lam dominates mu,
+    and partitions(n) lists a partition before every one it dominates, so K
+    is upper unitriangular: the solves below rely on it.
+    """
+    if n == 0:
+        return ({0: 1},)
+    index = _index(n)
+    cols = []
+    for mu in partitions(n):
+        r = mu[-1]
+        smaller = partitions(n - r)
+        col = {}
+        for i, k in _kostka(n - r)[_index(n - r)[mu[:-1]]].items():
+            for shape in _horizontal_strips(smaller[i], r):
+                j = index[shape]
+                col[j] = col.get(j, 0) + k
+        cols.append(col)
+    return tuple(cols)
+
+
+def _by_degree(terms):
+    """{n: {position in partitions(n): coefficient}} for a coefficient dict."""
+    out = {}
+    for lam, c in terms.items():
+        n = lam.n
+        out.setdefault(n, {})[_index(n)[lam]] = c
+    return out
+
+
+def _to_s(basis, terms):
+    """Schur coefficients of the coefficient dict terms in basis."""
+    if basis == "s":
+        return terms
+    out = {}
+    if basis == "p":
+        for mu, c in terms.items():
+            for lam in partitions(mu.n):
+                chi = mn_character(lam, mu)
+                if chi:
+                    _addto(out, lam, c * chi)
+        return out
+    for n, vec in _by_degree(terms).items():
+        plist, cols = partitions(n), _kostka(n)
+        if basis == "m":
+            # m_mu has coefficient sum_i b_i K_{i, mu}: solve forwards, where
+            # b_j, not yet known, reads as 0 against the diagonal K_{jj} = 1
+            b = {}
+            for j, col in enumerate(cols):
+                c = vec.get(j, 0) - sum(b.get(i, 0) * k for i, k in col.items())
+                if c:
+                    b[j] = c
+            for i, c in b.items():
+                out[plist[i]] = c
+            continue
+        # h_mu is column mu of K; e_mu is the same with conjugated shapes
+        target = range(len(plist)) if basis == "h" else _conjugates(n)
+        for j, c in vec.items():
+            for i, k in cols[j].items():
+                _addto(out, plist[target[i]], c * k)
+    return out
+
+
+def _from_s(sterms, basis):
+    """Coefficients in basis of the Schur coefficient dict sterms."""
+    if basis == "s":
+        return sterms
+    out = {}
+    if basis == "p":
+        for lam, c in sterms.items():
+            for mu, v in _pexp_s(lam).items():
+                _addto(out, mu, c * v)
+        return out
+    for n, vec in _by_degree(sterms).items():
+        plist, cols = partitions(n), _kostka(n)
+        if basis == "m":
+            for j, col in enumerate(cols):
+                c = sum(vec.get(i, 0) * k for i, k in col.items())
+                if c:
+                    out[plist[j]] = c
+            continue
+        if basis == "e":
+            # omega sends s_lam to s_lam' and e_mu to h_mu
+            conj = _conjugates(n)
+            vec = {conj[i]: c for i, c in vec.items()}
+        # h_mu is column mu of K: peel the columns off from the last one
+        for j in range(len(plist) - 1, -1, -1):
+            c = vec.pop(j, 0)
+            if c:
+                out[plist[j]] = c
+                for i, k in cols[j].items():
+                    if i != j:
+                        _addto(vec, i, -c * k)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -465,6 +594,8 @@ def _pexp_s(lam):
 
 
 def _pdict_mul(a, b):
+    """Product of two coefficient dicts in a multiplicative basis (h, e or
+    p): the index partitions concatenate."""
     out = {}
     for la, ca in a.items():
         for lb, cb in b.items():
@@ -472,79 +603,9 @@ def _pdict_mul(a, b):
     return out
 
 
-@lru_cache(maxsize=None)
-def _p2m_row(mu):
-    """m-basis expansion of p_mu, built by iterated multiplication by p_r."""
-    mu = Partition(mu)
-    cur = {Partition(): 1}
-    for r in mu:
-        nxt = {}
-        for nu, c in cur.items():
-            grown = Partition(tuple(nu) + (r,))
-            _addto(nxt, grown, c * (nu.mult(r) + 1))
-            for w in sorted(set(nu)):
-                parts = list(nu)
-                parts.remove(w)
-                parts.append(w + r)
-                target = Partition(parts)
-                _addto(nxt, target, c * (nu.mult(w + r) + 1))
-        cur = nxt
-    return {k: v for k, v in cur.items()}
-
-
-def _mat_inverse(mat):
-    """Exact inverse of a square matrix of Fractions (Gauss-Jordan)."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-@lru_cache(maxsize=None)
-def _m_to_p_inverse(n):
-    """Inverse of the transpose p->m matrix at degree n (for m -> p)."""
-    plist = partitions(n)
-    idx = {lam: i for i, lam in enumerate(plist)}
-    mat = [[Fraction(0)] * len(plist) for _ in plist]
-    for j, mu in enumerate(plist):
-        for nu, c in _p2m_row(mu).items():
-            mat[idx[nu]][j] = Fraction(c)
-    return plist, _mat_inverse(mat)
-
-
-@lru_cache(maxsize=None)
-def _multiplicative_to_p_matrix(n, which):
-    plist = partitions(n)
-    rows = {}
-    base = _pexp_h if which == "h" else _pexp_e
-    for lam in plist:
-        acc = {Partition(): Fraction(1)}
-        for part in lam:
-            acc = _pdict_mul(acc, base(part))
-        rows[lam] = acc
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _p_to_multiplicative_inverse(n, which):
-    """Inverse of the transpose (h or e)->p matrix at degree n."""
-    plist = partitions(n)
-    idx = {lam: i for i, lam in enumerate(plist)}
-    rows = _multiplicative_to_p_matrix(n, which)
-    mat = [[Fraction(0)] * len(plist) for _ in plist]
-    for j, lam in enumerate(plist):
-        for mu, c in rows[lam].items():
-            mat[idx[mu]][j] = c
-    return plist, _mat_inverse(mat)
-
+# ---------------------------------------------------------------------------
+# symmetric functions
+# ---------------------------------------------------------------------------
 
 class SymF:
     """A symmetric function expressed in a tagged basis.
@@ -623,9 +684,9 @@ class SymF:
             return NotImplemented
         if self.basis == other.basis and self.basis in ("h", "e", "p"):
             return SymF(self.basis, _pdict_mul(self.terms, other.terms))
-        a = self.to_basis("p")
-        b = other.to_basis("p")
-        return SymF("p", _pdict_mul(a.terms, b.terms)).to_basis(self.basis)
+        a = self.to_basis("h")
+        b = other.to_basis("h")
+        return SymF("h", _pdict_mul(a.terms, b.terms)).to_basis(self.basis)
 
     __rmul__ = __mul__
 
@@ -653,71 +714,7 @@ class SymF:
             raise ValueError(f"unknown basis {basis!r}")
         if basis == self.basis:
             return SymF(self.basis, dict(self.terms))
-        return self._from_p(self._to_p(), basis)
-
-    def _to_p(self):
-        """p-basis coefficient dict."""
-        b = self.basis
-        out = {}
-        if b == "p":
-            return dict(self.terms)
-        if b in ("h", "e"):
-            base = _pexp_h if b == "h" else _pexp_e
-            for lam, c in self.terms.items():
-                acc = {Partition(): Fraction(c)}
-                for part in lam:
-                    acc = _pdict_mul(acc, base(part))
-                for mu, v in acc.items():
-                    _addto(out, mu, v)
-            return out
-        if b == "s":
-            for lam, c in self.terms.items():
-                for mu, v in _pexp_s(lam).items():
-                    _addto(out, mu, c * v)
-            return out
-        # m basis: solve the p->m system degree by degree
-        for n in self.degrees():
-            plist, inv = _m_to_p_inverse(n)
-            vec = [Fraction(self.terms.get(lam, 0)) for lam in plist]
-            for i, lam in enumerate(plist):
-                c = sum(inv[i][j] * vec[j] for j in range(len(plist)))
-                if c:
-                    _addto(out, lam, c)
-        return out
-
-    @staticmethod
-    def _from_p(pterms, basis):
-        if basis == "p":
-            return SymF("p", pterms)
-        out = {}
-        if basis == "m":
-            for mu, c in pterms.items():
-                for nu, v in _p2m_row(mu).items():
-                    _addto(out, nu, c * v)
-            return SymF("m", out)
-        if basis == "s":
-            degs = sorted({mu.n for mu in pterms})
-            for n in degs:
-                for lam in partitions(n):
-                    c = 0
-                    for mu, a in pterms.items():
-                        if mu.n == n:
-                            chi = mn_character(lam, mu)
-                            if chi:
-                                c += a * chi
-                    if c:
-                        out[lam] = c
-            return SymF("s", out)
-        # h or e via cached inverse transpose matrices
-        degs = sorted({mu.n for mu in pterms})
-        for n in degs:
-            plist, inv = _p_to_multiplicative_inverse(n, basis)
-            vec = [Fraction(pterms.get(mu, 0)) for mu in plist]
-            for i, lam in enumerate(plist):
-                c = sum(inv[i][j] * vec[j] for j in range(len(plist)))
-                if c:
-                    out[lam] = c
-        return SymF(basis, out)
+        return SymF(basis, _from_s(_to_s(self.basis, self.terms), basis))
 
     def omega(self):
         """The fundamental involution: h <-> e, p_mu -> (-1)^(|mu|-l) p_mu, s -> conjugate."""
@@ -730,7 +727,7 @@ class SymF:
             return SymF("p", {lam: c * (-1) ** (lam.n - lam.length) for lam, c in self.terms.items()})
         if b == "s":
             return SymF("s", {lam.conjugate(): c for lam, c in self.terms.items()})
-        return SymF._from_p(SymF("p", self._to_p()).omega().terms, "m")
+        return SymF("s", _to_s("m", self.terms)).omega().to_basis("m")
 
     def to_monomial(self, N):
         mm = self.to_basis("m")
@@ -739,7 +736,7 @@ class SymF:
             if lam.length > N:
                 continue
             base = tuple(lam) + (0,) * (N - lam.length)
-            for arrangement in set(itertools.permutations(base)):
+            for arrangement in _rearrangements(base):
                 out[arrangement] = c
         return MonExpansion(N, out)
 

@@ -1,0 +1,48 @@
+"""Every rendered answer the benchmark can ask for keeps its recorded bytes.
+
+perfbench/digests.json holds the sha256 of the stdout of every command that
+perfbench/workloads.py can draw.  This replays the commands that are not
+`verify` (those are pinned by the verify tests) in this process, against an
+empty table store, and compares digests.  It reads both files and writes
+neither.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from eulerq.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _workloads()
+DIGESTS = json.loads((PERFBENCH / "digests.json").read_text())
+
+
+@pytest.mark.parametrize("workload", ["cli-algebra", "cli-census"])
+def test_commands_print_recorded_bytes(workload, tmp_path, monkeypatch):
+    monkeypatch.setenv("EULERQ_CACHE_DIR", str(tmp_path / "store"))
+    commands = [argv for argv in WORKLOADS.domain(workload) if not WORKLOADS.is_verify(argv)]
+    assert commands
+    differ = []
+    for argv in commands:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0, argv
+        key = WORKLOADS.key(argv)
+        if hashlib.sha256(buf.getvalue().encode()).hexdigest() != DIGESTS[key]:
+            differ.append(key)
+    assert differ == []

@@ -1,6 +1,7 @@
 """Symmetric and quasisymmetric function arithmetic."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,7 @@ from eulerq import (
     sym_p,
     sym_s,
 )
-from eulerq.symfunc import _descent_sets_of_rearrangements
+from eulerq.symfunc import _descent_sets_of_rearrangements, _kostka
 
 BASES = "hespm"
 
@@ -36,7 +37,7 @@ def small_partitions(max_n=5):
     return out
 
 
-@pytest.mark.parametrize("lam", small_partitions(5))
+@pytest.mark.parametrize("lam", small_partitions(7))
 @pytest.mark.parametrize("src", BASES)
 def test_basis_round_trips(lam, src):
     f = SymF.single(src, lam)
@@ -218,3 +219,139 @@ def test_descent_sets_of_rearrangements_match_definition():
         for lam in partitions(n):
             assert _descent_sets_of_rearrangements(lam) == old_descent_sets_of_rearrangements(lam)
     assert _descent_sets_of_rearrangements(Partition([1] * 12)) == {frozenset(range(1, 12))}
+
+
+# -- an oracle for the basis layer: polynomials in N variables -------------
+# Each basis element is built as an honest polynomial in x_1..x_N from its
+# definition, without SymF.to_basis, and its m coefficients are read off the
+# exponent vectors of the partitions of n.  With N = n every m_mu of degree
+# n is visible.
+
+def mon_product(factors, N):
+    out = MonExpansion.one(N)
+    for f in factors:
+        out = out * f
+    return out
+
+
+def mon_monomials(vars_multisets, N):
+    """Sum of x^v over the given multisets of variable positions."""
+    out = {}
+    for vs in vars_multisets:
+        e = [0] * N
+        for v in vs:
+            e[v] += 1
+        out[tuple(e)] = out.get(tuple(e), 0) + 1
+    return MonExpansion(N, out)
+
+
+def mon_basis(b, lam, N):
+    lam = Partition(lam)
+    if b == "p":
+        return mon_product([mon_monomials([[v] * k for v in range(N)], N) for k in lam], N)
+    if b == "h":
+        return mon_product([mon_monomials(itertools.combinations_with_replacement(range(N), k), N)
+                            for k in lam], N)
+    if b == "e":
+        return mon_product([mon_monomials(itertools.combinations(range(N), k), N) for k in lam], N)
+    if b == "m":
+        padded = tuple(lam) + (0,) * (N - len(lam))
+        return MonExpansion(N, {e: 1 for e in set(itertools.permutations(padded))})
+    return mon_monomials(ssyt_contents(lam, N), N)
+
+
+def ssyt_contents(lam, N):
+    """The entries (0-based) of every semistandard tableau of shape lam with
+    entries below N: rows weakly increase, columns strictly increase."""
+    cells = [(r, c) for r, length in enumerate(lam) for c in range(length)]
+    filling = {}
+
+    def fill(k):
+        if k == len(cells):
+            yield list(filling.values())
+            return
+        r, c = cells[k]
+        lo = max(filling.get((r, c - 1), 0), filling.get((r - 1, c), -1) + 1)
+        for v in range(lo, N):
+            filling[(r, c)] = v
+            yield from fill(k + 1)
+        filling.pop((r, c), None)
+
+    return fill(0)
+
+
+def m_coefficients(mon, n):
+    """{mu: coefficient of x^mu} over the partitions mu of n."""
+    out = {}
+    for mu in partitions(n):
+        c = mon.terms.get(tuple(mu) + (0,) * (mon.N - len(mu)), 0)
+        if c:
+            out[mu] = c
+    return out
+
+
+@pytest.mark.parametrize("b", "hesp")
+def test_to_m_matches_polynomials(b):
+    for n in range(8):
+        for lam in partitions(n):
+            want = m_coefficients(mon_basis(b, lam, n), n)
+            assert SymF.single(b, lam).to_basis("m").terms == want, (b, lam)
+
+
+@pytest.mark.parametrize("b", "sm")
+def test_products_match_polynomials(b):
+    for lam, mu in itertools.product(small_partitions(4), repeat=2):
+        N = Partition(lam).n + Partition(mu).n
+        if not 0 < N <= 6:
+            continue
+        want = m_coefficients(mon_basis(b, lam, N) * mon_basis(b, mu, N), N)
+        got = SymF.single(b, lam) * SymF.single(b, mu)
+        assert got.basis == b
+        assert got.to_basis("m").terms == want, (lam, mu)
+
+
+def dominates(lam, mu):
+    return all(sum(lam[:i]) >= sum(mu[:i]) for i in range(1, len(mu) + 1))
+
+
+def test_partitions_extend_dominance():
+    # the unitriangular solves need a partition listed before all it dominates
+    for n in range(13):
+        plist = partitions(n)
+        for i, j in itertools.combinations(range(len(plist)), 2):
+            assert not dominates(plist[j], plist[i]), (plist[i], plist[j])
+
+
+def test_kostka_unitriangular():
+    for n in range(13):
+        plist = partitions(n)
+        cols = _kostka(n)
+        assert len(cols) == len(plist)
+        for j, col in enumerate(cols):
+            assert col[j] == 1
+            for i, k in col.items():
+                assert i <= j and k > 0 and dominates(plist[i], plist[j])
+
+
+def old_to_monomial(f, N):
+    """The definition before multiset permutations: all N! orderings of
+    each exponent vector, deduplicated."""
+    out = {}
+    for lam, c in f.to_basis("m").terms.items():
+        if lam.length <= N:
+            for e in set(itertools.permutations(tuple(lam) + (0,) * (N - lam.length))):
+                out[e] = c
+    return MonExpansion(N, out)
+
+
+def test_to_monomial_matches_definition():
+    for n in range(8):
+        f = SymF("m", {lam: i + 1 for i, lam in enumerate(partitions(n))})
+        for N in {max(n - 1, 0), n, 7}:
+            assert f.to_monomial(N) == old_to_monomial(f, N), (n, N)
+        g = sym_s(partitions(n)[0])
+        assert g.to_monomial(n) == old_to_monomial(g, n)
+    start = time.perf_counter()
+    got = sym_m([1] * 12).to_monomial(12)
+    assert time.perf_counter() - start < 1
+    assert got == MonExpansion(12, {(1,) * 12: 1})
