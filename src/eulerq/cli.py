@@ -55,9 +55,9 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 _SUITE_MAX = {
-    "genfun": 6, "recurrences": 7, "qexp": 6, "series": 6, "finite-spec": 5,
+    "genfun": 6, "recurrences": 7, "qexp": 6, "series": 8, "finite-spec": 5,
     "derangements": 6, "symmetry": 7, "positivity": 8, "characters": 8,
-    "structure": 7, "specializations": 6, "related": 7,
+    "structure": 7, "specializations": 6, "related": 6,
 }
 _CI_SPECIAL = {"series": 4, "finite-spec": 5, "related": 5}
 

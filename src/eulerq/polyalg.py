@@ -424,9 +424,9 @@ def _coerce_frac(x):
 class TruncSeries:
     """Power series in one distinguished variable, truncated at a fixed order.
 
-    Coefficients are Poly or PolyFraction objects in the remaining variables;
-    the distinguished variable must not occur inside a coefficient (checked
-    for Poly coefficients when it is one of q, p, t, r).
+    Coefficients are Poly objects in the remaining variables (ints and
+    Fractions are coerced); the distinguished variable must not occur inside
+    a coefficient (checked when it is one of q, p, t, r).
     """
 
     __slots__ = ("var", "order", "coeffs")
@@ -434,14 +434,14 @@ class TruncSeries:
     def __init__(self, var, order, coeffs):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        coeffs = list(coeffs)
+        coeffs = [_coerce(c) for c in coeffs]
         if len(coeffs) > order + 1:
             raise ValueError("more coefficients than the truncation order allows")
         coeffs += [Poly.zero()] * (order + 1 - len(coeffs))
         if var in _VIDX:
             i = _VIDX[var]
             for c in coeffs:
-                if isinstance(c, Poly) and any(e[i] for e in c.terms):
+                if any(e[i] for e in c.terms):
                     raise ValueError(f"coefficient contains the series variable {var}")
         self.var = var
         self.order = order
@@ -457,7 +457,7 @@ class TruncSeries:
 
     def _align(self, other):
         if not isinstance(other, TruncSeries):
-            other = TruncSeries(self.var, self.order, [_coerce(other)])
+            other = TruncSeries(self.var, self.order, [other])
         if other.var != self.var:
             raise ValueError(f"series variable mismatch: {self.var} vs {other.var}")
         order = min(self.order, other.order)
@@ -478,16 +478,16 @@ class TruncSeries:
         return TruncSeries(self.var, self.order, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly, PolyFraction)):
+        if isinstance(other, (int, Fraction, Poly)):
             return TruncSeries(self.var, self.order, [c * other for c in self.coeffs])
         other, order = self._align(other)
         out = [Poly.zero() for _ in range(order + 1)]
         for i, a in enumerate(self.coeffs[: order + 1]):
-            if isinstance(a, Poly) and a.is_zero():
+            if a.is_zero():
                 continue
             for j in range(order + 1 - i):
                 b = other.coeffs[j]
-                if isinstance(b, Poly) and b.is_zero():
+                if b.is_zero():
                     continue
                 out[i + j] = out[i + j] + a * b
         return TruncSeries(self.var, order, out)
@@ -495,40 +495,28 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse of a series with invertible constant term.
+        """Multiplicative inverse of a series whose constant term is +-1.
 
-        A constant term of +-1 keeps Poly coefficients; anything else promotes
-        the computation to PolyFraction coefficients.
+        Any other constant term is not a unit in the polynomials, so the
+        inverse has no Poly coefficients and this raises ValueError; check an
+        identity A = N / D as A D == N instead.
         """
         c0 = self.coeffs[0]
-        if isinstance(c0, Poly) and (c0.is_one() or c0 == Poly.const(-1)):
-            sign = 1 if c0.is_one() else -1
-            inv = [Poly.const(sign)]
-            for m in range(1, self.order + 1):
-                acc = Poly.zero()
-                for k in range(1, m + 1):
-                    acc = acc + self.coeffs[k] * inv[m - k]
-                inv.append(acc * (-sign))
-            return TruncSeries(self.var, self.order, inv)
-        c0 = _coerce_frac(c0) if not isinstance(c0, PolyFraction) else c0
-        if c0.is_zero():
-            raise ZeroDivisionError("series has zero constant term")
-        inv = [c0.inverse()]
+        if not (c0.is_one() or c0 == Poly.const(-1)):
+            raise ValueError(
+                f"constant term {c0.render()} is not +-1; the inverse has no Poly coefficients")
+        sign = 1 if c0.is_one() else -1
+        inv = [Poly.const(sign)]
         for m in range(1, self.order + 1):
-            acc = None
+            acc = Poly.zero()
             for k in range(1, m + 1):
-                term = _coerce_frac(self.coeffs[k]) * inv[m - k]
-                acc = term if acc is None else acc + term
-            inv.append(-(inv[0] * acc))
+                acc = acc + self.coeffs[k] * inv[m - k]
+            inv.append(acc * (-sign))
         return TruncSeries(self.var, self.order, inv)
 
     def __eq__(self, other):
         other, order = self._align(other)
-        return all(
-            a == b if not isinstance(a, PolyFraction) and not isinstance(b, PolyFraction)
-            else _coerce_frac(a) == _coerce_frac(b)
-            for a, b in zip(self.coeffs[: order + 1], other.coeffs[: order + 1])
-        )
+        return self.coeffs[: order + 1] == other.coeffs[: order + 1]
 
     def __repr__(self):
         body = ", ".join(f"{self.var}^{i}: {c!r}" for i, c in enumerate(self.coeffs))

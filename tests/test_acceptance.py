@@ -149,7 +149,7 @@ def test_criterion_04_qexp_generating_function():
 
 def test_criterion_05_four_stat_series():
     t0 = time.perf_counter()
-    z, p = (6, 6) if EXTENDED else (4, 4)
+    z, p = (8, 8) if EXTENDED else (4, 4)
     ok = suite_ok(verify_four_stat_series(z, p))
     elapsed = time.perf_counter() - t0
     report(5, ok and elapsed < 600, t0, f"orders z {z}, p {p}")

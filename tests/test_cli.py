@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from eulerq import cli, enumerate_permutations, statistics
+from eulerq import cli, enumerate_permutations, eulerian, related, statistics
 from eulerq.cache import CacheEntry, list_entries, load, store
 from eulerq.report import VerifyReport
 from fixtures_tables import CHAR_TABLES
@@ -218,6 +218,33 @@ def test_verify_jobs_option_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "genfun", "--jobs", "2"])
     assert exc.value.code == 2
+
+
+def _record_verify_calls(monkeypatch):
+    """Replace every verify_* function the suite thunks can reach by one that
+    only records its name and arguments."""
+    calls = []
+    for module in (cli, eulerian, related):
+        for name in dir(module):
+            if name.startswith("verify_") and callable(getattr(module, name)):
+                monkeypatch.setattr(module, name,
+                                    lambda *args, _name=name: calls.append((_name, args)))
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["ci", "extended"])
+@pytest.mark.parametrize("suite", [name for name, _ in cli.full_registry("ci")])
+def test_n_max_never_raises_a_suite_bound(monkeypatch, suite, mode):
+    calls = _record_verify_calls(monkeypatch)
+    ((_, default),) = [e for e in cli.full_registry(mode) if e[0] == suite]
+    default()
+    expected = list(calls)
+    ((_, args),) = expected
+    for n_max in (max(args), max(args) + 1, max(args) + 5):
+        calls.clear()
+        ((_, rebound),) = cli.selected_entries(suite, mode, n_max)
+        rebound()
+        assert calls == expected, n_max
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

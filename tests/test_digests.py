@@ -1,10 +1,9 @@
 """Every rendered answer the benchmark can ask for keeps its recorded bytes.
 
 perfbench/digests.json holds the sha256 of the stdout of every command that
-perfbench/workloads.py can draw.  This replays the commands that are not
-`verify` (those are pinned by the verify tests) in this process, against an
-empty table store, and compares digests.  It reads both files and writes
-neither.
+perfbench/workloads.py can draw.  This replays those commands in this
+process, the rendering commands against an empty table store, and compares
+digests.  It reads both files and writes neither.
 """
 
 import contextlib
@@ -12,6 +11,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -30,6 +30,17 @@ def _workloads():
 
 WORKLOADS = _workloads()
 DIGESTS = json.loads((PERFBENCH / "digests.json").read_text())
+VERIFY_COMMANDS = sorted({WORKLOADS.key(argv)
+                          for workload in WORKLOADS.WORKLOADS
+                          for argv in WORKLOADS.domain(workload)
+                          if WORKLOADS.is_verify(argv)})
+
+
+def _digest(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0, argv
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("workload", ["cli-algebra", "cli-census"])
@@ -37,12 +48,11 @@ def test_commands_print_recorded_bytes(workload, tmp_path, monkeypatch):
     monkeypatch.setenv("EULERQ_CACHE_DIR", str(tmp_path / "store"))
     commands = [argv for argv in WORKLOADS.domain(workload) if not WORKLOADS.is_verify(argv)]
     assert commands
-    differ = []
-    for argv in commands:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            assert main(argv) == 0, argv
-        key = WORKLOADS.key(argv)
-        if hashlib.sha256(buf.getvalue().encode()).hexdigest() != DIGESTS[key]:
-            differ.append(key)
+    differ = [WORKLOADS.key(argv) for argv in commands
+              if _digest(argv) != DIGESTS[WORKLOADS.key(argv)]]
     assert differ == []
+
+
+@pytest.mark.parametrize("command", VERIFY_COMMANDS)
+def test_verify_commands_print_recorded_bytes(command):
+    assert _digest(shlex.split(command)) == DIGESTS[command]

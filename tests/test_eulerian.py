@@ -5,6 +5,7 @@ import pytest
 from eulerq import (
     Partition,
     Poly,
+    eulerian,
     eulerian_number,
     parse_poly,
     parse_symf,
@@ -186,3 +187,20 @@ def test_suite_registry_names():
         "derangements", "symmetry", "positivity", "characters",
         "structure", "specializations"]
     assert [n for n, _ in suite_registry("extended")] == names
+
+
+def test_series_suite_fails_on_a_wrong_enumerator(monkeypatch):
+    """An extra term p in the brute-force A_3(q, p, t, r) reaches the left
+    side at z^3 in every row of p-order 1 or more, and in no other place."""
+    stats = ("maj", "des", "exc", "fix")
+    real = eulerian.a_poly
+
+    def wrong(n, which=("maj", "exc", "fix")):
+        got = real(n, which)
+        return got + Poly.var("p") if (n, tuple(which)) == (3, stats) else got
+
+    monkeypatch.setattr(eulerian, "a_poly", wrong)
+    rep = verify_four_stat_series(5, 5)
+    status = {c.params["p_order"]: (c.status, c.witness) for c in rep.checks}
+    assert status == {0: ("pass", ""),
+                      **{m: ("fail", "first mismatch at z^3") for m in range(1, 6)}}

@@ -122,6 +122,25 @@ def test_trunc_series_geometric_inverse():
     assert s * inv == TruncSeries.one("z", 6)
 
 
+def test_trunc_series_inverse_needs_unit_constant_term():
+    t = Poly.var("t")
+    s = TruncSeries("z", 4, [1 - t, t])
+    with pytest.raises(ValueError, match=r"constant term 1 - t"):
+        s.inverse()
+    neg = TruncSeries("z", 4, [Poly.const(-1), t])
+    assert neg * neg.inverse() == TruncSeries.one("z", 4)
+
+
+def test_trunc_series_holds_polys_only():
+    t = Poly.var("t")
+    s = TruncSeries("z", 3, [Poly.one(), t])
+    with pytest.raises(TypeError, match="cannot coerce"):
+        s * PolyFraction(Poly.one(), 1 - t)
+    with pytest.raises(TypeError, match="cannot coerce"):
+        TruncSeries("z", 3, [PolyFraction(t)])
+    assert TruncSeries("z", 3, [1, 2]).coeffs == [Poly.one(), Poly.const(2), Poly.zero(), Poly.zero()]
+
+
 def test_trunc_series_rejects_series_variable():
     with pytest.raises(ValueError):
         TruncSeries("t", 3, [Poly.var("t")])
