@@ -55,9 +55,9 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 _SUITE_MAX = {
-    "genfun": 6, "recurrences": 7, "qexp": 6, "series": 8, "finite-spec": 5,
+    "genfun": 6, "recurrences": 7, "qexp": 6, "series": 8, "finite-spec": 7,
     "derangements": 6, "symmetry": 7, "positivity": 8, "characters": 8,
-    "structure": 7, "specializations": 6, "related": 6,
+    "structure": 7, "specializations": 8, "related": 6,
 }
 _CI_SPECIAL = {"series": 4, "finite-spec": 5, "related": 5}
 
@@ -395,19 +395,18 @@ class _ExprParser:
             return self.q_atom()
         if name in ("h", "e", "s", "p", "m"):
             self.take("[")
-            lam = self.int_list("]")
-            return SymF.single(name, Partition(lam))
+            return SymF.single(name, self.partition("]"))
         raise UsageError(f"unknown name {name!r}")
 
     def q_atom(self):
         self.take("[")
         if self.peek() == "(":
             self.take()
-            lam = Partition(self.int_list(")"))
+            lam = self.partition(")")
             if lam.n > 8:
                 raise UsageError("cycle types beyond size 8 are not supported")
             self.take(",")
-            j = int(self.take())
+            j = self.integer()
             self.take("]")
             return q_symf_type(lam, j)
         nums = self.int_list("]")
@@ -419,17 +418,26 @@ class _ExprParser:
             return q_symf(nums[0], nums[1], nums[2])
         raise UsageError("Q[..] takes n,j or n,j,k or (parts),j")
 
+    def integer(self):
+        tok = self.take()
+        if not tok.isdigit():
+            raise UsageError(f"expected integer, found {tok!r}")
+        return int(tok)
+
     def int_list(self, closer):
         out = []
         while self.peek() != closer:
-            tok = self.take()
-            if not tok.isdigit():
-                raise UsageError(f"expected integer, found {tok!r}")
-            out.append(int(tok))
+            out.append(self.integer())
             if self.peek() == ",":
                 self.take()
         self.take(closer)
         return out
+
+    def partition(self, closer):
+        parts = self.int_list(closer)
+        if not all(parts):
+            raise UsageError(f"partition parts must be positive: {tuple(parts)}")
+        return Partition(parts)
 
 
 def cmd_expand(args):

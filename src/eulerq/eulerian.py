@@ -41,15 +41,17 @@ from .permstats import (
 )
 from .polyalg import (
     Poly,
-    PolyFraction,
     QExpSeries,
     TruncSeries,
     parse_poly,
-    pochhammer,
     pochhammer_series,
     q_binomial,
     q_factorial,
     q_multinomial,
+    qlist_add,
+    qlist_mul,
+    qlist_p_pochhammer,
+    qlist_to_poly,
 )
 from .report import VerifyReport
 from .symfunc import (
@@ -610,9 +612,33 @@ def verify_four_stat_series(z_max=4, p_max=4) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def _p_poch(n):
-    """(p; q)_{n+1} as a polynomial in p and q."""
-    return pochhammer(Poly.var("p"), n + 1)
+def _first_p_mismatch(n, series, lhs):
+    """The first p-degree d < len(series) where [p^d] of
+    (p;q)_{n+1} sum_m series[m] p^m differs from lhs.get(d, 0), or None.
+
+    series holds q coefficient lists and lhs maps p-degrees to Polys; the
+    series side needs series[m] only for m <= d, so comparing up to a finite
+    degree is exact.
+    """
+    poch = qlist_p_pochhammer(n)
+    for d in range(len(series)):
+        rhs = []
+        for b in range(min(d, n + 1) + 1):
+            qlist_add(rhs, qlist_mul(poch[b], series[d - b]))
+        if qlist_to_poly(rhs) != lhs.get(d, Poly.zero()):
+            return d
+    return None
+
+
+def _shifted_series(pieces, j, depth):
+    """[sum_i q^{i m + j} ps_m(pieces[i]) for m = 0 .. depth], as q lists."""
+    out = []
+    for m in range(depth + 1):
+        acc = []
+        for i, qs in enumerate(pieces):
+            qlist_add(acc, qs.ps_at_qlist(m), i * m + j)
+        out.append(acc)
+    return out
 
 
 def finite_specialization_check(lam, k_max, rep=None) -> VerifyReport:
@@ -623,7 +649,8 @@ def finite_specialization_check(lam, k_max, rep=None) -> VerifyReport:
             = (p;q)_{n+1} sum_m p^m sum_{i=0}^{k} q^{im+j} ps_m(Q_{(lam,1^{k-i}),j}),
 
     compared on the p-coefficients up to degree n + 2 (the series side only
-    needs ps_m for m up to the degree inspected, so the check is exact).
+    needs ps_m for m up to the degree inspected, so the check is exact).  All
+    arithmetic is on integer q coefficient lists (ps_at_qlist).
     """
     lam = Partition(lam)
     if 1 in lam:
@@ -632,39 +659,25 @@ def finite_specialization_check(lam, k_max, rep=None) -> VerifyReport:
     for k in range(k_max + 1):
         full = Partition(tuple(lam) + (1,) * k)
         n = full.n
-        depth = n + 2
-        poch = _p_poch(n).coefficients_in("p")
         for j in range(max(n, 1)):
             lhs = a_coeff(full, j).coefficients_in("p")
-            series = {}
-            for m in range(depth + 1):
-                acc = Poly.zero()
-                for i in range(k + 1):
-                    inner = Partition(tuple(lam) + (1,) * (k - i))
-                    val = q_qsym_type(inner, j).ps_at(m)
-                    if not val.is_zero():
-                        acc = acc + Poly.var("q", i * m + j) * val
-                series[m] = acc
-            ok = True
-            bad = None
-            for d in range(depth + 1):
-                rhs = Poly.zero()
-                for b, pc in poch.items():
-                    if b <= d:
-                        rhs = rhs + pc * series[d - b]
-                if rhs != lhs.get(d, Poly.zero()):
-                    ok = False
-                    bad = d
-                    break
+            pieces = [q_qsym_type(Partition(tuple(lam) + (1,) * (k - i)), j)
+                      for i in range(k + 1)]
+            bad = _first_p_mismatch(n, _shifted_series(pieces, j, n + 2), lhs)
             rep.record("finite specialization of class enumerator",
-                       {"lam": tuple(lam), "k": k, "j": j}, ok,
-                       witness="" if ok else f"p-degree {bad}")
+                       {"lam": tuple(lam), "k": k, "j": j}, bad is None,
+                       witness="" if bad is None else f"p-degree {bad}")
     return rep
 
 
 def verify_finite_specialization(total_max=5, n_consequent=4) -> VerifyReport:
     """The finite-variable specialization identity over all classes
-    (lam, 1^k) with bounded |lam| + k, plus its exc/fix consequence."""
+    (lam, 1^k) with bounded |lam| + k, plus its exc/fix consequence
+
+        [t^j] a_{n,k}(q,p)
+            = (p;q)_{n+1} sum_m p^m sum_{i=0}^{k} q^{im+j} ps_m(Q_{n-i,j,k-i}),
+
+    both on integer q coefficient lists, up to p-degree n + 2."""
     rep = VerifyReport("finite-spec")
     for size in range(total_max + 1):
         for lam in partitions(size):
@@ -672,24 +685,11 @@ def verify_finite_specialization(total_max=5, n_consequent=4) -> VerifyReport:
                 continue
             finite_specialization_check(lam, total_max - size, rep)
     n = n_consequent
-    poch = _p_poch(n).coefficients_in("p")
-    depth = n + 2
     for k in range(n + 1):
         for j in range(n):
             lhs = a_poly_fix(n, k).coefficient("t", j).coefficients_in("p")
-            series = {}
-            for m in range(depth + 1):
-                acc = Poly.zero()
-                for i in range(k + 1):
-                    val = q_qsym(n - i, j, k - i).ps_at(m)
-                    if not val.is_zero():
-                        acc = acc + Poly.var("q", i * m + j) * val
-                series[m] = acc
-            ok = all(
-                sum((pc * series[d - b] for b, pc in poch.items() if b <= d), Poly.zero())
-                == lhs.get(d, Poly.zero())
-                for d in range(depth + 1)
-            )
+            pieces = [q_qsym(n - i, j, k - i) for i in range(k + 1)]
+            ok = _first_p_mismatch(n, _shifted_series(pieces, j, n + 2), lhs) is None
             rep.record("finite specialization, exc/fix form", {"n": n, "k": k, "j": j}, ok)
     return rep
 
@@ -1133,23 +1133,38 @@ def _pair_single_expansion(n, a, N):
 # ---------------------------------------------------------------------------
 
 
+def _cleared_stable(qs, n):
+    """(q;q)_n ps_stable(qs) as a q list, which needs no division, or None
+    when qs has a term of degree above n (the Q family is homogeneous of
+    degree n, so such a term fails the check)."""
+    if any(d > n for d in qs.degrees()):
+        return None
+    return qs.ps_stable_qlist(n)
+
+
+def _stable_matches(a, qs, n, j) -> bool:
+    """Is the Poly a equal to q^j (q;q)_n ps_stable(qs)?"""
+    num = _cleared_stable(qs, n)
+    return num is not None and a == qlist_to_poly(qlist_add([], num, j))
+
+
 def verify_specializations(n_max=6) -> VerifyReport:
     """Stable and finite principal specializations against brute force, plus
-    the partition-of-unity decompositions of the full EXD sum."""
+    the partition-of-unity decompositions of the full EXD sum.  The stable
+    identities [t^j] A = q^j (q;q)_n ps(Q) are checked with (q;q)_n cleared
+    and the finite ones on q coefficient lists, so nothing is divided."""
     rep = VerifyReport("specializations")
-    qvar = Poly.var("q")
     for n in range(n_max + 1):
-        qq = pochhammer(qvar, n)
         ok = all(
-            PolyFraction(a_poly_type(lam, ("maj", "exc")).coefficient("t", j))
-            == q_qsym_type(lam, j).ps_stable() * (Poly.var("q", j) * qq)
+            _stable_matches(a_poly_type(lam, ("maj", "exc")).coefficient("t", j),
+                            q_qsym_type(lam, j), n, j)
             for lam in partitions(n)
             for j in range(max(n, 1))
         )
         rep.record("stable specialization, cycle type", {"n": n}, ok)
         ok = all(
-            PolyFraction(a_poly_fix(n, k, ("maj", "exc")).coefficient("t", j))
-            == q_qsym(n, j, k).ps_stable() * (Poly.var("q", j) * qq)
+            _stable_matches(a_poly_fix(n, k, ("maj", "exc")).coefficient("t", j),
+                            q_qsym(n, j, k), n, j)
             for k in range(n + 1)
             for j in range(max(n, 1))
         )
@@ -1169,36 +1184,34 @@ def verify_specializations(n_max=6) -> VerifyReport:
         everything = QSymF(dict(sets))
         rep.record("partitions of the full sum agree", {"n": n},
                    total_jk == everything and total_type == everything)
-        lhs = PolyFraction(Poly.zero())
-        for j in range(max(n, 1)):
-            lhs = lhs + q_qsym(n, j).ps_stable() * Poly.var("q", j)
-        rep.record("weighted stable specialization totals", {"n": n},
-                   lhs == PolyFraction(q_factorial(n), qq))
+        nums = [_cleared_stable(q_qsym(n, j), n) for j in range(max(n, 1))]
+        ok = None not in nums
+        if ok:
+            weighted = []
+            for j, num in enumerate(nums):
+                qlist_add(weighted, num, j)
+            ok = qlist_to_poly(weighted) == q_factorial(n)
+        rep.record("weighted stable specialization totals", {"n": n}, ok)
     for n in range(1, n_max + 1):
         ok = True
-        poch = _p_poch(n).coefficients_in("p")
         for k in range(n + 1):
             for j in range(n):
                 counter = _exc_fix_data(n).get((j, k))
                 if not counter:
                     continue
                 qs = q_qsym(n, j, k)
-                brute = Poly.zero()
-                witness = Poly.zero()
+                brute = []
+                witness = {}
                 for S, cnt in counter.items():
-                    brute = brute + Poly.term(cnt, q=sum(S))
-                    witness = witness + Poly.term(cnt, q=sum(S), p=len(S) + 1)
-                if qs.ps_stable() * pochhammer(qvar, n) != PolyFraction(brute):
+                    qlist_add(brute, (cnt,), sum(S))
+                    qlist_add(witness.setdefault(len(S) + 1, []), (cnt,), sum(S))
+                if not _stable_matches(qlist_to_poly(brute), qs, n, 0):
                     ok = False
-                if not _poly_nonneg(brute) or not _poly_nonneg(witness):
+                if any(c < 0 for w in [brute, *witness.values()] for c in w):
                     ok = False
-                series = {m: qs.ps_at(m) for m in range(n + 3)}
-                match = all(
-                    sum((pc * series[d - b] for b, pc in poch.items() if b <= d), Poly.zero())
-                    == witness.coefficient("p", d)
-                    for d in range(n + 3)
-                )
-                if not match:
+                series = [qs.ps_at_qlist(m) for m in range(n + 3)]
+                by_p = {d: qlist_to_poly(w) for d, w in witness.items()}
+                if _first_p_mismatch(n, series, by_p) is not None:
                     ok = False
         rep.record("specialization positivity transfer", {"n": n}, ok)
     return rep
@@ -1221,12 +1234,12 @@ def suite_registry(mode="ci"):
         ("recurrences", lambda: verify_recurrences(7 if ext else 6)),
         ("qexp", lambda: verify_qexp_generating_function(6)),
         ("series", lambda: verify_four_stat_series(8 if ext else 4, 8 if ext else 4)),
-        ("finite-spec", lambda: verify_finite_specialization(5, 4)),
+        ("finite-spec", lambda: verify_finite_specialization(7 if ext else 5, 4)),
         ("derangements", lambda: verify_derangement_identities(6)),
         ("symmetry", lambda: verify_symmetry_unimodality(7 if ext else 6)),
         ("positivity", lambda: verify_positivity(8 if ext else 6)),
         ("characters", lambda: verify_character_formula(8 if ext else 6)),
         ("structure", lambda: verify_structure_identities(
             7 if ext else 6, 6, 7 if ext else 6)),
-        ("specializations", lambda: verify_specializations(6)),
+        ("specializations", lambda: verify_specializations(8 if ext else 6)),
     ]

@@ -4,7 +4,9 @@ Everything here is exact: coefficients are Python integers (or Fractions where
 rational scalars enter), exponents are machine integers that may be negative,
 so the same class covers Laurent polynomials. The variable set is fixed to
 (q, p, t, r); a distinguished series variable (z or p) lives at the series
-level, never inside a coefficient.
+level, never inside a coefficient.  Polynomials in q alone also have a dense
+form, integer coefficient lists (the qlist_* functions), which the principal
+specializations use.
 """
 from __future__ import annotations
 
@@ -108,16 +110,13 @@ class Poly:
             return Poly({e: c * other for e, c in self.terms.items()}) if other else Poly()
         if not isinstance(other, Poly):
             return NotImplemented
-        other = _coerce(other)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+        get = out.get
+        right = list(other.terms.items())
+        for (a0, a1, a2, a3), c1 in self.terms.items():
+            for (b0, b1, b2, b3), c2 in right:
+                e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                out[e] = get(e, 0) + c1 * c2
         return Poly(out)
 
     __rmul__ = __mul__
@@ -311,12 +310,8 @@ def q_factorial(n):
 
 @lru_cache(maxsize=None)
 def q_binomial(n, k):
-    """Gaussian binomial [n choose k]_q via the q-Pascal recurrence."""
-    if k < 0 or k > n:
-        return Poly.zero()
-    if k == 0 or k == n:
-        return Poly.one()
-    return q_binomial(n - 1, k - 1) + Poly.var("q", k) * q_binomial(n - 1, k)
+    """Gaussian binomial [n choose k]_q (see qlist_binomial)."""
+    return qlist_to_poly(qlist_binomial(n, k))
 
 
 def q_multinomial(n, ks):
@@ -339,6 +334,68 @@ def pochhammer(a, n):
     for i in range(n):
         out = out * (Poly.one() - a * Poly.var("q", i))
     return out
+
+
+# Polynomials in q alone as coefficient lists: index i holds the coefficient
+# of q^i.  The principal specializations (QSymF.ps_at and ps_stable) and the
+# specialization suites run on these, with no dict per term.  Cached values
+# are tuples and accumulators are lists.  A list may end in zeros, so compare
+# two of them through qlist_to_poly, which drops zero coefficients.
+
+def qlist_add(acc, a, shift=0, coeff=1):
+    """acc += coeff q^shift a, in place; returns acc."""
+    if len(acc) < shift + len(a):
+        acc.extend([0] * (shift + len(a) - len(acc)))
+    for i, c in enumerate(a, shift):
+        if c:
+            acc[i] += coeff * c
+    return acc
+
+
+def qlist_mul(a, b):
+    """The product of two coefficient lists, as a new list."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return out
+
+
+def qlist_to_poly(a):
+    """The Poly in q with coefficient list a."""
+    return Poly({(i, 0, 0, 0): c for i, c in enumerate(a) if c})
+
+
+@lru_cache(maxsize=None)
+def qlist_binomial(n, k):
+    """Gaussian binomial [n choose k]_q via the q-Pascal recurrence."""
+    if k < 0 or k > n:
+        return ()
+    if k == 0 or k == n:
+        return (1,)
+    return tuple(qlist_add(list(qlist_binomial(n - 1, k - 1)), qlist_binomial(n - 1, k), k))
+
+
+@lru_cache(maxsize=None)
+def qlist_pochhammer(a, m):
+    """(q^a; q)_m = prod_{i=0}^{m-1} (1 - q^(a+i)) for a >= 1."""
+    if a < 1:
+        raise ValueError("qlist_pochhammer needs a >= 1")
+    if m == 0:
+        return (1,)
+    prev = qlist_pochhammer(a, m - 1)
+    return tuple(qlist_add(list(prev), prev, a + m - 1, -1))
+
+
+@lru_cache(maxsize=None)
+def qlist_p_pochhammer(n):
+    """The p-coefficients of (p; q)_{n+1}: by the q-binomial theorem,
+    [p^b] is (-1)^b q^(b choose 2) [n+1 choose b]_q, for b = 0 .. n+1."""
+    return tuple(tuple(qlist_add([], qlist_binomial(n + 1, b), comb(b, 2), (-1) ** b))
+                 for b in range(n + 2))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .permstats import Partition, partitions
-from .polyalg import Poly, PolyFraction, q_binomial, pochhammer
+from .polyalg import (
+    Poly,
+    PolyFraction,
+    qlist_add,
+    qlist_binomial,
+    qlist_mul,
+    qlist_pochhammer,
+    qlist_to_poly,
+)
 
 BASES = ("m", "h", "e", "p", "s")
 
@@ -181,41 +189,61 @@ class QSymF:
         return MonExpansion(N, out)
 
     # -- principal specializations ------------------------------------------
+    def _ps_numerators(self):
+        """dict (n, k) -> coefficient list of the sum of c q^{sum S} over the
+        terms c F_{S,n} with |S| = k."""
+        groups = {}
+        for (n, S), c in self.terms.items():
+            qlist_add(groups.setdefault((n, len(S)), []), (c,), sum(S))
+        return groups
+
+    def ps_stable_qlist(self, d):
+        """(q;q)_d times the stable principal specialization, as a coefficient
+        list: the sum over c F_{S,n} of c q^{sum S} (q^{n+1}; q)_{d-n}.  Every
+        degree must be at most d, or the product need not be a polynomial."""
+        by_degree = {}
+        for (n, _), num in self._ps_numerators().items():
+            if n > d:
+                raise ValueError(f"degree {n} exceeds {d}")
+            qlist_add(by_degree.setdefault(n, []), num)
+        out = []
+        for n, num in by_degree.items():
+            qlist_add(out, num if n == d else qlist_mul(num, qlist_pochhammer(n + 1, d - n)))
+        return out
+
+    def ps_at_qlist(self, m):
+        """ps_at(m) as a coefficient list: the sum over (n, k) of the grouped
+        numerator times [m - k - 1 + n choose n]_q, for m >= k + 1 (or n = 0)."""
+        out = []
+        for (n, k), num in self._ps_numerators().items():
+            if n == 0:
+                qlist_add(out, num)
+            elif m >= k + 1:
+                qlist_add(out, qlist_mul(num, qlist_binomial(m - k - 1 + n, n)))
+        return out
+
     def ps_stable(self):
         """Stable principal specialization x_i -> q^{i-1}.
 
         F_{S,n} specializes to q^{sum S} / (q;q)_n; mixed degrees are put over
-        the common denominator (q;q)_{max degree}.
+        the common denominator (q;q)_{max degree}.  Returns a PolyFraction
+        whose numerator is ps_stable_qlist of the top degree; a check against
+        a polynomial is cheaper in that cleared form.
         """
         if not self.terms:
             return PolyFraction(Poly.zero())
         N = max(n for (n, _) in self.terms)
-        num = Poly.zero()
-        for (n, S), c in self.terms.items():
-            scale = Poly.one()
-            for i in range(n + 1, N + 1):
-                scale = scale * (Poly.one() - Poly.var("q", i))
-            num = num + c * Poly.var("q", sum(S)) * scale
-        return PolyFraction(num, _qq_pochhammer(N))
+        return PolyFraction(qlist_to_poly(self.ps_stable_qlist(N)),
+                            qlist_to_poly(qlist_pochhammer(1, N)))
 
     def ps_at(self, m):
         """Principal specialization in m variables, x_i -> q^{i-1} for i <= m.
 
         F_{S,n} contributes q^{sum S} [m - |S| - 1 + n choose n]_q when
-        m >= |S| + 1 and zero otherwise.
+        m >= |S| + 1 and zero otherwise; F_{emptyset,0} contributes 1.  The
+        Poly form of ps_at_qlist(m).
         """
-        out = Poly.zero()
-        for (n, S), c in self.terms.items():
-            if n == 0:
-                out = out + Poly.const(c)
-            elif m >= len(S) + 1:
-                out = out + c * Poly.var("q", sum(S)) * q_binomial(m - len(S) - 1 + n, n)
-        return out
-
-
-def _qq_pochhammer(n):
-    """(q;q)_n as a Poly."""
-    return pochhammer(Poly.var("q"), n)
+        return qlist_to_poly(self.ps_at_qlist(m))
 
 
 def fundamental(S, n):
@@ -623,7 +651,7 @@ class SymF:
         self.terms = {}
         for lam, c in (terms or {}).items():
             if c:
-                self.terms[Partition(lam)] = c
+                self.terms[lam if isinstance(lam, Partition) else Partition(lam)] = c
 
     # -- constructors ---------------------------------------------------
     @classmethod

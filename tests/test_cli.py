@@ -193,6 +193,19 @@ def test_expand_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("expr, message", [
+    ("m[0]", "error: partition parts must be positive: (0,)"),
+    ("h[1,0]", "error: partition parts must be positive: (1, 0)"),
+    ("Q[(2,0),1]", "error: partition parts must be positive: (2, 0)"),
+    ("Q[(2,1),x]", "error: expected integer, found 'x'"),
+])
+def test_expand_bad_atoms_are_usage_errors(capsys, expr, message):
+    assert cli.main(["expand", expr, "h"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_verify_single_suite(capsys):
     rc, out = run(capsys, "verify", "genfun", "--n-max", "3")
     assert rc == 0

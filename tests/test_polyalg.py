@@ -15,7 +15,18 @@ from eulerq import (
     q_int,
     q_multinomial,
 )
-from eulerq.polyalg import QExpSeries, pochhammer, pochhammer_series
+from eulerq.polyalg import (
+    P,
+    QExpSeries,
+    pochhammer,
+    pochhammer_series,
+    qlist_add,
+    qlist_binomial,
+    qlist_mul,
+    qlist_p_pochhammer,
+    qlist_pochhammer,
+    qlist_to_poly,
+)
 
 coeffs = st.integers(min_value=-9, max_value=9)
 exps = st.integers(min_value=0, max_value=3)
@@ -171,3 +182,59 @@ def test_qexp_geometric():
     assert g.coeffs[3] == u**3
     one = QExpSeries([Poly.one()] + [Poly.zero()] * 5)
     assert g * one == g
+
+
+# ---------------------------------------------------------------------------
+# coefficient lists in q against Poly
+# ---------------------------------------------------------------------------
+
+qlists = st.lists(st.integers(min_value=-5, max_value=5), max_size=6)
+
+
+@given(qlists, qlists)
+@settings(max_examples=60, deadline=None)
+def test_qlist_mul_matches_poly(a, b):
+    assert qlist_to_poly(qlist_mul(a, b)) == qlist_to_poly(a) * qlist_to_poly(b)
+
+
+@given(qlists, qlists, st.integers(min_value=0, max_value=4), coeffs)
+@settings(max_examples=60, deadline=None)
+def test_qlist_add_matches_poly(acc, a, shift, c):
+    want = qlist_to_poly(acc) + c * Poly.var("q", shift) * qlist_to_poly(a)
+    out = qlist_add(acc, a, shift, c)
+    assert out is acc
+    assert qlist_to_poly(acc) == want
+
+
+def test_qlist_trailing_zeros():
+    assert qlist_to_poly([1, 0, 0]) == Poly.one()
+    assert qlist_to_poly([0, 0]) == Poly.zero() == qlist_to_poly([])
+    assert qlist_mul([0, 1, 0], [2, 0]) == [0, 2, 0, 0]
+    assert qlist_mul([], [1]) == []
+    # a cancellation leaves zeros in the list; the Poly drops them
+    acc = qlist_add([1, 1], [1, 1], 0, -1)
+    assert acc == [0, 0] and qlist_to_poly(acc).is_zero()
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_qlist_binomial(n):
+    for k in range(-1, n + 2):
+        got = qlist_to_poly(qlist_binomial(n, k))
+        if 0 <= k <= n:
+            assert got * q_factorial(k) * q_factorial(n - k) == q_factorial(n)
+        else:
+            assert qlist_binomial(n, k) == ()
+        assert got == q_binomial(n, k)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_qlist_pochhammers(n):
+    q = Poly.var("q")
+    for a in (1, 2, 4):
+        assert qlist_to_poly(qlist_pochhammer(a, n)) == pochhammer(q ** a, n)
+    want = pochhammer(P, n + 1).coefficients_in("p")
+    got = qlist_p_pochhammer(n)
+    assert len(got) == n + 2
+    assert {b: qlist_to_poly(c) for b, c in enumerate(got)} == want
+    with pytest.raises(ValueError):
+        qlist_pochhammer(0, n)

@@ -25,6 +25,7 @@ from eulerq import (
     sym_p,
     sym_s,
 )
+from eulerq.polyalg import PolyFraction, pochhammer, qlist_to_poly
 from eulerq.symfunc import _descent_sets_of_rearrangements, _kostka
 
 BASES = "hespm"
@@ -157,9 +158,49 @@ def test_principal_specializations():
 
 def test_ps_stable_geometric():
     # h_1 = sum x_i -> 1/(1-q)
-    from eulerq.polyalg import PolyFraction
     f = QSymF.fundamental(frozenset(), 1)
     assert f.ps_stable() == PolyFraction(Poly.one(), 1 - Poly.var("q"))
+
+
+@st.composite
+def qsym_functions(draw):
+    """Random QSymF with degrees 0 .. 4, mixed degrees included."""
+    keys = [(n, frozenset(S))
+            for n in range(5) for r in range(n) for S in itertools.combinations(range(1, n), r)]
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=6))
+    return QSymF({key: draw(st.integers(min_value=-3, max_value=3)) for key in chosen})
+
+
+def _substituted(f, m):
+    """ps_at by definition: x_i -> q^(i-1) in the m-variable expansion."""
+    out = Poly.zero()
+    for exp, c in f.to_monomial(m).terms.items():
+        out = out + c * Poly.var("q", sum(i * e for i, e in enumerate(exp)))
+    return out
+
+
+@given(qsym_functions())
+@settings(max_examples=40, deadline=None)
+def test_ps_at_matches_substitution(f):
+    for m in range(1, 5):
+        assert f.ps_at(m) == _substituted(f, m), m
+    assert f.ps_at(0) == Poly.const(f.terms.get((0, frozenset()), 0))
+
+
+@given(qsym_functions())
+@settings(max_examples=40, deadline=None)
+def test_ps_stable_matches_per_term_definition(f):
+    q = Poly.var("q")
+    want = PolyFraction(Poly.zero())
+    for (n, S), c in f.terms.items():
+        want = want + PolyFraction(c * Poly.var("q", sum(S)), pochhammer(q, n))
+    assert f.ps_stable() == want
+    top = max(f.degrees(), default=0)
+    for d in range(top, top + 3):
+        assert PolyFraction(qlist_to_poly(f.ps_stable_qlist(d)), pochhammer(q, d)) == want
+    if top:
+        with pytest.raises(ValueError):
+            f.ps_stable_qlist(top - 1)
 
 
 def test_render_parse():
