@@ -64,7 +64,6 @@ from .eulerian import (
     q_symf,
     q_symf_type,
     q_type_poly,
-    suite_registry,
 )
 from .bijections import (
     Banner,

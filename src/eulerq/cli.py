@@ -3,7 +3,7 @@ suites, character tables, expression expansion, and the table cache.
 
 Exit codes are stable for scripting: 0 success, 1 a verification check
 failed, 2 usage or parse error.  JSON output is key-sorted and compact, and
-verify runs its suites one after another in registry order, so identical
+verify runs its suites one after another in suite table order, so identical
 inputs produce byte-identical bytes.
 """
 
@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from collections import namedtuple
 from math import factorial
 
 from . import cache as cachestore
@@ -20,7 +21,6 @@ from .eulerian import (
     char_table,
     q_symf,
     q_symf_type,
-    suite_registry,
     verify_character_formula,
     verify_derangement_identities,
     verify_finite_specialization,
@@ -42,7 +42,7 @@ from .permstats import (
     row_stat,
     statistics,
 )
-from .related import related_registry, verify_related
+from .related import verify_related
 from .symfunc import SymF
 
 
@@ -54,55 +54,44 @@ class UsageError(Exception):
 # verify driver
 # ---------------------------------------------------------------------------
 
-_SUITE_MAX = {
-    "genfun": 6, "recurrences": 7, "qexp": 6, "series": 8, "finite-spec": 7,
-    "derangements": 6, "symmetry": 7, "positivity": 8, "characters": 8,
-    "structure": 7, "specializations": 8, "related": 6,
-}
-_CI_SPECIAL = {"series": 4, "finite-spec": 5, "related": 5}
+Suite = namedtuple("Suite", "name ci extended run")
 
-
-def _suite_thunk(name, bound, mode):
-    gessel = min(bound, 4 if mode == "ci" else 6)
-    table = {
-        "genfun": lambda: verify_main_generating_function(bound),
-        "recurrences": lambda: verify_recurrences(bound),
-        "qexp": lambda: verify_qexp_generating_function(bound),
-        "series": lambda: verify_four_stat_series(bound, bound),
-        "finite-spec": lambda: verify_finite_specialization(bound, 4),
-        "derangements": lambda: verify_derangement_identities(bound),
-        "symmetry": lambda: verify_symmetry_unimodality(bound),
-        "positivity": lambda: verify_positivity(bound),
-        "characters": lambda: verify_character_formula(bound),
-        "structure": lambda: verify_structure_identities(bound, min(bound, 6), bound),
-        "specializations": lambda: verify_specializations(bound),
-        "related": lambda: verify_related(bound, gessel),
-    }
-    return table[name]
-
-
-def full_registry(mode):
-    """Every suite in fixed order: the core families plus companion models."""
-    return list(suite_registry(mode)) + list(related_registry(mode))
+# One row per verify suite, in the order `verify all` runs them: the bound n
+# of each mode, and run(n, mode), the suite's verify_* call at bound n.  Each
+# run looks its verify_* function up when it is called and stores no
+# reference, so a tracer that rebinds this module's globals sees every call.
+SUITES = (
+    Suite("genfun", 6, 6, lambda n, mode: verify_main_generating_function(n)),
+    Suite("recurrences", 6, 7, lambda n, mode: verify_recurrences(n)),
+    Suite("qexp", 6, 6, lambda n, mode: verify_qexp_generating_function(n)),
+    Suite("series", 4, 8, lambda n, mode: verify_four_stat_series(n, n)),
+    Suite("finite-spec", 5, 7, lambda n, mode: verify_finite_specialization(n, 4)),
+    Suite("derangements", 6, 6, lambda n, mode: verify_derangement_identities(n)),
+    Suite("symmetry", 6, 7, lambda n, mode: verify_symmetry_unimodality(n)),
+    Suite("positivity", 6, 8, lambda n, mode: verify_positivity(n)),
+    Suite("characters", 6, 8, lambda n, mode: verify_character_formula(n)),
+    Suite("structure", 6, 7,
+          lambda n, mode: verify_structure_identities(n, min(n, 6), n)),
+    Suite("specializations", 6, 8, lambda n, mode: verify_specializations(n)),
+    Suite("related", 5, 6,
+          lambda n, mode: verify_related(n, min(n, 4 if mode == "ci" else 6))),
+)
 
 
 def selected_entries(suite, mode, n_max):
-    """(name, thunk) pairs for one suite or all; n_max 0 keeps the defaults."""
-    entries = full_registry(mode)
-    if suite != "all":
-        entries = [e for e in entries if e[0] == suite]
-        if not entries:
-            names = ", ".join(n for n, _ in full_registry(mode))
-            raise UsageError(f"unknown suite {suite!r}; choose from: {names}, all")
-    if n_max:
-        rebound = []
-        for name, _ in entries:
-            cap = _SUITE_MAX[name]
-            if mode == "ci":
-                cap = min(cap, _CI_SPECIAL.get(name, 6))
-            bound = max(1, min(n_max, cap))
-            rebound.append((name, _suite_thunk(name, bound, mode)))
-        entries = rebound
+    """(name, thunk) pairs for one suite or all, in suite table order.  Each
+    suite runs at its bound for the mode; a nonzero n_max lowers that bound
+    to n_max, but never below 1."""
+    rows = [row for row in SUITES if suite in ("all", row.name)]
+    if not rows:
+        names = ", ".join(row.name for row in SUITES)
+        raise UsageError(f"unknown suite {suite!r}; choose from: {names}, all")
+    entries = []
+    for row in rows:
+        bound = row.ci if mode == "ci" else row.extended
+        if n_max:
+            bound = max(1, min(n_max, bound))
+        entries.append((row.name, lambda run=row.run, n=bound: run(n, mode)))
     return entries
 
 
@@ -270,6 +259,8 @@ def cmd_qfun(args):
     else:
         if not 0 <= args.n <= 8:
             raise UsageError("--n must be between 0 and 8")
+        if args.k is not None and args.k < 0:
+            raise UsageError("--k must be nonnegative")
         params = ["n", args.n, "j", args.j, "k", args.k]
         compute = lambda: q_symf(args.n, args.j, args.k).to_basis(args.basis).render()
     directory = args.cache_dir or cachestore.default_cache_dir()

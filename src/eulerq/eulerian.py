@@ -27,7 +27,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 from .permstats import (
     Partition,
@@ -717,7 +717,7 @@ def verify_derangement_identities(n_max=6) -> VerifyReport:
         rep.record("derangement inclusion-exclusion", {"n": n},
                    a_poly_derangements(n) == rhs)
         dn = a_poly_derangements(n).substitute(q=1, t=1).constant_value()
-        classical = sum((-1) ** k * comb(n, k) * _fact(n - k) for k in range(n + 1))
+        classical = sum((-1) ** k * comb(n, k) * factorial(n - k) for k in range(n + 1))
         rep.record("derangement count", {"n": n}, dn == classical)
     for n in range(n_max + 1):
         ok = all(
@@ -745,13 +745,6 @@ def verify_derangement_identities(n_max=6) -> VerifyReport:
 def _geom_upper(u, order):
     """Divided-power series with coefficients q^(n choose 2) u^n."""
     return QExpSeries([Poly.var("q", comb(n, 2)) * u ** n for n in range(order + 1)])
-
-
-def _fact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1215,31 +1208,3 @@ def verify_specializations(n_max=6) -> VerifyReport:
                     ok = False
         rep.record("specialization positivity transfer", {"n": n}, ok)
     return rep
-
-
-# ---------------------------------------------------------------------------
-# suite registry
-# ---------------------------------------------------------------------------
-
-
-def suite_registry(mode="ci"):
-    """Deterministically ordered (name, thunk) pairs for the verify driver.
-
-    ci bounds every family at n <= 6 and the series orders at 4; extended
-    raises each suite to its stated maximum.
-    """
-    ext = mode == "extended"
-    return [
-        ("genfun", lambda: verify_main_generating_function(6)),
-        ("recurrences", lambda: verify_recurrences(7 if ext else 6)),
-        ("qexp", lambda: verify_qexp_generating_function(6)),
-        ("series", lambda: verify_four_stat_series(8 if ext else 4, 8 if ext else 4)),
-        ("finite-spec", lambda: verify_finite_specialization(7 if ext else 5, 4)),
-        ("derangements", lambda: verify_derangement_identities(6)),
-        ("symmetry", lambda: verify_symmetry_unimodality(7 if ext else 6)),
-        ("positivity", lambda: verify_positivity(8 if ext else 6)),
-        ("characters", lambda: verify_character_formula(8 if ext else 6)),
-        ("structure", lambda: verify_structure_identities(
-            7 if ext else 6, 6, 7 if ext else 6)),
-        ("specializations", lambda: verify_specializations(8 if ext else 6)),
-    ]

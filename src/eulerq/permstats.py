@@ -159,19 +159,6 @@ class Permutation:
     def identity(cls, n):
         return cls(range(1, n + 1))
 
-    @classmethod
-    def from_cycles(cls, cycles, n):
-        word = list(range(1, n + 1))
-        seen = set()
-        for cyc in cycles:
-            for x in cyc:
-                if x in seen or not 1 <= x <= n:
-                    raise ValueError(f"bad cycle decomposition: {cycles!r}")
-                seen.add(x)
-            for a, b in zip(cyc, cyc[1:] + type(cyc)((cyc[0],))):
-                word[a - 1] = b
-        return cls(word)
-
     def cycles(self):
         """Cycle decomposition, each cycle rotated smallest first, cycles sorted by minimum."""
         seen = [False] * self.n

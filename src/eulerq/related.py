@@ -448,10 +448,3 @@ def verify_related(n_words=5, n_gessel=4) -> VerifyReport:
         rep.record("doubling weight totals match", {"n": n}, lhs == rhs)
 
     return rep
-
-
-def related_registry(mode="ci"):
-    """Suite entries in the shape used by the verification front end."""
-    if mode == "extended":
-        return [("related", lambda: verify_related(6, 6))]
-    return [("related", lambda: verify_related(5, 4))]

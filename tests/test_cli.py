@@ -1,6 +1,8 @@
 """Command line interface: outputs, exit codes, determinism, caching."""
 
+import ast
 import importlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -11,6 +13,9 @@ from eulerq import cli, enumerate_permutations, eulerian, related, statistics
 from eulerq.cache import CacheEntry, list_entries, load, store
 from eulerq.report import VerifyReport
 from fixtures_tables import CHAR_TABLES
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -134,6 +139,17 @@ def test_qfun_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--j", "-1"], "error: --j is required and must be nonnegative"),
+    (["--j", "1", "--k", "-1"], "error: --k must be nonnegative"),
+])
+def test_qfun_negative_j_or_k_is_usage_error(capsys, tmp_path, argv, message):
+    assert cli.main(["qfun", "--n", "3", *argv, "--cache-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_chartable_json_matches_reference(capsys, tmp_path):
     rc, out = run(capsys, "chartable", "5", "--output", "json")
     assert rc == 0
@@ -245,15 +261,89 @@ def _record_verify_calls(monkeypatch):
     return calls
 
 
+DEFAULT_CALLS = {
+    "ci": [
+        ("genfun", "verify_main_generating_function", (6,)),
+        ("recurrences", "verify_recurrences", (6,)),
+        ("qexp", "verify_qexp_generating_function", (6,)),
+        ("series", "verify_four_stat_series", (4, 4)),
+        ("finite-spec", "verify_finite_specialization", (5, 4)),
+        ("derangements", "verify_derangement_identities", (6,)),
+        ("symmetry", "verify_symmetry_unimodality", (6,)),
+        ("positivity", "verify_positivity", (6,)),
+        ("characters", "verify_character_formula", (6,)),
+        ("structure", "verify_structure_identities", (6, 6, 6)),
+        ("specializations", "verify_specializations", (6,)),
+        ("related", "verify_related", (5, 4)),
+    ],
+    "extended": [
+        ("genfun", "verify_main_generating_function", (6,)),
+        ("recurrences", "verify_recurrences", (7,)),
+        ("qexp", "verify_qexp_generating_function", (6,)),
+        ("series", "verify_four_stat_series", (8, 8)),
+        ("finite-spec", "verify_finite_specialization", (7, 4)),
+        ("derangements", "verify_derangement_identities", (6,)),
+        ("symmetry", "verify_symmetry_unimodality", (7,)),
+        ("positivity", "verify_positivity", (8,)),
+        ("characters", "verify_character_formula", (8,)),
+        ("structure", "verify_structure_identities", (7, 6, 7)),
+        ("specializations", "verify_specializations", (8,)),
+        ("related", "verify_related", (6, 6)),
+    ],
+}
+
+
 @pytest.mark.parametrize("mode", ["ci", "extended"])
-@pytest.mark.parametrize("suite", [name for name, _ in cli.full_registry("ci")])
+def test_default_suite_calls(monkeypatch, mode):
+    calls = _record_verify_calls(monkeypatch)
+    made = []
+    for name, thunk in cli.selected_entries("all", mode, 0):
+        calls.clear()
+        thunk()
+        ((fn, args),) = calls
+        made.append((name, fn, args))
+    assert made == DEFAULT_CALLS[mode]
+
+
+SUITE_NAMES = ["genfun", "recurrences", "qexp", "series", "finite-spec",
+               "derangements", "symmetry", "positivity", "characters",
+               "structure", "specializations", "related"]
+
+
+def test_suite_table_names():
+    assert [row.name for row in cli.SUITES] == SUITE_NAMES
+
+
+def test_suite_table_matches_the_benchmark_suites():
+    """perfbench/run.py reports a verify.<suite>_s metric for each name in its
+    SUITES; the file is read as text, so the benchmark is not imported."""
+    source = (ROOT / "perfbench" / "run.py").read_text()
+    (value,) = [node.value for node in ast.parse(source).body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["SUITES"]]
+    assert list(ast.literal_eval(value)) == [row.name for row in cli.SUITES]
+
+
+def test_readme_suite_table_matches_the_code():
+    lines = (ROOT / "README.md").read_text().split("### Verification suites", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    table = list(itertools.takewhile(lambda line: line.startswith("|"), lines[start:]))
+    head, _, *rows = [[cell.strip() for cell in line.split("|")[1:-1]] for line in table]
+    assert head == ["suite", "what is checked", "ci", "extended"]
+    assert [(name, int(ci), int(extended)) for name, _, ci, extended in rows] == [
+        (row.name, row.ci, row.extended) for row in cli.SUITES]
+
+
+@pytest.mark.parametrize("mode", ["ci", "extended"])
+@pytest.mark.parametrize("suite", [row.name for row in cli.SUITES])
 def test_n_max_never_raises_a_suite_bound(monkeypatch, suite, mode):
     calls = _record_verify_calls(monkeypatch)
-    ((_, default),) = [e for e in cli.full_registry(mode) if e[0] == suite]
-    default()
+    (row,) = [row for row in cli.SUITES if row.name == suite]
+    bound = row.ci if mode == "ci" else row.extended
+    row.run(bound, mode)
     expected = list(calls)
-    ((_, args),) = expected
-    for n_max in (max(args), max(args) + 1, max(args) + 5):
+    assert len(expected) == 1
+    for n_max in (bound, bound + 1, bound + 5):
         calls.clear()
         ((_, rebound),) = cli.selected_entries(suite, mode, n_max)
         rebound()
@@ -263,7 +353,7 @@ def test_n_max_never_raises_a_suite_bound(monkeypatch, suite, mode):
 def test_verify_failure_exit_code(capsys, monkeypatch):
     rep = VerifyReport("stub")
     rep.record("always wrong", {"n": 1}, False, witness="broken")
-    monkeypatch.setattr(cli, "full_registry", lambda mode: [("stub", lambda: rep)])
+    monkeypatch.setattr(cli, "SUITES", (cli.Suite("stub", 1, 1, lambda n, mode: rep),))
     rc, out = run(capsys, "verify", "all")
     assert rc == 1
     assert "result: FAIL" in out

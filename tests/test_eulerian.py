@@ -27,7 +27,6 @@ from eulerq.eulerian import (
     q_qsym,
     q_qsym_type,
     shift_exc_by_qinv,
-    suite_registry,
     t_symmetric,
     verify_character_formula,
     verify_derangement_identities,
@@ -178,15 +177,6 @@ SMALL_SUITES = [
 def test_suite_passes_at_small_bounds(fn, args):
     rep = fn(*args)
     assert rep.ok, rep.failures()
-
-
-def test_suite_registry_names():
-    names = [name for name, _ in suite_registry("ci")]
-    assert names == [
-        "genfun", "recurrences", "qexp", "series", "finite-spec",
-        "derangements", "symmetry", "positivity", "characters",
-        "structure", "specializations"]
-    assert [n for n, _ in suite_registry("extended")] == names
 
 
 def test_series_suite_fails_on_a_wrong_enumerator(monkeypatch):

@@ -15,7 +15,6 @@ from eulerq import (
 from eulerq.related import (
     DERANGEMENT_COUNTS,
     WORD_CONSTRAINTS,
-    related_registry,
     words_no_repeat_tdict,
 )
 
@@ -109,6 +108,3 @@ def test_verify_related_small():
     rep = verify_related(4, 3)
     assert rep.ok, rep.failures()
 
-
-def test_related_registry():
-    assert [name for name, _ in related_registry("ci")] == ["related"]
