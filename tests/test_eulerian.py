@@ -40,6 +40,7 @@ from eulerq.eulerian import (
     verify_structure_identities,
     verify_symmetry_unimodality,
 )
+from eulerq import cli
 from fixtures_tables import CHAR_TABLES
 
 
@@ -177,6 +178,17 @@ SMALL_SUITES = [
 def test_suite_passes_at_small_bounds(fn, args):
     rep = fn(*args)
     assert rep.ok, rep.failures()
+
+
+def test_suite_registry_names():
+    """The eleven core suites lead the suite table, in the same order in
+    both modes."""
+    names = [name for name, _ in cli.selected_entries("all", "ci", 0)][:11]
+    assert names == [
+        "genfun", "recurrences", "qexp", "series", "finite-spec",
+        "derangements", "symmetry", "positivity", "characters",
+        "structure", "specializations"]
+    assert [n for n, _ in cli.selected_entries("all", "extended", 0)][:11] == names
 
 
 def test_series_suite_fails_on_a_wrong_enumerator(monkeypatch):

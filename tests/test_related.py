@@ -12,6 +12,7 @@ from eulerq import (
     verify_related,
     y_poly,
 )
+from eulerq import cli
 from eulerq.related import (
     DERANGEMENT_COUNTS,
     WORD_CONSTRAINTS,
@@ -108,3 +109,8 @@ def test_verify_related_small():
     rep = verify_related(4, 3)
     assert rep.ok, rep.failures()
 
+
+def test_related_registry():
+    """The related suite closes the suite table and is selectable by name."""
+    assert cli.SUITES[-1].name == "related"
+    assert [name for name, _ in cli.selected_entries("related", "ci", 0)] == ["related"]
