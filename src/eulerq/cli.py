@@ -432,6 +432,8 @@ class _ExprParser:
 
 
 def cmd_expand(args):
+    if args.vars < 0:
+        raise UsageError("--vars must be nonnegative")
     value = _ExprParser(args.expr).parse()
     if args.vars:
         mon = value.to_monomial(args.vars)

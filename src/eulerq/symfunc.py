@@ -9,14 +9,17 @@ Three faithful representations cooperate here:
   * SymF: symmetric functions tagged by a basis in {m, h, e, p, s} and
     keyed by partitions.
 
-Basis conversions route through the Schur basis, with one integer Kostka
-matrix per degree, built by the Pieri rule (Macdonald, ch. I, section 6):
-h and e expand along its columns (e with conjugated shapes), s expands in m
-along its rows, and m -> s and s -> h, e are unitriangular solves.  p -> s
-uses Murnaghan-Nakayama characters.  So every conversion among m, h, e and
-s stays in the integers; only s -> p divides, by z_mu, and it serves the p
-target alone.  Products of s or m operands are taken in h, where they are
-concatenations; plethysm works in p.
+Basis conversions route through the Schur basis, by integer tables whose
+columns one builder makes by adding strips: horizontal strips give the
+Kostka numbers (Macdonald, ch. I, section 6, by the Pieri rule of section
+3) and border strips the characters (Murnaghan-Nakayama, section 7).
+h and e expand along the Kostka columns (e with conjugated shapes), s
+expands in m along their rows, and m -> s and s -> h, e are unitriangular
+solves.  p -> s reads the border-strip columns, and s -> p takes the same
+dot product with them as s -> m takes with the Kostka columns.  So every
+conversion among m, h, e and s stays in the integers; only s -> p divides,
+by z_mu, and it serves the p target alone.  Products of s or m operands
+are taken in h, where they are concatenations; plethysm works in p.
 """
 from __future__ import annotations
 
@@ -112,9 +115,6 @@ class QSymF:
 
     def degrees(self):
         return sorted({n for (n, _) in self.terms})
-
-    def homogeneous_part(self, n):
-        return QSymF({k: c for k, c in self.terms.items() if k[0] == n})
 
     def omega(self):
         """The standard involution: F_{S,n} maps to F_{[n-1] minus S, n}."""
@@ -429,51 +429,6 @@ def _distinct_permutation_count(vec):
 
 
 # ---------------------------------------------------------------------------
-# Murnaghan-Nakayama characters
-# ---------------------------------------------------------------------------
-
-def _beta_set(lam):
-    ell = len(lam)
-    return tuple(lam[i] + (ell - 1 - i) for i in range(ell))
-
-
-def _partition_from_beta(beta):
-    beta = sorted(beta, reverse=True)
-    ell = len(beta)
-    parts = [beta[i] - (ell - 1 - i) for i in range(ell)]
-    return Partition(p for p in parts if p > 0)
-
-
-def _border_strip_removals(lam, k):
-    """All ways to remove a border strip of size k: yields (smaller, height)."""
-    beta = set(_beta_set(lam))
-    for b in sorted(beta, reverse=True):
-        nb = b - k
-        if nb < 0 or nb in beta:
-            continue
-        height = sum(1 for c in beta if nb < c < b)
-        newbeta = (beta - {b}) | {nb}
-        yield _partition_from_beta(newbeta), height
-
-
-@lru_cache(maxsize=None)
-def mn_character(lam, mu) -> int:
-    """Irreducible character chi^lam(mu) by Murnaghan-Nakayama recursion."""
-    lam = Partition(lam)
-    mu = Partition(mu)
-    if lam.n != mu.n:
-        raise ValueError("partition sizes differ")
-    if lam.n == 0:
-        return 1
-    k = mu[0]
-    rest = Partition(mu[1:])
-    total = 0
-    for smaller, height in _border_strip_removals(lam, k):
-        total += (-1) ** height * mn_character(smaller, rest)
-    return total
-
-
-# ---------------------------------------------------------------------------
 # transition matrices
 # ---------------------------------------------------------------------------
 
@@ -492,20 +447,74 @@ def _conjugates(n):
 
 def _horizontal_strips(shape, r):
     """Every shape, as a plain tuple, that adds a horizontal strip of r boxes
-    to shape: row i grows to at most the old length of row i - 1."""
+    to shape, with weight 1: row i grows to at most the old length of row
+    i - 1, and the boxes left over start a new row no longer than the old
+    last row."""
+    grown = [((), r)]  # (rows so far, boxes left)
+    for i, x in enumerate(shape):
+        room = shape[i - 1] - x if i else r
+        grown = [(rows + (x + d,), left - d)
+                 for rows, left in grown for d in range(min(left, room) + 1)]
+    last = shape[-1] if shape else r
+    return [(rows + (left,) if left else rows, 1) for rows, left in grown if left <= last]
+
+
+def _border_strips(shape, r):
+    """Every shape, as a plain tuple, that adds a border strip of r boxes to
+    shape, with weight (-1)^height (Macdonald, ch. I, section 7).
+
+    On the beta set of shape padded with r zero rows, a strip moves the bead
+    b of row i to the empty place b + r, landing in row p <= i: rows p + 1
+    to i each take the old row above plus one box, and the height is i - p.
+    """
+    ell = len(shape) + r
+    rows = shape + (0,) * r
+    beta = [x + ell - 1 - i for i, x in enumerate(rows)]
+    beads = set(beta)
     out = []
-
-    def grow(i, left, rows):
-        if i == len(shape):
-            if left <= (shape[-1] if shape else r):
-                out.append(rows + (left,) if left else rows)
-            return
-        room = left if i == 0 else min(left, shape[i - 1] - shape[i])
-        for d in range(room + 1):
-            grow(i + 1, left - d, rows + (shape[i] + d,))
-
-    grow(0, r, ())
+    p = 0
+    for i, b in enumerate(beta):
+        if b + r in beads:
+            continue
+        while beta[p] > b + r:
+            p += 1
+        grown = (rows[:p] + (b + r - (ell - 1 - p),) + tuple(x + 1 for x in rows[p:i])
+                 + rows[i + 1:len(shape)])
+        out.append((grown, -1 if (i - p) % 2 else 1))
     return out
+
+
+@lru_cache(maxsize=None)
+def _column(strips, mu):
+    """Column mu of the table that adding strips builds: a dict from position
+    in partitions(|mu|) to the nonzero entry.
+
+    Column mu comes from column mu-minus-its-last-part, one degree set lower:
+    each shape there grows by every strip of mu's last part, times the
+    strip's weight.  With _horizontal_strips the entry at lam is the Kostka
+    number K_{lam, mu}, the coefficient of s_lam in h_mu (the Pieri rule);
+    with _border_strips it is the character chi^lam(mu) (Murnaghan-Nakayama).
+    """
+    if not mu:
+        return {0: 1}
+    r = mu[-1]
+    smaller = partitions(sum(mu) - r)
+    index = _index(sum(mu))
+    col = {}
+    for i, v in _column(strips, mu[:-1]).items():
+        for shape, w in strips(smaller[i], r):
+            j = index[shape]
+            col[j] = col.get(j, 0) + v * w
+    return {j: v for j, v in col.items() if v}
+
+
+def mn_character(lam, mu) -> int:
+    """Irreducible character chi^lam(mu), read from border-strip column mu."""
+    lam = Partition(lam)
+    mu = Partition(mu)
+    if lam.n != mu.n:
+        raise ValueError("partition sizes differ")
+    return _column(_border_strips, mu).get(_index(lam.n)[lam], 0)
 
 
 @lru_cache(maxsize=None)
@@ -513,25 +522,11 @@ def _kostka(n):
     """The Kostka matrix at degree n, by positions in partitions(n): column j
     maps i to K_{lam_i, mu_j} > 0, the coefficient of s_{lam_i} in h_{mu_j}.
 
-    Column mu comes from column mu-minus-its-last-part at the smaller degree
-    by the Pieri rule.  K_{lam, mu} is nonzero only when lam dominates mu,
-    and partitions(n) lists a partition before every one it dominates, so K
-    is upper unitriangular: the solves below rely on it.
+    K_{lam, mu} is nonzero only when lam dominates mu, and partitions(n)
+    lists a partition before every one it dominates, so K is upper
+    unitriangular: the solves below rely on it.
     """
-    if n == 0:
-        return ({0: 1},)
-    index = _index(n)
-    cols = []
-    for mu in partitions(n):
-        r = mu[-1]
-        smaller = partitions(n - r)
-        col = {}
-        for i, k in _kostka(n - r)[_index(n - r)[mu[:-1]]].items():
-            for shape in _horizontal_strips(smaller[i], r):
-                j = index[shape]
-                col[j] = col.get(j, 0) + k
-        cols.append(col)
-    return tuple(cols)
+    return tuple(_column(_horizontal_strips, mu) for mu in partitions(n))
 
 
 def _by_degree(terms):
@@ -548,30 +543,25 @@ def _to_s(basis, terms):
     if basis == "s":
         return terms
     out = {}
-    if basis == "p":
-        for mu, c in terms.items():
-            for lam in partitions(mu.n):
-                chi = mn_character(lam, mu)
-                if chi:
-                    _addto(out, lam, c * chi)
-        return out
     for n, vec in _by_degree(terms).items():
-        plist, cols = partitions(n), _kostka(n)
+        plist = partitions(n)
         if basis == "m":
             # m_mu has coefficient sum_i b_i K_{i, mu}: solve forwards, where
             # b_j, not yet known, reads as 0 against the diagonal K_{jj} = 1
             b = {}
-            for j, col in enumerate(cols):
+            for j, col in enumerate(_kostka(n)):
                 c = vec.get(j, 0) - sum(b.get(i, 0) * k for i, k in col.items())
                 if c:
                     b[j] = c
             for i, c in b.items():
                 out[plist[i]] = c
             continue
-        # h_mu is column mu of K; e_mu is the same with conjugated shapes
-        target = range(len(plist)) if basis == "h" else _conjugates(n)
+        # h_mu is column mu of K, e_mu the same with conjugated shapes, and
+        # p_mu column mu of the character table
+        strips = _border_strips if basis == "p" else _horizontal_strips
+        target = _conjugates(n) if basis == "e" else range(len(plist))
         for j, c in vec.items():
-            for i, k in cols[j].items():
+            for i, k in _column(strips, plist[j]).items():
                 _addto(out, plist[target[i]], c * k)
     return out
 
@@ -581,24 +571,23 @@ def _from_s(sterms, basis):
     if basis == "s":
         return sterms
     out = {}
-    if basis == "p":
-        for lam, c in sterms.items():
-            for mu, v in _pexp_s(lam).items():
-                _addto(out, mu, c * v)
-        return out
     for n, vec in _by_degree(sterms).items():
-        plist, cols = partitions(n), _kostka(n)
-        if basis == "m":
-            for j, col in enumerate(cols):
-                c = sum(vec.get(i, 0) * k for i, k in col.items())
+        plist = partitions(n)
+        if basis in ("m", "p"):
+            # the coefficient of m_mu is sum_i b_i K_{i, mu}, and that of p_mu
+            # is sum_i b_i chi^i(mu) / z_mu
+            strips = _horizontal_strips if basis == "m" else _border_strips
+            for mu in plist:
+                c = sum(vec.get(i, 0) * k for i, k in _column(strips, mu).items())
                 if c:
-                    out[plist[j]] = c
+                    out[mu] = c if basis == "m" else Fraction(c, mu.z())
             continue
         if basis == "e":
             # omega sends s_lam to s_lam' and e_mu to h_mu
             conj = _conjugates(n)
             vec = {conj[i]: c for i, c in vec.items()}
         # h_mu is column mu of K: peel the columns off from the last one
+        cols = _kostka(n)
         for j in range(len(plist) - 1, -1, -1):
             c = vec.pop(j, 0)
             if c:
@@ -606,18 +595,6 @@ def _from_s(sterms, basis):
                 for i, k in cols[j].items():
                     if i != j:
                         _addto(vec, i, -c * k)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _pexp_s(lam):
-    """s_lam in the p basis via characters."""
-    lam = Partition(lam)
-    out = {}
-    for mu in partitions(lam.n):
-        chi = mn_character(lam, mu)
-        if chi:
-            out[mu] = Fraction(chi, mu.z())
     return out
 
 
@@ -678,9 +655,6 @@ class SymF:
 
     def degree(self):
         return max((lam.n for lam in self.terms), default=0)
-
-    def homogeneous_part(self, n):
-        return SymF(self.basis, {lam: c for lam, c in self.terms.items() if lam.n == n})
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
@@ -958,10 +932,8 @@ class SymPoly:
     def __eq__(self, other):
         if not isinstance(other, SymPoly):
             return NotImplemented
-        a = self.to_basis("m")
-        b = other.to_basis("m")
-        keys = set(a.terms) | set(b.terms)
-        return all(a.coefficient(*k).to_basis("m") == b.coefficient(*k).to_basis("m") for k in keys)
+        # the values are SymF in m, which compare by their terms
+        return self.to_basis("m").terms == other.to_basis("m").terms
 
     def __repr__(self):
         bits = [f"t^{a} r^{b}: {f.render()}" for (a, b), f in sorted(self.terms.items())]

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import itertools
 import json
 import sys
@@ -148,6 +149,13 @@ def test_qfun_negative_j_or_k_is_usage_error(capsys, tmp_path, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message + "\n"
+
+
+def test_expand_negative_vars_is_usage_error(capsys):
+    assert cli.main(["expand", "h[2]", "--vars", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --vars must be nonnegative\n"
 
 
 def test_chartable_json_matches_reference(capsys, tmp_path):
@@ -322,6 +330,23 @@ def test_suite_table_matches_the_benchmark_suites():
                 if isinstance(node, ast.Assign)
                 and [getattr(t, "id", None) for t in node.targets] == ["SUITES"]]
     assert list(ast.literal_eval(value)) == [row.name for row in cli.SUITES]
+
+
+def test_traced_names_exist():
+    """perfbench/traced_cli.py imports each module in LAYERS and reads
+    vars(cls)[meth] for each class method in METHODS; a name the package
+    drops would only show when the benchmark runs traced."""
+    spec = importlib.util.spec_from_file_location("traced_cli", ROOT / "perfbench" / "traced_cli.py")
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    modules = {layer: importlib.import_module(f"eulerq.{layer}") for layer in traced.LAYERS}
+    missing = []
+    for layer, classes in traced.METHODS.items():
+        for cls_name, methods in classes.items():
+            cls = getattr(modules[layer], cls_name, None)
+            missing += [f"{layer}.{cls_name}.{meth}" for meth in methods
+                        if cls is None or meth not in vars(cls)]
+    assert missing == []
 
 
 def test_readme_suite_table_matches_the_code():

@@ -1,6 +1,7 @@
 """Symmetric and quasisymmetric function arithmetic."""
 
 import itertools
+import math
 import time
 
 import pytest
@@ -83,6 +84,33 @@ def test_character_values():
     assert mn_character((2, 1), (3,)) == -1
     # column orthogonality at the identity class of S_5: sum of squares is 5!
     assert sum(mn_character(lam, (1,) * 5) ** 2 for lam in partitions(5)) == 120
+
+
+def hook_count(lam):
+    """f^lam, the number of standard tableaux of shape lam, by the hook
+    length formula."""
+    conj = lam.conjugate()
+    hooks = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            hooks *= (row - j) + (conj[j] - i) - 1
+    return math.factorial(lam.n) // hooks
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_character_table_orthogonality_and_degrees(n):
+    plist = partitions(n)
+    table = [[mn_character(lam, mu) for mu in plist] for lam in plist]
+    # n!/z_mu is the size of the class mu
+    sizes = [math.factorial(n) // mu.z() for mu in plist]
+    for a, b in itertools.combinations_with_replacement(range(len(plist)), 2):
+        rows = sum(s * x * y for s, x, y in zip(sizes, table[a], table[b]))
+        assert rows == (math.factorial(n) if a == b else 0), (plist[a], plist[b])
+        cols = sum(row[a] * row[b] for row in table)
+        assert cols == (plist[a].z() if a == b else 0), (plist[a], plist[b])
+    # the value at the identity class (1^n) is the degree f^lam
+    ones = plist.index((1,) * n)
+    assert [row[ones] for row in table] == [hook_count(lam) for lam in plist]
 
 
 def test_monomial_expansion_lift():
