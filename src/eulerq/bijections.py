@@ -8,16 +8,16 @@ from the order used to define excedance descent sets in permstats.
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .permstats import CapacityError, DEFAULT_CAP, Partition, Permutation, statistics
 from .symfunc import MonExpansion
 
 
-class Letter(NamedTuple):
-    value: int
-    barred: bool = False
+class Letter(namedtuple("Letter", "value barred", defaults=(False,))):
+    """A positive integer value, barred or not."""
+
+    __slots__ = ()
 
     def render(self):
         return "%d'" % self.value if self.barred else "%d" % self.value
@@ -279,26 +279,25 @@ def increasing_factorize(word):
     return out
 
 
-@dataclass(frozen=True)
-class CompatiblePair:
+class CompatiblePair(namedtuple("CompatiblePair", "sigma s")):
     """A permutation with a weakly decreasing sequence dropping at Exd."""
 
-    sigma: Permutation
-    s: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", tuple(self.s))
-        n = len(self.sigma.word)
-        if len(self.s) != n:
+    def __new__(cls, sigma, s):
+        s = tuple(s)
+        n = len(sigma.word)
+        if len(s) != n:
             raise ValueError("sequence length must match permutation size")
-        if any(v < 1 for v in self.s):
+        if any(v < 1 for v in s):
             raise ValueError("sequence values must be positive")
-        exd = statistics(self.sigma).exd_set
+        exd = statistics(sigma).exd_set
         for i in range(1, n):
-            if self.s[i - 1] < self.s[i]:
+            if s[i - 1] < s[i]:
                 raise ValueError("sequence must be weakly decreasing")
-            if i in exd and self.s[i - 1] <= self.s[i]:
+            if i in exd and s[i - 1] <= s[i]:
                 raise ValueError("sequence must drop at position %d" % i)
+        return super().__new__(cls, sigma, s)
 
 
 def compatible_sequences(sigma, max_value):
@@ -395,23 +394,22 @@ def ornament_to_banner(orn):
     return Banner(flat)
 
 
-@dataclass(frozen=True)
-class MarkedSequence:
+class MarkedSequence(namedtuple("MarkedSequence", "values mark")):
     """A weakly increasing sequence with a mark before its last element."""
 
-    values: tuple
-    mark: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) < 2:
+    def __new__(cls, values, mark):
+        values = tuple(values)
+        if len(values) < 2:
             raise ValueError("marked sequence needs length at least 2")
-        if any(v < 1 for v in self.values):
+        if any(v < 1 for v in values):
             raise ValueError("values must be positive")
-        if list(self.values) != sorted(self.values):
+        if list(values) != sorted(values):
             raise ValueError("values must weakly increase")
-        if not 1 <= self.mark < len(self.values):
+        if not 1 <= mark < len(values):
             raise ValueError("mark must lie in 1..length-1")
+        return super().__new__(cls, values, mark)
 
 
 def _run_length(word, idx):

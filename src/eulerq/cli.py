@@ -5,6 +5,9 @@ Exit codes are stable for scripting: 0 success, 1 a verification check
 failed, 2 usage or parse error.  JSON output is key-sorted and compact, and
 verify runs its suites one after another in suite table order, so identical
 inputs produce byte-identical bytes.
+
+Only the commands that read or write the table cache (qfun, chartable and
+cache) import its module, so the others do not pay for loading it.
 """
 
 import argparse
@@ -16,7 +19,6 @@ import sys
 from collections import namedtuple
 from math import factorial
 
-from . import cache as cachestore
 from .eulerian import (
     char_table,
     q_symf,
@@ -157,7 +159,7 @@ def _stat_totals(n):
 
 def cmd_stats(args):
     if (args.perm is None) == (args.n is None):
-        raise UsageError("give a permutation word or --n, not both")
+        raise UsageError("give exactly one of a permutation word or --n")
     if args.perm is not None:
         st = statistics(_parse_word(args.perm))
         payload = {
@@ -263,6 +265,7 @@ def cmd_qfun(args):
             raise UsageError("--k must be nonnegative")
         params = ["n", args.n, "j", args.j, "k", args.k]
         compute = lambda: q_symf(args.n, args.j, args.k).to_basis(args.basis).render()
+    from . import cache as cachestore
     directory = args.cache_dir or cachestore.default_cache_dir()
     payload, _ = cachestore.fetch(directory, "qfun", params, args.basis, None, compute)
     if args.output == "json":
@@ -294,6 +297,7 @@ def cmd_chartable(args):
                "rows": [{"lam": list(mu), "values": vals} for mu, vals in rows]}
         print(json.dumps(out, sort_keys=True, separators=(",", ":")))
         return 0
+    from . import cache as cachestore
     directory = args.cache_dir or cachestore.default_cache_dir()
     payload, _ = cachestore.fetch(directory, "chartable", ["n", args.n], None,
                                   None, lambda: _chartable_text(args.n))
@@ -456,6 +460,7 @@ def cmd_expand(args):
 # ---------------------------------------------------------------------------
 
 def cmd_cache(args):
+    from . import cache as cachestore
     directory = args.cache_dir or cachestore.default_cache_dir()
     if args.action == "list":
         for kind, params, basis, cap, ok in cachestore.list_entries(directory):

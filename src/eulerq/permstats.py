@@ -30,8 +30,7 @@ exd_mask has bit i set for i in EXD.  Other modules read a row only through
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import comb, factorial, gcd
 from types import MappingProxyType
@@ -185,19 +184,10 @@ def _exd_key(value, barred):
     return (0, value) if barred else (1, value)
 
 
-@dataclass(frozen=True)
-class PermStats:
-    word: tuple
-    des_set: frozenset
-    exc_set: frozenset
-    exd_set: frozenset
-    des: int
-    exc: int
-    maj: int
-    comaj: int
-    inv: int
-    fix: int
-    cycle_type: Partition
+# word (tuple), des_set, exc_set and exd_set (frozensets), the six counts and
+# the cycle type (a Partition) of one permutation
+PermStats = namedtuple(
+    "PermStats", "word des_set exc_set exd_set des exc maj comaj inv fix cycle_type")
 
 
 def statistics(sigma) -> PermStats:

@@ -6,15 +6,14 @@ same JSON bytes regardless of how the work was scheduled.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Check:
-    identity: str
-    params: dict
-    status: str  # "pass" or "fail"
-    witness: str = ""
+class Check(namedtuple("Check", "identity params status witness", defaults=("",))):
+    """One recorded identity: its params dict, status "pass" or "fail", and
+    a witness string for a failure."""
+
+    __slots__ = ()
 
     def to_jsonable(self):
         out = {
@@ -33,10 +32,20 @@ def _plain(v):
     return v
 
 
-@dataclass
 class VerifyReport:
-    name: str
-    checks: list = field(default_factory=list)
+    """A suite's name and its checks, in the order they were recorded."""
+
+    def __init__(self, name, checks=None):
+        self.name = name
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.checks) == (other.name, other.checks)
+
+    def __repr__(self):
+        return f"VerifyReport(name={self.name!r}, checks={self.checks!r})"
 
     def record(self, identity, params, ok, witness="") -> bool:
         """Append one check; returns ok so callers can chain on it."""

@@ -27,6 +27,7 @@ from eulerq import (
 )
 from eulerq.bijections import (
     CompatiblePair,
+    Letter,
     MarkedSequence,
     banner_weight_sum,
     enumerate_seamless_banners,
@@ -146,12 +147,50 @@ def test_increasing_factorization_matches_lyndon_type():
 def test_compatible_pair_validation():
     sigma = Permutation([3, 2, 5, 4, 1])  # Exd = {2, 4}
     CompatiblePair(sigma, (5, 5, 3, 3, 1))
-    with pytest.raises(ValueError):
-        CompatiblePair(sigma, (5, 5, 5, 3, 1))  # no drop at 2
-    with pytest.raises(ValueError):
-        CompatiblePair(sigma, (5, 5, 3, 3))
-    with pytest.raises(ValueError):
-        CompatiblePair(sigma, (5, 6, 3, 3, 1))  # not weakly decreasing
+    for s, message in (
+        ((5, 5, 5, 3, 1), "sequence must drop at position 2"),
+        ((5, 4, 3, 3, 3), "sequence must drop at position 4"),
+        ((5, 5, 3, 3), "sequence length must match permutation size"),
+        ((5, 6, 3, 3, 1), "sequence must be weakly decreasing"),
+        ((5, 5, 3, 3, 0), "sequence values must be positive"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            CompatiblePair(sigma, s)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("values,mark,message", [
+    ((2,), 1, "marked sequence needs length at least 2"),
+    ((0, 2), 1, "values must be positive"),
+    ((3, 2), 1, "values must weakly increase"),
+    ((2, 3), 0, "mark must lie in 1..length-1"),
+    ((2, 3), 2, "mark must lie in 1..length-1"),
+])
+def test_marked_sequence_messages(values, mark, message):
+    with pytest.raises(ValueError) as exc:
+        MarkedSequence(values, mark)
+    assert str(exc.value) == message
+
+
+def test_record_classes_value_semantics():
+    sigma = Permutation([3, 2, 5, 4, 1])
+    pair = CompatiblePair(sigma, [5, 5, 3, 3, 1])
+    assert pair.s == (5, 5, 3, 3, 1)
+    assert pair == CompatiblePair(sigma=sigma, s=(5, 5, 3, 3, 1))
+    assert hash(pair) == hash(CompatiblePair(sigma, (5, 5, 3, 3, 1)))
+    assert pair != CompatiblePair(sigma, (6, 5, 3, 3, 1))
+    ms = MarkedSequence([2, 2, 3], 1)
+    assert ms.values == (2, 2, 3) and ms.mark == 1
+    assert ms == MarkedSequence((2, 2, 3), 1) and ms != MarkedSequence((2, 2, 3), 2)
+    assert hash(ms) == hash(MarkedSequence((2, 2, 3), 1))
+    a = Letter(3)
+    assert a == Letter(3, False) and a != Letter(3, True)
+    assert hash(a) == hash(Letter(value=3, barred=False))
+    assert (a.render(), Letter(3, True).render()) == ("3", "3'")
+    for obj, field in ((pair, "s"), (pair, "sigma"), (ms, "values"), (ms, "mark"),
+                       (a, "barred"), (pair, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
 
 
 def test_compatible_sequence_counts():

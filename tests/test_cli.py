@@ -5,6 +5,8 @@ import importlib
 import importlib.util
 import itertools
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,12 +55,18 @@ def test_stats_table(capsys):
 
 
 def test_stats_usage_errors(capsys):
-    assert cli.main(["stats"]) == 2
-    assert cli.main(["stats", "321", "--n", "3"]) == 2
     assert cli.main(["stats", "3x1"]) == 2
     assert cli.main(["stats", "--n", "4", "--table", "zeta"]) == 2
     assert cli.main(["stats", "--n", "11"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["stats"], ["stats", "321", "--n", "3"]])
+def test_stats_needs_exactly_one_of_word_or_n(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: give exactly one of a permutation word or --n\n"
 
 
 STAT_NAMES = ("des", "exc", "maj", "comaj", "inv", "fix")
@@ -425,6 +433,26 @@ def test_cache_dir_env_override(capsys, tmp_path, monkeypatch):
     rc, _ = run(capsys, "qfun", "--n", "3", "--j", "1")
     assert rc == 0
     assert len(list_entries(str(alt))) == 1
+
+
+STARTUP_PROBE = """
+import sys
+import eulerq.cli
+heavy = ("dataclasses", "inspect", "hashlib", "eulerq.cache")
+print([m for m in heavy if m in sys.modules])
+eulerq.cli.main(["expand", "m[2,1]", "h"])
+print("eulerq.cache" in sys.modules)
+"""
+
+
+def test_startup_imports_stay_light():
+    """A fresh `import eulerq.cli` loads neither dataclasses, inspect nor
+    hashlib, and a command that does not use the table cache leaves its
+    module unloaded.  It counts modules rather than timing the import."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[]", "-3*h[3] + 5*h[2,1] - 2*h[1,1,1]", "False"]
 
 
 def test_argparse_rejects_unknown_command():

@@ -154,3 +154,16 @@ def test_statistic_totals():
         assert tot["des"] == tot["exc"] == f * (n - 1) // 2
         assert tot["maj"] == tot["comaj"] == tot["inv"] == f * n * (n - 1) // 4
         assert tot["fix"] == f
+
+
+def test_perm_stats_value_semantics():
+    st = statistics([3, 2, 5, 4, 1])
+    again = statistics(Permutation([3, 2, 5, 4, 1]))
+    assert st == again and hash(st) == hash(again)
+    assert st != statistics([1, 2, 3, 4, 5])
+    assert len({statistics(sigma) for sigma in enumerate_permutations(4)}) == 24
+    with pytest.raises(AttributeError):
+        st.maj = 0
+    with pytest.raises(AttributeError):
+        st.extra = 0
+    assert st.maj == 8
