@@ -42,6 +42,7 @@ from .permstats import (
     _row,
     census,
     row_stat,
+    stat_field,
     statistics,
 )
 from .related import verify_related
@@ -193,19 +194,24 @@ def cmd_stats(args):
         bad = [s for s in names if s not in _STAT_NAMES]
         if bad:
             raise UsageError(f"unknown statistics {bad}; choose from {_STAT_NAMES}")
+    # each column sum reads the census projected to that one statistic
+    sums = {}
     try:
-        counts = census(n)
+        for s in names:
+            field = (stat_field(s),)
+            counts = census(n, field)
+            read = row_stat(s, n, field)
+            sums[s] = sum(read(row) * c for row, c in counts.items())
     except CapacityError as e:
         raise UsageError(str(e))
-    reads = [row_stat(s, n) for s in names]
+    total = sum(counts.values())
     # word and statistics per permutation, only when a table is asked for
     rows = []
     if args.table:
+        reads = [row_stat(s, n) for s in names]
         for w in itertools.permutations(range(1, n + 1)):
             row = _row(w)
             rows.append((w, [read(row) for read in reads]))
-    sums = {s: sum(read(row) * c for row, c in counts.items()) for s, read in zip(names, reads)}
-    total = sum(counts.values())
     want = _stat_totals(n)
     checked = {s: sums[s] == want[s] for s in names}
     if args.output == "json":

@@ -30,6 +30,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd
 
 from .permstats import (
+    CENSUS_FIELDS,
     Partition,
     census,
     class_census,
@@ -37,6 +38,7 @@ from .permstats import (
     eulerian_poly,
     partitions,
     row_stat,
+    stat_field,
     z_lambda,
 )
 from .polyalg import (
@@ -69,10 +71,24 @@ from .symfunc import (
 # raw class data: EXD multisets per selected class, grouped from the census
 # ---------------------------------------------------------------------------
 
+# The census fields the oracle reads: every field but inv, which no suite
+# asks for.  All oracles over S_n share this one projection per n; only an
+# A-polynomial in inv reads the full row.
+_ORACLE_FIELDS = ("exc", "fix", "des", "maj", "exd_mask")
 
-def _group_exd(rows, n, key):
+
+def _oracle_census(n, stats=()):
+    """(rows, fields): the census projection of S_n that holds the listed
+    statistics, and its fields."""
+    fields = _ORACLE_FIELDS
+    if any(stat_field(s) not in fields for s in stats):
+        fields = CENSUS_FIELDS
+    return census(n, fields), fields
+
+
+def _group_exd(rows, n, key, fields=CENSUS_FIELDS):
     """dict key(row) -> Counter of EXD sets over a Counter of census rows."""
-    exd = row_stat("exd_set", n)
+    exd = row_stat("exd_set", n, fields)
     out = {}
     for row, count in rows.items():
         out.setdefault(key(row), Counter())[exd(row)] += count
@@ -82,8 +98,9 @@ def _group_exd(rows, n, key):
 @lru_cache(maxsize=None)
 def _exc_fix_data(n):
     """dict (exc, fix) -> Counter of EXD sets over S_n."""
-    exc, fix = row_stat("exc", n), row_stat("fix", n)
-    return _group_exd(census(n), n, lambda row: (exc(row), fix(row)))
+    rows, fields = _oracle_census(n)
+    exc, fix = row_stat("exc", n, fields), row_stat("fix", n, fields)
+    return _group_exd(rows, n, lambda row: (exc(row), fix(row)), fields)
 
 
 @lru_cache(maxsize=None)
@@ -304,14 +321,15 @@ _VAR_OF = {"maj": "q", "comaj": "q", "inv": "q", "des": "p", "exc": "t", "fix": 
 _SLOT_OF = {"q": 0, "p": 1, "t": 2, "r": 3}
 
 
-def _census_poly(rows, n, stats) -> Poly:
+def _census_poly(rows, n, stats, fields=CENSUS_FIELDS) -> Poly:
     """Joint distribution of the listed statistics over a Counter of census
-    rows of S_n (maj/comaj/inv tracked by q, des by p, exc by t, fix by r)."""
+    rows of S_n with the given fields (maj/comaj/inv tracked by q, des by p,
+    exc by t, fix by r)."""
     names = tuple(stats)
     vars_ = [_VAR_OF[s] for s in names]
     if len(set(vars_)) != len(vars_):
         raise ValueError(f"statistics {names} collide on a variable")
-    reads = [(_SLOT_OF[v], row_stat(s, n)) for s, v in zip(names, vars_)]
+    reads = [(_SLOT_OF[v], row_stat(s, n, fields)) for s, v in zip(names, vars_)]
     acc = Counter()
     for row, count in rows.items():
         e = [0, 0, 0, 0]
@@ -321,19 +339,22 @@ def _census_poly(rows, n, stats) -> Poly:
     return Poly(dict(acc))
 
 
-def _fix_rows(n, k):
-    fix = row_stat("fix", n)
-    return {row: c for row, c in census(n).items() if fix(row) == k}
+def _fix_poly(n, k, stats) -> Poly:
+    """_census_poly over the permutations of S_n with k fixed points."""
+    rows, fields = _oracle_census(n, stats)
+    fix = row_stat("fix", n, fields)
+    return _census_poly({row: c for row, c in rows.items() if fix(row) == k}, n, stats, fields)
 
 
 @lru_cache(maxsize=None)
 def a_poly(n, stats=("maj", "exc", "fix")) -> Poly:
-    return _census_poly(census(n), n, stats)
+    rows, fields = _oracle_census(n, stats)
+    return _census_poly(rows, n, stats, fields)
 
 
 @lru_cache(maxsize=None)
 def a_poly_fix(n, k, stats=("maj", "des", "exc")) -> Poly:
-    return _census_poly(_fix_rows(n, k), n, stats)
+    return _fix_poly(n, k, stats)
 
 
 @lru_cache(maxsize=None)
@@ -344,7 +365,7 @@ def a_poly_type(lam, stats=("maj", "des", "exc")) -> Poly:
 
 @lru_cache(maxsize=None)
 def a_poly_derangements(n, stats=("maj", "exc")) -> Poly:
-    return _census_poly(_fix_rows(n, 0), n, stats)
+    return _fix_poly(n, 0, stats)
 
 
 def a_coeff(lam, j) -> Poly:
@@ -1170,9 +1191,10 @@ def verify_specializations(n_max=6) -> VerifyReport:
         for lam in partitions(n):
             for j in range(n + 1):
                 total_type = total_type + q_qsym_type(lam, j)
-        exd = row_stat("exd_set", n)
+        rows, fields = _oracle_census(n)
+        exd = row_stat("exd_set", n, fields)
         sets = Counter()
-        for row, c in census(n).items():
+        for row, c in rows.items():
             sets[(n, exd(row))] += c
         everything = QSymF(dict(sets))
         rep.record("partitions of the full sum agree", {"n": n},

@@ -22,9 +22,12 @@ EXD drives the quasisymmetric constructions: sum(EXD) = maj - exc, and
 The unique permutation of the empty set has every statistic equal to zero.
 
 `statistics` gives every statistic of one permutation.  Brute force over a
-whole group reads `census(n)` or `class_census(lam)` instead: one pass that
-counts compact integer rows (exc, fix, des, maj, inv, exd_mask), where
-exd_mask has bit i set for i in EXD.  Other modules read a row only through
+whole group counts compact integer rows (exc, fix, des, maj, inv, exd_mask)
+instead, where exd_mask has bit i set for i in EXD.  `census(n, fields)`
+counts the rows over S_n projected to the fields asked for, by a dynamic
+program over word prefixes that lists no word.  `class_census(lam)` counts
+full rows over one conjugacy class one word at a time, since the cycle type
+is not a property of a prefix.  Other modules read a row only through
 `row_stat`, so the row layout is known to this module alone.
 """
 from __future__ import annotations
@@ -247,7 +250,8 @@ def _cycle_type_words(lam):
             rem_parts = parts[:idx] + parts[idx + 1 :]
             for body in itertools.permutations(rest, size - 1):
                 cyc = (m,) + body
-                remaining = tuple(x for x in rest if x not in set(body))
+                used = set(body)
+                remaining = tuple(x for x in rest if x not in used)
                 for tail in build(remaining, rem_parts):
                     yield (cyc,) + tail
 
@@ -277,11 +281,10 @@ def derangements(n, cap=None):
 
 
 # ---------------------------------------------------------------------------
-# the census: one pass over a group, counted as integer rows
+# the census: the statistics over a group, counted as integer rows
 # ---------------------------------------------------------------------------
 
 CENSUS_FIELDS = ("exc", "fix", "des", "maj", "inv", "exd_mask")
-_EXC, _FIX, _DES, _MAJ, _INV, _EXD_MASK = range(len(CENSUS_FIELDS))
 
 
 def _row(w):
@@ -313,29 +316,103 @@ def _mask_set(mask):
     return frozenset(i for i in range(1, mask.bit_length()) if mask >> i & 1)
 
 
-def row_stat(name, n):
-    """A function reading the statistic `name` off a census row of S_n:
-    one of CENSUS_FIELDS, "comaj" (binomial(n, 2) - maj) or "exd_set"
-    (EXD as a frozenset)."""
+def stat_field(name):
+    """The census field the statistic `name` is read from: itself for a
+    field, "maj" for "comaj" and "exd_mask" for "exd_set"."""
+    return {"comaj": "maj", "exd_set": "exd_mask"}.get(name, name)
+
+
+def row_stat(name, n, fields=CENSUS_FIELDS):
+    """A function reading the statistic `name` off a row of census(n, fields)
+    (or of class_census, whose rows hold every field): one of
+    CENSUS_FIELDS, "comaj" (binomial(n, 2) - maj) or "exd_set" (EXD as a
+    frozenset)."""
+    index = fields.index(stat_field(name))
     if name == "comaj":
         top = comb(n, 2)
-        return lambda row: top - row[_MAJ]
+        return lambda row: top - row[index]
     if name == "exd_set":
-        return lambda row: _mask_set(row[_EXD_MASK])
-    index = CENSUS_FIELDS.index(name)
+        return lambda row: _mask_set(row[index])
     return lambda row: row[index]
 
 
-@lru_cache(maxsize=None)
-def census(n) -> MappingProxyType:
-    """Read-only Counter of the rows (exc, fix, des, maj, inv, exd_mask)
-    over S_n.
+def _field_bits(name, n):
+    """Width in bits of the field `name` in a packed row of S_n."""
+    if name in ("maj", "inv"):
+        return comb(n, 2).bit_length()
+    return n if name == "exd_mask" else n.bit_length()
 
-    One pass over the one line words; no Permutation is built.  The result
-    is cached and shared by every caller.
+
+def census(n, fields=CENSUS_FIELDS) -> MappingProxyType:
+    """Read-only Counter, over S_n, of the rows of the statistics `fields`
+    (a sub-tuple of CENSUS_FIELDS, in any order), each row in `fields`
+    order.  census(n) counts the full rows (exc, fix, des, maj, inv,
+    exd_mask).
+
+    No word is listed: a dynamic program walks the words left to right
+    over the states (used letters, last letter), and the last letter is
+    kept only when des, maj or exd_mask is asked for.  The result is
+    cached per projection and shared by every caller.
     """
+    fields = tuple(fields)
+    unknown = [f for f in fields if f not in CENSUS_FIELDS]
+    if unknown or len(set(fields)) != len(fields):
+        raise ValueError(f"census fields must be distinct names from {CENSUS_FIELDS}: {fields}")
+    return _census(n, fields)
+
+
+@lru_cache(maxsize=None)
+def _census(n, fields):
     _check_cap(n, None)
-    return MappingProxyType(Counter(map(_row, itertools.permutations(range(1, n + 1)))))
+    # each field is an int in its own bits of one packed row, so adding a
+    # letter adds one int; no field overflows its bits, so none carries
+    shifts, at = {}, 0
+    for f in fields:
+        shifts[f] = at
+        at += _field_bits(f, n)
+    unit = {f: 1 << shifts[f] if f in shifts else 0 for f in CENSUS_FIELDS}
+    inv_at = shifts.get("inv")
+    keep_last = any(f in shifts for f in ("des", "maj", "exd_mask"))
+    # states (used-letter bitmask, last letter or 0) -> {packed row: count}
+    layer = {(0, 0): {0: 1}}
+    for i in range(1, n + 1):
+        # the letter v at position i: its excedance or fixed point, and its
+        # EXD key (barred v' sorts as v, unbarred v as v + n)
+        own = [0] + [unit["exc"] if v > i else unit["fix"] if v == i else 0
+                     for v in range(1, n + 1)]
+        key = [0] + [v if v > i else v + n for v in range(1, n + 1)]
+        descent = unit["des"] + (i - 1) * unit["maj"]
+        exd_bit = unit["exd_mask"] << (i - 1) if i > 1 else 0
+        nxt = {}
+        for (used, p), rows in layer.items():
+            # the EXD key of the last letter p, placed at position i - 1
+            p_key = p if p > i - 1 else p + n
+            for v in range(1, n + 1):
+                bit = 1 << v
+                if used & bit:
+                    continue
+                step = own[v]
+                if p > v:
+                    step += descent
+                if p_key > key[v]:
+                    step += exd_bit
+                if inv_at is not None:
+                    step += (used >> v).bit_count() << inv_at
+                state = (used | bit, v if keep_last else 0)
+                out = nxt.get(state)
+                if out is None:
+                    nxt[state] = {r + step: c for r, c in rows.items()}
+                else:
+                    for r, c in rows.items():
+                        r += step
+                        out[r] = out.get(r, 0) + c
+        layer = nxt
+    packed = Counter()
+    for rows in layer.values():
+        packed.update(rows)
+    spans = [(shifts[f], (1 << _field_bits(f, n)) - 1) for f in fields]
+    return MappingProxyType(Counter(
+        {tuple(r >> s & m for s, m in spans): c for r, c in packed.items()}))
 
 
 @lru_cache(maxsize=None)
@@ -352,8 +429,9 @@ def class_census(lam) -> MappingProxyType:
 def eulerian_counts(n) -> tuple:
     """Coefficients (a_{n,0}, ..., a_{n,n-1}) of the Eulerian polynomial A_n(t).
 
-    Computed by the classical recurrence and, for small n, cross-checked
-    against both the descent and the excedance distributions.
+    Computed by the classical recurrence and, for n <= 7, cross-checked
+    against both the descent and the excedance distributions, read from
+    the (des, exc) projection of the census.
     """
     if n == 0:
         return (1,)
@@ -366,9 +444,9 @@ def eulerian_counts(n) -> tuple:
     if n <= 7:
         by_des = [0] * n
         by_exc = [0] * n
-        for row, count in census(n).items():
-            by_des[row[_DES]] += count
-            by_exc[row[_EXC]] += count
+        for (des, exc), count in census(n, ("des", "exc")).items():
+            by_des[des] += count
+            by_exc[exc] += count
         assert by_des == cur == by_exc, f"Eulerian recurrence mismatch at n={n}"
     return tuple(cur)
 

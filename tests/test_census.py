@@ -1,8 +1,11 @@
 """The integer census: rows against statistics(), and the A-polynomials
 grouped from it against their per-permutation definition."""
 
+import itertools
 import math
+import sys
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -23,7 +26,8 @@ from eulerq import (
     statistics,
     z_lambda,
 )
-from eulerq.permstats import CENSUS_FIELDS, _row, row_stat
+from eulerq import cli, eulerian, permstats
+from eulerq.permstats import CENSUS_FIELDS, _row, row_stat, stat_field
 
 VAR_OF = {"maj": "q", "comaj": "q", "inv": "q", "des": "p", "exc": "t", "fix": "r"}
 
@@ -115,3 +119,99 @@ def test_a_polys_match_per_permutation_definition(stats):
 def test_a_poly_rejects_colliding_statistics():
     with pytest.raises(ValueError, match="collide"):
         a_poly(3, ("maj", "inv"))
+
+
+# ---------------------------------------------------------------------------
+# the projected census against the word pass it replaced
+# ---------------------------------------------------------------------------
+
+# every projection the package reads: one column of `stats`, the Eulerian
+# self-check, the shared oracle projection, and the full row
+PROJECTIONS = sorted({(stat_field(s),) for s in cli._STAT_NAMES}) + [
+    ("des", "exc"), eulerian._ORACLE_FIELDS, CENSUS_FIELDS]
+
+
+@lru_cache(maxsize=None)
+def word_pass(n):
+    """Counter of _row over every one line word of S_n: the census as it
+    was computed before the dynamic program."""
+    return Counter(map(_row, itertools.permutations(range(1, n + 1))))
+
+
+def distribution(read, rows):
+    out = Counter()
+    for row, c in rows.items():
+        out[read(row)] += c
+    return out
+
+
+def projected(n, fields):
+    index = [CENSUS_FIELDS.index(f) for f in fields]
+    out = Counter()
+    for row, c in word_pass(n).items():
+        out[tuple(row[i] for i in index)] += c
+    return out
+
+
+@pytest.mark.parametrize("fields", PROJECTIONS, ids="-".join)
+@pytest.mark.parametrize("n", range(9))
+def test_projected_census_matches_word_pass(n, fields):
+    got = census(n, fields)
+    assert got == projected(n, fields)
+    names = [s for s in CENSUS_FIELDS + ("comaj", "exd_set") if stat_field(s) in fields]
+    for name in names:
+        read, full = row_stat(name, n, fields), row_stat(name, n)
+        assert distribution(read, got) == distribution(full, word_pass(n))
+
+
+def test_projected_census_in_any_field_order():
+    assert census(5, ("maj", "exc")) == Counter(
+        {(maj, exc): c for (exc, maj), c in census(5, ("exc", "maj")).items()})
+    assert census(4, ()) == {(): 24}
+    with pytest.raises(ValueError, match="census fields"):
+        census(4, ("exc", "exc"))
+    with pytest.raises(ValueError, match="census fields"):
+        census(4, ("comaj",))
+
+
+@pytest.mark.parametrize("fields", PROJECTIONS, ids="-".join)
+def test_projected_census_is_read_only_and_capped(fields):
+    counts = census(4, fields)
+    row = next(iter(counts))
+    with pytest.raises(TypeError):
+        counts[row] += 1
+    with pytest.raises(AttributeError):
+        counts.update({row: 1})
+    assert census(4, list(fields)) is counts
+    with pytest.raises(CapacityError, match="exceeds cap 10"):
+        census(11, fields)
+
+
+def test_stats_and_chartable_list_no_words(monkeypatch, tmp_path, capsys):
+    """`stats --n 8` and `chartable 8 --output json` read census
+    projections only: no _row call, so no word of S_n is listed."""
+    monkeypatch.setenv("EULERQ_CACHE_DIR", str(tmp_path))
+    calls = []
+    original = permstats._row
+
+    def counted_row(w):
+        calls.append(w)
+        return original(w)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("eulerq") and getattr(module, "_row", None) is original:
+            monkeypatch.setattr(module, "_row", counted_row)
+    permstats._census.cache_clear()
+    permstats.eulerian_counts.cache_clear()
+    assert cli.main(["stats", "--n", "8"]) == 0
+    assert "cross-check vs closed forms: OK" in capsys.readouterr().out
+    assert cli.main(["chartable", "8", "--output", "json"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_stats_reaches_the_cap(capsys):
+    assert cli.main(["stats", "--n", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "permutations: 3628800" in out
+    assert "cross-check vs closed forms: OK" in out
