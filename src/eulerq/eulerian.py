@@ -142,28 +142,32 @@ def q_qsym_type(lam, j) -> QSymF:
 
 @lru_cache(maxsize=None)
 def q_symf_oracle(n, j, k=None) -> SymF:
-    """q_symf from the census, in the m basis."""
-    return q_qsym(n, j, k).to_symf()
+    """q_symf from the census: assembled in the m basis, returned in h, the
+    basis the suites read it in, and converted once per (n, j, k)."""
+    return q_qsym(n, j, k).to_symf().to_basis("h")
 
 
 @lru_cache(maxsize=None)
 def q_symf_type_oracle(lam, j) -> SymF:
-    """q_symf_type from the census, in the m basis."""
-    return q_qsym_type(Partition(lam), j).to_symf()
+    """q_symf_type from the census: assembled in the m basis, returned in
+    h and converted once per (lam, j)."""
+    return q_qsym_type(Partition(lam), j).to_symf().to_basis("h")
 
 
 @lru_cache(maxsize=None)
 def q_poly_oracle(n) -> SymPoly:
-    """sum over j, k of Q(n, j, k) t^j r^k."""
+    """sum over j, k of Q(n, j, k) t^j r^k, with the h-basis slices of
+    q_symf_oracle as coefficients."""
     out = SymPoly.zero()
-    for (j, k), counter in sorted(_exc_fix_data(n).items()):
-        out = out + SymPoly.wrap(_qsym([counter], n).to_symf(), t=j, r=k)
+    for j, k in sorted(_exc_fix_data(n)):
+        out = out + SymPoly.wrap(q_symf_oracle(n, j, k), t=j, r=k)
     return out
 
 
 @lru_cache(maxsize=None)
 def q_type_poly_oracle(lam) -> SymPoly:
-    """sum over j of Q(lam, j) t^j."""
+    """sum over j of Q(lam, j) t^j in the m basis: its one reader compares
+    it with the p-basis formula, which goes through m either way."""
     lam = Partition(lam)
     out = SymPoly.zero()
     for j, counter in sorted(_type_data(lam).items()):
@@ -527,7 +531,7 @@ def verify_recurrences(n_max=7) -> VerifyReport:
         ok = True
         witness = ""
         for j in range(n):
-            rhs = SymF.zero()
+            rhs = SymF.zero("h")
             for m in range(n - 1):
                 for i in range(max(0, j + m - n + 1), j):
                     rhs = rhs + q_symf_oracle(m, i, 0) * sym_h([n - m])
@@ -787,7 +791,7 @@ def verify_symmetry_unimodality(n_max=7) -> VerifyReport:
             for k in range(n + 1)
         )
         rep.record("h-positivity", {"n": n}, hpos)
-        z = SymF.zero()
+        z = SymF.zero("h")
         for k in range(n + 1):
             coeffs = sympoly_t_coeffs(q_poly_oracle(n), r=k)
             if not coeffs:
@@ -884,7 +888,7 @@ def verify_symmetry_unimodality(n_max=7) -> VerifyReport:
 
 def _q_symf_type_or_zero(lam, j):
     if j < 0:
-        return SymF.zero()
+        return SymF.zero("h")
     return q_symf_type_oracle(lam, j)
 
 
@@ -973,7 +977,8 @@ def verify_positivity(n_max=7, products_max=None) -> VerifyReport:
 
 # The log-concavity products are taken in the h basis, where a product is a
 # concatenation of integer terms; Schur positivity of a difference of
-# products is then a Kostka conversion.
+# products is then a Kostka conversion.  The oracles are already in h, so
+# these are copies, not conversions.
 
 def _h_or_zero(n, j):
     if j < 0 or j >= n:

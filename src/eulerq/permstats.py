@@ -385,6 +385,9 @@ def _census(n, fields):
         exd_bit = unit["exd_mask"] << (i - 1) if i > 1 else 0
         nxt = {}
         for (used, p), rows in layer.items():
+            # the layer lets go of this state's rows, which are freed once
+            # its transitions are added, so the layer shrinks as nxt grows
+            layer[used, p] = None
             # the EXD key of the last letter p, placed at position i - 1
             p_key = p if p > i - 1 else p + n
             for v in range(1, n + 1):
@@ -408,7 +411,8 @@ def _census(n, fields):
                         out[r] = out.get(r, 0) + c
         layer = nxt
     packed = Counter()
-    for rows in layer.values():
+    for state, rows in layer.items():
+        layer[state] = None
         packed.update(rows)
     spans = [(shifts[f], (1 << _field_bits(f, n)) - 1) for f in fields]
     return MappingProxyType(Counter(

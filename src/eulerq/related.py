@@ -21,6 +21,7 @@ descent-graded refinement, and both no-double-descent identities.
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
 from math import comb
+from types import MappingProxyType
 
 from .eulerian import q_symf_oracle
 from .report import VerifyReport
@@ -134,6 +135,14 @@ def _word_ok(word, constraint):
     return True
 
 
+@lru_cache(maxsize=None)
+def _table(tdict, *args):
+    """tdict(*args), one of the graded enumerators below ({grade:
+    MonExpansion}), built once per enumerator and arguments and shared
+    read-only: every grade is read from it."""
+    return MappingProxyType(tdict(*args))
+
+
 # ---------------------------------------------------------------------------
 # multiset derangements
 # ---------------------------------------------------------------------------
@@ -184,20 +193,28 @@ def multiset_derangements(n, N):
             yield MultisetDerangement(content, tuple(letters[v] for v in bottom))
 
 
-def d_poly(n, j, N) -> MonExpansion:
-    """Enumerator of multiset derangements of order n with j excedances and
-    entries at most N, as a monomial expansion in x_1..x_N."""
+def derangements_tdict(n, N):
+    """Excedance-graded enumerator of multiset derangements of order n with
+    entries at most N: a dict {exc: MonExpansion}, from one walk over the
+    contents."""
     if n == 0:
-        return MonExpansion.one(N) if j == 0 else MonExpansion.zero(N)
+        return {0: MonExpansion.one(N)}
     out = {}
     for content in combinations_with_replacement(range(1, N + 1), n):
-        c = _rearrangement_exc_counts(_content_profile(content)).get(j, 0)
-        if c:
-            e = [0] * N
-            for v in content:
-                e[v - 1] += 1
-            out[tuple(e)] = c
-    return MonExpansion(N, out)
+        e = [0] * N
+        for v in content:
+            e[v - 1] += 1
+        e = tuple(e)
+        for j, c in _rearrangement_exc_counts(_content_profile(content)).items():
+            out.setdefault(j, {})[e] = c
+    return {j: MonExpansion(N, terms) for j, terms in sorted(out.items())}
+
+
+def d_poly(n, j, N) -> MonExpansion:
+    """Enumerator of multiset derangements of order n with j excedances and
+    entries at most N, as a monomial expansion in x_1..x_N: grade j of the
+    table that one walk over the contents builds per (n, N)."""
+    return _table(derangements_tdict, n, N).get(j, MonExpansion.zero(N))
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +248,9 @@ def words_no_repeat_tdict(n, N):
 
 def y_poly(n, j, N) -> MonExpansion:
     """Enumerator of no-adjacent-repeat words of length n with j descents and
-    letters at most N."""
-    return words_no_repeat_tdict(n, N).get(j, MonExpansion.zero(N))
+    letters at most N: grade j of the word table, which one enumeration
+    builds per (n, N)."""
+    return _table(words_no_repeat_tdict, n, N).get(j, MonExpansion.zero(N))
 
 
 # ---------------------------------------------------------------------------
@@ -286,25 +304,29 @@ def no_double_descent_tdict(n, N, guard_first=False):
 # verification
 # ---------------------------------------------------------------------------
 
-def _lift(tdict):
-    """Lift {t-power: MonExpansion} to a SymPoly, or None if a grade fails to
-    be symmetric in its variables."""
+def _lift(tdict, basis):
+    """Lift {t-power: MonExpansion} to a SymPoly with coefficients in basis,
+    or None if a grade fails to be symmetric in its variables."""
     out = SymPoly.zero()
     for j, mon in tdict.items():
         if mon.is_zero():
             continue
         if not mon.is_symmetric():
             return None
-        out = out + SymPoly.wrap(mon.to_symf(), t=j)
+        out = out + SymPoly.wrap(mon.to_symf().to_basis(basis), t=j)
     return out
 
 
+# Each model is lifted into the basis its identities are stated in (e for the
+# derangement and no-repeat words, h for the no-double-descent words), so
+# their products are concatenations and their comparisons dict comparisons.
+
 def _d_sympoly(n):
-    return _lift({j: d_poly(n, j, max(n, 1)) for j in range(n + 1)})
+    return _lift(_table(derangements_tdict, n, max(n, 1)), "e")
 
 
 def _y_sympoly(n):
-    return _lift(words_no_repeat_tdict(n, max(n, 1)))
+    return _lift(_table(words_no_repeat_tdict, n, max(n, 1)), "e")
 
 
 def _q_sympoly(n):
@@ -387,8 +409,8 @@ def verify_related(n_words=5, n_gessel=4) -> VerifyReport:
 
     # no-repeat word series, total and descent-graded
     ypolys = [_y_sympoly(n) for n in range(n_words + 1)]
-    ytotal = [SymF.zero() if yp is None else
-              sum((yp.coefficient(t=j) for j in yp.t_support()), SymF.zero())
+    ytotal = [SymF.zero("e") if yp is None else
+              sum((yp.coefficient(t=j) for j in yp.t_support()), SymF.zero("e"))
               for yp in ypolys]
     for n in range(1, n_words + 1):
         rhs = sym_e([n])
@@ -405,9 +427,9 @@ def verify_related(n_words=5, n_gessel=4) -> VerifyReport:
                    ypolys[n] is not None and lhs == target)
 
     # no-double-descent identities and their bridge to the excedance family
-    N = max(n_gessel, 1)
-    gfirst = [_lift(no_double_descent_tdict(n, max(n, 1))) for n in range(n_gessel + 1)]
-    gboth = [_lift(no_double_descent_tdict(n, max(n, 1), guard_first=True))
+    gfirst = [_lift(_table(no_double_descent_tdict, n, max(n, 1)), "h")
+              for n in range(n_gessel + 1)]
+    gboth = [_lift(_table(no_double_descent_tdict, n, max(n, 1), True), "h")
              for n in range(n_gessel + 1)]
     qpolys = [_q_sympoly(n) for n in range(n_gessel + 1)]
     rep.record("length-one words reduce to the complete homogeneous slice",
@@ -441,9 +463,9 @@ def verify_related(n_words=5, n_gessel=4) -> VerifyReport:
     # numeric weight check at t = 1: each word counts 2^(n-1-2 des)
     for n in range(1, n_words + 1):
         lhs = 0
-        for mon in no_double_descent_tdict(n, n).values():
+        for mon in _table(no_double_descent_tdict, n, n).values():
             lhs += sum(mon.terms.values())
-        qn = sum((q_symf_oracle(n, j) for j in range(n)), SymF.zero())
+        qn = sum((q_symf_oracle(n, j) for j in range(n)), SymF.zero("h"))
         rhs = sum(qn.to_monomial(n).terms.values())
         rep.record("doubling weight totals match", {"n": n}, lhs == rhs)
 

@@ -15,10 +15,12 @@ Kostka numbers (Macdonald, ch. I, section 6, by the Pieri rule of section
 3) and border strips the characters (Murnaghan-Nakayama, section 7).
 h and e expand along the Kostka columns (e with conjugated shapes), s
 expands in m along their rows, and m -> s and s -> h, e are unitriangular
-solves.  p -> s reads the border-strip columns, and s -> p takes the same
-dot product with them as s -> m takes with the Kostka columns.  So every
-conversion among m, h, e and s stays in the integers; only s -> p divides,
-by z_mu, and it serves the p target alone.  Products of s or m operands
+solves.  p -> s reads the border-strip columns: it scales the input by the
+lcm of its denominators, accumulates plain integers and divides once per
+result, so an integral answer comes back in ints.  s -> p takes the same
+dot product with those columns as s -> m takes with the Kostka columns.  So
+every conversion among m, h, e and s stays in the integers; only s -> p
+divides, by z_mu, and it serves the p target alone.  Products of s or m operands
 are taken in h, where they are concatenations; plethysm works in p.
 """
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .permstats import Partition, partitions
 from .polyalg import (
@@ -556,12 +559,23 @@ def _to_s(basis, terms):
             for i, c in b.items():
                 out[plist[i]] = c
             continue
-        # h_mu is column mu of K, e_mu the same with conjugated shapes, and
-        # p_mu column mu of the character table
-        strips = _border_strips if basis == "p" else _horizontal_strips
+        if basis == "p":
+            # p_mu is column mu of the character table: scale the vector by
+            # the lcm D of its denominators, sum ints, divide once per result
+            d = lcm(*(c.denominator for c in vec.values()))
+            acc = {}
+            for j, c in vec.items():
+                c = c.numerator * (d // c.denominator)
+                for i, k in _column(_border_strips, plist[j]).items():
+                    acc[i] = acc.get(i, 0) + c * k
+            for i, c in acc.items():
+                if c:
+                    out[plist[i]] = c // d if c % d == 0 else Fraction(c, d)
+            continue
+        # h_mu is column mu of K, e_mu the same with conjugated shapes
         target = _conjugates(n) if basis == "e" else range(len(plist))
         for j, c in vec.items():
-            for i, k in _column(strips, plist[j]).items():
+            for i, k in _column(_horizontal_strips, plist[j]).items():
                 _addto(out, plist[target[i]], c * k)
     return out
 
@@ -930,10 +944,15 @@ class SymPoly:
         return SymPoly({k: f.to_basis(basis) for k, f in self.terms.items()})
 
     def __eq__(self, other):
+        """Coefficientwise: the same (t, r) support, then SymF equality at
+        each, a dict comparison where the bases match and through m only
+        where they differ.  No zero coefficient is stored, so this is
+        equality of the polynomials."""
         if not isinstance(other, SymPoly):
             return NotImplemented
-        # the values are SymF in m, which compare by their terms
-        return self.to_basis("m").terms == other.to_basis("m").terms
+        theirs = other.terms
+        return (self.terms.keys() == theirs.keys()
+                and all(f == theirs[k] for k, f in self.terms.items()))
 
     def __repr__(self):
         bits = [f"t^{a} r^{b}: {f.render()}" for (a, b), f in sorted(self.terms.items())]

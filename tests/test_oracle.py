@@ -4,12 +4,14 @@ compare it with its oracle, and no other record."""
 
 import pytest
 
-from eulerq import eulerian, partitions, related, sym_h, sym_p, verify_related
+from eulerq import eulerian, partitions, related, sym_h, sym_p, symfunc, verify_related
 from eulerq.eulerian import (
     char_table,
     character_value_oracle,
     q_poly,
     q_poly_oracle,
+    q_qsym,
+    q_qsym_type,
     q_symf,
     q_symf_oracle,
     q_symf_type,
@@ -53,6 +55,45 @@ def test_char_table_matches_oracle(n):
     js, rows = char_table(n)
     assert rows == [(mu, [character_value_oracle(n, j, mu) for j in js])
                     for mu in partitions(n)]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_oracle_slices_come_back_in_h(n):
+    for j in range(n + 1):
+        for k in [None] + list(range(n + 1)):
+            got = q_symf_oracle(n, j, k)
+            assert got.basis == "h"
+            assert got.terms == q_symf(n, j, k).terms, (j, k)
+            assert got.to_basis("m").terms == q_qsym(n, j, k).to_symf().terms, (j, k)
+    poly = q_poly_oracle(n)
+    assert {key: f.basis for key, f in poly.terms.items()} == dict.fromkeys(poly.terms, "h")
+    assert ({key: f.terms for key, f in poly.terms.items()}
+            == {key: f.terms for key, f in q_poly(n).terms.items()})
+    for lam in partitions(n):
+        for j in range(n + 1):
+            got = q_symf_type_oracle(lam, j)
+            assert got.basis == "h"
+            assert got.terms == q_symf_type(lam, j).to_basis("h").terms, (tuple(lam), j)
+            assert got.to_basis("m").terms == q_qsym_type(lam, j).to_symf().terms
+
+
+def test_oracle_copies_make_no_conversion(monkeypatch):
+    """The log-concavity factors are copies of h-basis oracles: once an
+    oracle is built, reading it again converts nothing."""
+    calls = []
+    original = symfunc._to_s
+    monkeypatch.setattr(symfunc, "_to_s", lambda *a: calls.append(a) or original(*a))
+    lam = partitions(5)[3]
+    first = (eulerian._h_or_zero(5, 2), eulerian._h_fix_or_zero(5, 2, 1),
+             eulerian._h_type_or_zero(lam, 2))
+    calls.clear()
+    again = (eulerian._h_or_zero(5, 2), eulerian._h_fix_or_zero(5, 2, 1),
+             eulerian._h_type_or_zero(lam, 2))
+    assert calls == []
+    assert [f.terms for f in again] == [f.terms for f in first]
+    # copies: the cached oracle objects are not handed out
+    assert again[0] is not q_symf_oracle(5, 2)
+    assert again[2] is not q_symf_type_oracle(lam, 2)
 
 
 def test_production_bases():

@@ -1,5 +1,7 @@
 """Multiset derangements and word enumerators tied to the Q family."""
 
+from collections import Counter
+
 import pytest
 
 from eulerq import (
@@ -12,10 +14,11 @@ from eulerq import (
     verify_related,
     y_poly,
 )
-from eulerq import cli
+from eulerq import cli, related
 from eulerq.related import (
     DERANGEMENT_COUNTS,
     WORD_CONSTRAINTS,
+    derangements_tdict,
     words_no_repeat_tdict,
 )
 
@@ -114,3 +117,45 @@ def test_related_registry():
     """The related suite closes the suite table and is selectable by name."""
     assert cli.SUITES[-1].name == "related"
     assert [name for name, _ in cli.selected_entries("related", "ci", 0)] == ["related"]
+
+
+BUILDERS = ("words_no_repeat_tdict", "derangements_tdict", "no_double_descent_tdict")
+
+
+@pytest.fixture
+def cold_tables():
+    related._table.cache_clear()
+    yield
+    related._table.cache_clear()
+
+
+def test_each_model_table_is_built_once(cold_tables, monkeypatch):
+    """verify_related reads every grade of a model from one table per
+    argument tuple: each enumeration runs once, not once per grade."""
+    calls = {}
+    for builder in BUILDERS:
+        original = getattr(related, builder)
+        counter = calls[builder] = Counter()
+
+        def counted(*args, original=original, counter=counter):
+            counter[args] += 1
+            return original(*args)
+
+        monkeypatch.setattr(related, builder, counted)
+    assert verify_related(5, 4).ok
+    for builder, counter in calls.items():
+        assert counter and max(counter.values()) == 1, (builder, counter)
+    assert {(n, n) for n in range(1, 6)} <= set(calls["words_no_repeat_tdict"])
+    assert {(n, n) for n in range(1, 6)} <= set(calls["derangements_tdict"])
+
+
+def test_model_tables_are_read_only(cold_tables):
+    table = related._table(words_no_repeat_tdict, 3, 2)
+    with pytest.raises(TypeError):
+        table[0] = MonExpansion.zero(2)
+    assert table == words_no_repeat_tdict(3, 2)
+    assert related._table(derangements_tdict, 4, 4) == derangements_tdict(4, 4)
+    assert dict(related._table(derangements_tdict, 0, 3)) == {0: MonExpansion.one(3)}
+    for j in range(5):
+        assert y_poly(4, j, 4) == words_no_repeat_tdict(4, 4).get(j, MonExpansion.zero(4))
+        assert d_poly(4, j, 4) == derangements_tdict(4, 4).get(j, MonExpansion.zero(4))

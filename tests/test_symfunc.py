@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from eulerq import (
     Poly,
     QSymF,
     SymF,
+    SymPoly,
     fundamental,
     mn_character,
     parse_symf,
@@ -424,3 +426,87 @@ def test_to_monomial_matches_definition():
     got = sym_m([1] * 12).to_monomial(12)
     assert time.perf_counter() - start < 1
     assert got == MonExpansion(12, {(1,) * 12: 1})
+
+
+# ---------------------------------------------------------------------------
+# integer p -> s, and coefficientwise SymPoly equality
+# ---------------------------------------------------------------------------
+
+def fraction_p_to_s(f):
+    """p -> s by the Fraction route: every cell a Fraction times a character."""
+    out = {}
+    for mu, c in f.terms.items():
+        for lam in partitions(mu.n):
+            out[lam] = out.get(lam, Fraction(0)) + Fraction(c) * mn_character(lam, mu)
+    return {lam: c for lam, c in out.items() if c}
+
+
+def h_and_e_in_p(n):
+    """h_n and e_n written in p: sum over mu of (+-1) p_mu / z_mu."""
+    h = SymF("p", {mu: Fraction(1, mu.z()) for mu in partitions(n)})
+    e = SymF("p", {mu: Fraction((-1) ** (n - mu.length), mu.z()) for mu in partitions(n)})
+    return h, e
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_p_to_s_is_integral_where_the_answer_is(n):
+    h, e = h_and_e_in_p(n)
+    for f, want in ((h, {Partition([n]): 1}), (e, {Partition([1] * n): 1})):
+        got = f.to_basis("s").terms
+        assert got == want == fraction_p_to_s(f)
+        assert all(type(c) is int for c in got.values())
+    for mu in partitions(n):
+        got = sym_p(mu).to_basis("s").terms
+        assert got == fraction_p_to_s(sym_p(mu)), mu
+        assert got == {lam: mn_character(lam, mu) for lam in partitions(n)
+                       if mn_character(lam, mu)}
+        assert all(type(c) is int for c in got.values()), mu
+
+
+def test_p_to_s_keeps_a_fraction_where_the_answer_is_not_integral():
+    got = sym_p([1], Fraction(1, 2)).to_basis("s").terms
+    assert got == {Partition([1]): Fraction(1, 2)}
+    assert type(got[Partition([1])]) is Fraction
+    # mixed: an integral and a non-integral Schur coefficient in one answer
+    f = SymF("p", {(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)})
+    got = f.to_basis("s").terms
+    assert got == fraction_p_to_s(f) == {Partition([2]): 1}
+    assert type(got[Partition([2])]) is int
+    f = SymF("p", {(2,): Fraction(1, 3), (1, 1): Fraction(1, 6), (1,): 2})
+    got = f.to_basis("s").terms
+    assert got == fraction_p_to_s(f)
+    assert type(got[Partition([1])]) is int
+    assert type(got[Partition([2])]) is Fraction
+
+
+def test_render_prints_int_and_whole_fraction_alike():
+    for c in (1, -1, 3, -4):
+        assert (SymF("s", {(2, 1): c, (): c}).render()
+                == SymF("s", {(2, 1): Fraction(c, 1), (): Fraction(c, 1)}).render())
+    h, _ = h_and_e_in_p(4)
+    assert h.to_basis("s").render() == "s[4]"
+
+
+def sympoly_pairs():
+    base = SymPoly({(0, 0): sym_h([2]) + 2 * sym_h([1, 1]), (1, 0): sym_e([3]),
+                    (2, 1): sym_s([2, 1])})
+    yield base, base
+    for b in BASES:
+        yield base, base.to_basis(b)
+        yield base.to_basis(b), base
+    yield base, base + SymPoly.wrap(sym_m([1]), t=3)  # extra support
+    yield base, base + SymPoly.wrap(sym_p([2]), t=1)  # one coefficient differs
+    yield base, base.to_basis("p") + SymPoly.wrap(sym_p([2]), t=1)
+    yield base, SymPoly({k: f for k, f in base.terms.items() if k != (2, 1)})
+    yield base, base.shift(t=1)
+    yield SymPoly.zero(), SymPoly.zero()
+    yield SymPoly.zero(), base
+    yield base - base, SymPoly.zero()
+
+
+def test_sympoly_equality_matches_comparison_in_m():
+    for a, b in sympoly_pairs():
+        want = ({k: f.to_basis("m").terms for k, f in a.terms.items()}
+                == {k: f.to_basis("m").terms for k, f in b.terms.items()})
+        assert (a == b) is want
+        assert (b == a) is want
