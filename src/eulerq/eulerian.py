@@ -820,7 +820,7 @@ def verify_symmetry_unimodality(n_max=7) -> VerifyReport:
         )
         rep.record("every cycle-type slice is symmetric", {"n": n}, ok_sym)
         ok_pal = all(
-            q_symf_type_oracle(lam, j) == _q_symf_type_or_zero(lam, lam.n - lam.mult(1) - j)
+            q_symf_type_oracle(lam, j) == q_symf_type_oracle(lam, lam.n - lam.mult(1) - j)
             for lam in partitions(n)
             for j in range(n)
         )
@@ -886,12 +886,6 @@ def verify_symmetry_unimodality(n_max=7) -> VerifyReport:
     return rep
 
 
-def _q_symf_type_or_zero(lam, j):
-    if j < 0:
-        return SymF.zero("h")
-    return q_symf_type_oracle(lam, j)
-
-
 # ---------------------------------------------------------------------------
 # positivity confirmations
 # ---------------------------------------------------------------------------
@@ -925,19 +919,22 @@ def verify_positivity(n_max=7, products_max=None) -> VerifyReport:
             )
             rep.record("inner q-unimodality of cycle-type enumerator",
                        {"lam": tuple(lam)}, ok)
+    # The oracles are in h, where a product is a concatenation of integer
+    # terms, and each is the zero function for j < 0 or j >= n; Schur
+    # positivity of a difference of products is then a Kostka conversion.
     for n in range(1, products_max + 1):
         ok = all(
             _schur_positive(
-                _h_or_zero(n, j) * _h_or_zero(n, j)
-                - _h_or_zero(n, j + 1) * _h_or_zero(n, j - 1)
+                q_symf_oracle(n, j) * q_symf_oracle(n, j)
+                - q_symf_oracle(n, j + 1) * q_symf_oracle(n, j - 1)
             )
             for j in range(n)
         )
         rep.record("log-concavity of full slices", {"n": n}, ok)
         ok = all(
             _schur_positive(
-                _h_fix_or_zero(n, j, k) * _h_fix_or_zero(n, j, k)
-                - _h_fix_or_zero(n, j + 1, k) * _h_fix_or_zero(n, j - 1, k)
+                q_symf_oracle(n, j, k) * q_symf_oracle(n, j, k)
+                - q_symf_oracle(n, j + 1, k) * q_symf_oracle(n, j - 1, k)
             )
             for k in range(n + 1)
             for j in range(n)
@@ -948,8 +945,8 @@ def verify_positivity(n_max=7, products_max=None) -> VerifyReport:
             for lam in partitions(n)
             for j in range(n)
             if not _schur_positive(
-                _h_type_or_zero(lam, j) * _h_type_or_zero(lam, j)
-                - _h_type_or_zero(lam, j + 1) * _h_type_or_zero(lam, j - 1)
+                q_symf_type_oracle(lam, j) * q_symf_type_oracle(lam, j)
+                - q_symf_type_oracle(lam, j + 1) * q_symf_type_oracle(lam, j - 1)
             )
         }
         # Cycle-type log-concavity is FALSE: two 4-cycles give the smallest
@@ -973,29 +970,6 @@ def verify_positivity(n_max=7, products_max=None) -> VerifyReport:
         rep.record("log-concavity of shifted full enumerator", {"n": n},
                    _poly_log_concave(full))
     return rep
-
-
-# The log-concavity products are taken in the h basis, where a product is a
-# concatenation of integer terms; Schur positivity of a difference of
-# products is then a Kostka conversion.  The oracles are already in h, so
-# these are copies, not conversions.
-
-def _h_or_zero(n, j):
-    if j < 0 or j >= n:
-        return SymF.zero("h")
-    return q_symf_oracle(n, j).to_basis("h")
-
-
-def _h_fix_or_zero(n, j, k):
-    if j < 0:
-        return SymF.zero("h")
-    return q_symf_oracle(n, j, k).to_basis("h")
-
-
-def _h_type_or_zero(lam, j):
-    if j < 0 or j >= max(lam.n, 1):
-        return SymF.zero("h")
-    return q_symf_type_oracle(lam, j).to_basis("h")
 
 
 def _poly_log_concave(cs) -> bool:

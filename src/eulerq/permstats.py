@@ -26,8 +26,9 @@ whole group counts compact integer rows (exc, fix, des, maj, inv, exd_mask)
 instead, where exd_mask has bit i set for i in EXD.  `census(n, fields)`
 counts the rows over S_n projected to the fields asked for, by a dynamic
 program over word prefixes that lists no word.  `class_census(lam)` counts
-full rows over one conjugacy class one word at a time, since the cycle type
-is not a property of a prefix.  Other modules read a row only through
+full rows over one conjugacy class; cycle type is not a property of a
+prefix, so one pass over the words of S_n keys each row by its cycle type
+and serves every class of S_n.  Other modules read a row only through
 `row_stat`, so the row layout is known to this module alone.
 """
 from __future__ import annotations
@@ -231,47 +232,13 @@ def enumerate_permutations(n, cap=None):
         yield Permutation(w)
 
 
-def _cycle_type_words(lam):
-    """One line words of the permutations of cycle type lam, built directly
-    from cycle choices, in a deterministic order; n!/z_lambda of them."""
-    n = lam.n
-
-    def build(elems, parts):
-        if not parts:
-            yield ()
-            return
-        m = elems[0]
-        rest = elems[1:]
-        seen_sizes = set()
-        for idx, size in enumerate(parts):
-            if size in seen_sizes:
-                continue
-            seen_sizes.add(size)
-            rem_parts = parts[:idx] + parts[idx + 1 :]
-            for body in itertools.permutations(rest, size - 1):
-                cyc = (m,) + body
-                used = set(body)
-                remaining = tuple(x for x in rest if x not in used)
-                for tail in build(remaining, rem_parts):
-                    yield (cyc,) + tail
-
-    for cycs in build(tuple(range(1, n + 1)), tuple(lam)):
-        word = list(range(1, n + 1))
-        for cyc in cycs:
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                word[a - 1] = b
-        yield tuple(word)
-
-
 def enumerate_by_cycle_type(lam, cap=None):
-    """All permutations of cycle type lam, built directly from cycle choices.
-
-    Deterministic order; the number produced is n!/z_lambda.
-    """
+    """All permutations of cycle type lam, n!/z_lambda of them, in
+    lexicographic order of one line words: S_n filtered by cycle type."""
     lam = Partition(lam)
-    _check_cap(lam.n, cap)
-    for word in _cycle_type_words(lam):
-        yield Permutation(word)
+    for sigma in enumerate_permutations(lam.n, cap):
+        if sigma.cycle_type() == lam:
+            yield sigma
 
 
 def derangements(n, cap=None):
@@ -419,24 +386,52 @@ def _census(n, fields):
         {tuple(r >> s & m for s, m in spans): c for r, c in packed.items()}))
 
 
+def _cycle_type(w):
+    """The cycle type of the one line word w as a weakly decreasing tuple,
+    by walking each cycle from its least unvisited letter; the visited
+    letters are the bits of one int."""
+    seen = 0
+    lengths = []
+    for start in range(1, len(w) + 1):
+        if seen >> start & 1:
+            continue
+        length = 0
+        x = start
+        while not seen >> x & 1:
+            seen |= 1 << x
+            x = w[x - 1]
+            length += 1
+        lengths.append(length)
+    lengths.sort(reverse=True)
+    return tuple(lengths)
+
+
 @lru_cache(maxsize=None)
+def _class_censuses(n):
+    """{cycle type: read-only Counter of census rows} over S_n, in one pass
+    over its words.  Each word is keyed by a plain tuple; the Partition is
+    built once per class."""
+    counts = Counter((_cycle_type(w), _row(w)) for w in itertools.permutations(range(1, n + 1)))
+    classes = {}
+    for (lam, row), c in counts.items():
+        classes.setdefault(lam, Counter())[row] = c
+    return {Partition(lam): MappingProxyType(rows) for lam, rows in classes.items()}
+
+
 def class_census(lam) -> MappingProxyType:
     """Read-only Counter of census rows over the permutations of cycle type
-    lam, enumerated on their own (n!/z_lambda words), not filtered from
-    census."""
+    lam.  Cycle type is not a property of a prefix, so every class of S_n is
+    counted together, in one pass over the n! words, cached per n."""
     lam = Partition(lam)
     _check_cap(lam.n, None)
-    return MappingProxyType(Counter(map(_row, _cycle_type_words(lam))))
+    return _class_censuses(lam.n)[lam]
 
 
 @lru_cache(maxsize=None)
 def eulerian_counts(n) -> tuple:
-    """Coefficients (a_{n,0}, ..., a_{n,n-1}) of the Eulerian polynomial A_n(t).
-
-    Computed by the classical recurrence and, for n <= 7, cross-checked
-    against both the descent and the excedance distributions, read from
-    the (des, exc) projection of the census.
-    """
+    """Coefficients (a_{n,0}, ..., a_{n,n-1}) of the Eulerian polynomial
+    A_n(t), by the classical recurrence.  The tests compare it with the
+    descent and the excedance distributions over S_n."""
     if n == 0:
         return (1,)
     prev = eulerian_counts(n - 1)
@@ -445,13 +440,6 @@ def eulerian_counts(n) -> tuple:
         a = (j + 1) * prev[j] if j < len(prev) else 0
         b = (n - j) * prev[j - 1] if j >= 1 else 0
         cur[j] = a + b
-    if n <= 7:
-        by_des = [0] * n
-        by_exc = [0] * n
-        for (des, exc), count in census(n, ("des", "exc")).items():
-            by_des[des] += count
-            by_exc[exc] += count
-        assert by_des == cur == by_exc, f"Eulerian recurrence mismatch at n={n}"
     return tuple(cur)
 
 

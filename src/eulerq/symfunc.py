@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm, prod
 
 from .permstats import Partition, partitions
 from .polyalg import (
@@ -151,33 +151,34 @@ class QSymF:
                 out[frozenset(i + 1 for i in range(n - 1) if mask & (1 << i))] = g[mask]
         return out
 
-    def is_symmetric(self):
-        """True iff the monomial quasisymmetric coefficients are constant on
-        compositions with the same sorted part multiset."""
+    def _m_coeffs(self):
+        """dict lambda -> coefficient of m_lambda, or None when the function is
+        not symmetric: it is symmetric iff its monomial quasisymmetric
+        coefficients are constant on compositions with the same sorted part
+        multiset, and then the coefficient of m_lambda is the one at
+        D(lambda), the descent set of the unique weakly decreasing word of
+        content lambda."""
+        out = {}
         for n in self.degrees():
             coeffs = self._monomial_qsym_coeffs(n)
             for lam in partitions(n):
                 vals = {coeffs.get(T, 0) for T in _descent_sets_of_rearrangements(lam)}
                 if len(vals) > 1:
-                    return False
-        return True
-
-    def to_symf(self):
-        """The m-basis expansion, valid only when the function is symmetric.
-
-        For symmetric f, the coefficient of m_lambda is the subset sum of the
-        F coefficients over subsets of D(lambda), where D(lambda) is the
-        descent set of the unique weakly decreasing word of content lambda.
-        """
-        if not self.is_symmetric():
-            raise ValueError("not symmetric; no m-basis expansion")
-        out = {}
-        for n in self.degrees():
-            coeffs = self._monomial_qsym_coeffs(n)
-            for lam in partitions(n):
+                    return None
                 c = coeffs.get(_dropset(lam), 0)
                 if c:
                     out[lam] = c
+        return out
+
+    def is_symmetric(self):
+        """True iff the function is symmetric."""
+        return self._m_coeffs() is not None
+
+    def to_symf(self):
+        """The m-basis expansion, valid only when the function is symmetric."""
+        out = self._m_coeffs()
+        if out is None:
+            raise ValueError("not symmetric; no m-basis expansion")
         return SymF("m", out)
 
     def to_monomial(self, N):
@@ -413,18 +414,8 @@ class MonExpansion:
         """Coefficient of x_1 x_2 .. x_N."""
         return self.terms.get(tuple([1] * self.N), 0)
 
-    def restrict_last(self):
-        """Apply d/dx_N then set x_N = 0: keep exponent-1 terms, drop the slot."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[-1] == 1:
-                _addto(out, e[:-1], c)
-        return MonExpansion(self.N - 1, out)
-
 
 def _distinct_permutation_count(vec):
-    from math import factorial
-
     total = factorial(len(vec))
     for v in set(vec):
         total //= factorial(vec.count(v))
@@ -760,10 +751,14 @@ class SymF:
         return self.terms.get(Partition(lam), 0)
 
     def squarefree_coefficient(self):
-        """Coefficient of x_1 x_2 .. x_n for homogeneous degree n (the
-        dimension of the corresponding representation)."""
+        """Coefficient of x_1 x_2 .. x_n for n = deg(f) (for homogeneous f,
+        the dimension of the corresponding representation): in h or e, each
+        h_mu or e_mu of degree n contributes n!/prod_i mu_i!."""
+        f = self if self.basis in ("h", "e") else self.to_basis("h")
         n = self.degree()
-        return self.to_basis("m").coefficient(Partition([1] * n)) if n else self.to_basis("m").coefficient(Partition())
+        top = factorial(n)
+        return sum(c * (top // prod(map(factorial, lam)))
+                   for lam, c in f.terms.items() if lam.n == n)
 
     def is_positive(self, basis=None):
         f = self if basis in (None, self.basis) else self.to_basis(basis)
@@ -995,14 +990,19 @@ def plethysm_h(m, f):
 
 def restrict_frobenius(f):
     """Frobenius characteristic of restriction to the next smaller symmetric
-    group: expand in n = deg(f) variables, apply d/dx_n, set x_n = 0.
+    group: the derivation d/dp_1, which in the h basis sends h_mu to the sum
+    over i of h_{mu - e_i}, mu with its part mu_i lowered by one.
 
     Requires homogeneous input of positive degree.
     """
     if not f.is_homogeneous() or f.is_zero():
         raise ValueError("restriction needs a nonzero homogeneous input")
-    n = f.degree()
-    if n == 0:
+    if f.degree() == 0:
         raise ValueError("cannot restrict a constant")
-    reduced = f.to_monomial(n).restrict_last()
-    return reduced.to_symf().to_basis(f.basis)
+    out = {}
+    for mu, c in f.to_basis("h").terms.items():
+        for part, m in mu.multiplicities().items():
+            lowered = list(mu)
+            lowered[lowered.index(part)] -= 1
+            _addto(out, Partition(x for x in lowered if x), c * m)
+    return SymF("h", out).to_basis(f.basis)

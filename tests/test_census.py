@@ -74,6 +74,21 @@ def test_class_censuses_partition_the_census():
         assert total == census(n)
 
 
+def test_class_censuses_take_one_pass(monkeypatch):
+    """Every class of S_6 comes from one pass over its 720 words, cached per
+    n: reading them all again lists no word."""
+    calls = []
+    original = permstats._row
+    monkeypatch.setattr(permstats, "_row", lambda w: calls.append(w) or original(w))
+    permstats._class_censuses.cache_clear()
+    first = [class_census(lam) for lam in partitions(6)]
+    assert len(calls) == 720
+    calls.clear()
+    again = [class_census(lam) for lam in partitions(6)]
+    assert calls == []
+    assert all(a is b for a, b in zip(again, first))
+
+
 def test_census_capacity():
     with pytest.raises(CapacityError, match="exceeds cap 10"):
         census(11)

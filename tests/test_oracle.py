@@ -77,23 +77,24 @@ def test_oracle_slices_come_back_in_h(n):
             assert got.to_basis("m").terms == q_qsym_type(lam, j).to_symf().terms
 
 
-def test_oracle_copies_make_no_conversion(monkeypatch):
-    """The log-concavity factors are copies of h-basis oracles: once an
-    oracle is built, reading it again converts nothing."""
+def test_oracle_reads_make_no_conversion(monkeypatch):
+    """The log-concavity factors are the h-basis oracles themselves: once an
+    oracle is built, reading it again converts nothing, and past either end
+    of a slice family it is the zero function in h."""
     calls = []
     original = symfunc._to_s
     monkeypatch.setattr(symfunc, "_to_s", lambda *a: calls.append(a) or original(*a))
     lam = partitions(5)[3]
-    first = (eulerian._h_or_zero(5, 2), eulerian._h_fix_or_zero(5, 2, 1),
-             eulerian._h_type_or_zero(lam, 2))
+    reads = [(q_symf_oracle, (5, j)) for j in (-1, 2, 5)]
+    reads += [(q_symf_oracle, (5, j, 1)) for j in (-1, 2, 4)]
+    reads += [(q_symf_type_oracle, (lam, j)) for j in (-1, 2, 5)]
+    first = [oracle(*args) for oracle, args in reads]
     calls.clear()
-    again = (eulerian._h_or_zero(5, 2), eulerian._h_fix_or_zero(5, 2, 1),
-             eulerian._h_type_or_zero(lam, 2))
+    again = [oracle(*args) for oracle, args in reads]
     assert calls == []
-    assert [f.terms for f in again] == [f.terms for f in first]
-    # copies: the cached oracle objects are not handed out
-    assert again[0] is not q_symf_oracle(5, 2)
-    assert again[2] is not q_symf_type_oracle(lam, 2)
+    assert all(a is b for a, b in zip(again, first))
+    assert all(f.basis == "h" for f in first)
+    assert [f.is_zero() for f in first] == [True, False, True] * 3
 
 
 def test_production_bases():

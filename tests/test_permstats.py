@@ -1,5 +1,6 @@
 """Permutation statistics: pinned values, identities, and enumeration."""
 
+import itertools
 import math
 
 import pytest
@@ -19,6 +20,7 @@ from eulerq import (
     statistics,
     z_lambda,
 )
+from eulerq.permstats import _cycle_type
 
 
 def test_reference_permutation():
@@ -68,7 +70,7 @@ def test_exd_index_sum_and_size(n):
         assert len(st.exd_set) == expected
 
 
-@pytest.mark.parametrize("n", range(0, 7))
+@pytest.mark.parametrize("n", range(0, 8))
 def test_des_exc_equidistribution(n):
     des_hist = {}
     exc_hist = {}
@@ -127,6 +129,12 @@ def test_cycle_type_class_sizes(lam):
     got = list(enumerate_by_cycle_type(lam))
     assert len(got) == math.factorial(lam.n) // z_lambda(lam)
     assert all(s.cycle_type() == lam for s in got)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_cycle_type_walk_matches_cycles(n):
+    for w in itertools.permutations(range(1, n + 1)):
+        assert _cycle_type(w) == Permutation(w).cycle_type()
 
 
 def test_derangement_counts():

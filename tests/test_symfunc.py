@@ -28,6 +28,7 @@ from eulerq import (
     sym_p,
     sym_s,
 )
+from eulerq.eulerian import q_symf_oracle, q_symf_type_oracle
 from eulerq.polyalg import PolyFraction, pochhammer, qlist_to_poly
 from eulerq.symfunc import _descent_sets_of_rearrangements, _kostka
 
@@ -269,6 +270,46 @@ def test_restriction():
     assert got == sym_s([2, 2]) + sym_s([3, 1])
     with pytest.raises(ValueError):
         restrict_frobenius(sym_h([2]) + sym_h([1]))
+    with pytest.raises(ValueError):
+        restrict_frobenius(sym_h([]))
+
+
+def monomial_restriction(f):
+    """Restriction by the monomial route: expand in n = deg(f) variables,
+    apply d/dx_n, set x_n = 0 and lift back to m."""
+    n = f.degree()
+    kept = {e[:-1]: c for e, c in f.to_monomial(n).terms.items() if e[-1] == 1}
+    return MonExpansion(n - 1, kept).to_symf().to_basis(f.basis)
+
+
+def schur_corners_removed(lam):
+    """s_mu summed over the shapes mu that remove one corner from lam."""
+    out = SymF.zero("s")
+    for i, x in enumerate(lam):
+        if i + 1 == len(lam) or lam[i + 1] < x:
+            out = out + sym_s([y - (k == i) for k, y in enumerate(lam) if y - (k == i)])
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_restriction_matches_monomial_route_and_branching(n):
+    for lam in partitions(n):
+        for basis in BASES:
+            f = SymF.single(basis, lam)
+            got = restrict_frobenius(f)
+            assert got.basis == basis
+            assert got.terms == monomial_restriction(f).terms, (basis, tuple(lam))
+        assert restrict_frobenius(sym_s(lam)).terms == schur_corners_removed(lam).terms
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_squarefree_coefficient_matches_monomial_expansion(n):
+    slices = [q_symf_oracle(n, j, k) for j in range(n) for k in [None] + list(range(n + 1))]
+    slices += [q_symf_type_oracle(lam, j) for lam in partitions(n) for j in range(n)]
+    for f in slices:
+        for basis in BASES:
+            g = f.to_basis(basis)
+            assert g.squarefree_coefficient() == g.to_monomial(n).coefficient_of_squarefree()
 
 
 def old_descent_sets_of_rearrangements(lam):
