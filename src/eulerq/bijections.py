@@ -624,10 +624,10 @@ def letters_upto(max_value):
     return out
 
 
-def enumerate_necklaces(size, max_value, cap=DEFAULT_CAP):
+def enumerate_necklaces(size, max_value):
     """All necklaces of the given size over values 1..max_value."""
-    if size > cap or max_value > cap + 2:
-        raise CapacityError("necklace enumeration capped at %d" % cap)
+    if size > DEFAULT_CAP or max_value > DEFAULT_CAP + 2:
+        raise CapacityError("necklace enumeration capped at %d" % DEFAULT_CAP)
     if size < 1:
         return []
     if size == 1:
@@ -652,14 +652,14 @@ def enumerate_necklaces(size, max_value, cap=DEFAULT_CAP):
     return sorted((Necklace(w) for w in found))
 
 
-def enumerate_ornaments(lam, max_value, cap=DEFAULT_CAP):
+def enumerate_ornaments(lam, max_value):
     """All ornaments of type lam over values 1..max_value."""
     lam = Partition(lam)
-    if lam.n > cap:
-        raise CapacityError("ornament enumeration capped at %d" % cap)
+    if lam.n > DEFAULT_CAP:
+        raise CapacityError("ornament enumeration capped at %d" % DEFAULT_CAP)
     pools = []
     for part, mult in sorted(lam.multiplicities().items()):
-        necks = enumerate_necklaces(part, max_value, cap=cap)
+        necks = enumerate_necklaces(part, max_value)
         pools.append(list(itertools.combinations_with_replacement(necks, mult)))
     out = []
     for combo in itertools.product(*pools):
@@ -668,10 +668,10 @@ def enumerate_ornaments(lam, max_value, cap=DEFAULT_CAP):
     return out
 
 
-def enumerate_banners(n, max_value, cap=DEFAULT_CAP):
+def enumerate_banners(n, max_value):
     """All banners of length n over values 1..max_value."""
-    if n > cap or max_value > cap + 2:
-        raise CapacityError("banner enumeration capped at %d" % cap)
+    if n > DEFAULT_CAP or max_value > DEFAULT_CAP + 2:
+        raise CapacityError("banner enumeration capped at %d" % DEFAULT_CAP)
     if n == 0:
         return [Banner(())]
     alphabet = letters_upto(max_value)
@@ -692,9 +692,9 @@ def enumerate_banners(n, max_value, cap=DEFAULT_CAP):
     return out
 
 
-def enumerate_seamless_banners(n, max_value, cap=DEFAULT_CAP):
+def enumerate_seamless_banners(n, max_value):
     """Banners of length n whose Lyndon type has no parts of size 1."""
-    return [b for b in enumerate_banners(n, max_value, cap=cap)
+    return [b for b in enumerate_banners(n, max_value)
             if n > 0 and increasing_factorize(b.word) is not None]
 
 
@@ -709,16 +709,16 @@ def _weight_terms(items, max_value):
     return MonExpansion(max_value, terms)
 
 
-def ornament_weight_sum(lam, j, max_value, cap=DEFAULT_CAP):
+def ornament_weight_sum(lam, j, max_value):
     """Sum of weights of ornaments of type lam with j bars, as a
     polynomial in x_1..x_max_value."""
-    items = [r for r in enumerate_ornaments(lam, max_value, cap=cap) if r.bars == j]
+    items = [r for r in enumerate_ornaments(lam, max_value) if r.bars == j]
     return _weight_terms(items, max_value)
 
 
-def banner_weight_sum(lam, j, max_value, cap=DEFAULT_CAP):
+def banner_weight_sum(lam, j, max_value):
     """Sum of weights of banners of Lyndon type lam with j bars."""
     lam = Partition(lam)
-    items = [b for b in enumerate_banners(lam.n, max_value, cap=cap)
+    items = [b for b in enumerate_banners(lam.n, max_value)
              if b.bars == j and b.lyndon_type() == lam]
     return _weight_terms(items, max_value)

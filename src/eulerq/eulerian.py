@@ -592,8 +592,9 @@ def verify_qexp_generating_function(n_max=6) -> VerifyReport:
     return rep
 
 
-def verify_four_stat_series(z_max=4, p_max=4) -> VerifyReport:
-    """Four-statistic generating series compared per (z, p) coefficient.
+def verify_four_stat_series(z_max=4) -> VerifyReport:
+    """Four-statistic generating series compared per (z, p) coefficient, both
+    up to order z_max.
 
     The left side pairs brute force maj/des/exc/fix enumerators with the
     q-binomial expansion of 1 / (p; q)_{n+1}.  Per p-order m the right side
@@ -610,7 +611,7 @@ def verify_four_stat_series(z_max=4, p_max=4) -> VerifyReport:
     lhs = {}
     for n in range(z_max + 1):
         by_p = a_poly(n, stats).coefficients_in("p")
-        for m in range(p_max + 1):
+        for m in range(z_max + 1):
             acc = Poly.zero()
             for b, coeff in by_p.items():
                 if b <= m:
@@ -618,7 +619,7 @@ def verify_four_stat_series(z_max=4, p_max=4) -> VerifyReport:
             lhs[(n, m)] = acc
     one = Poly.one()
     qt = Poly.term(1, q=1, t=1)
-    for m in range(p_max + 1):
+    for m in range(z_max + 1):
         zq = pochhammer_series(one, m, "z", z_max)
         zt = pochhammer_series(qt, m, "z", z_max)
         zr = pochhammer_series(Poly.var("r"), m + 1, "z", z_max)
@@ -695,9 +696,9 @@ def finite_specialization_check(lam, k_max, rep=None) -> VerifyReport:
     return rep
 
 
-def verify_finite_specialization(total_max=5, n_consequent=4) -> VerifyReport:
+def verify_finite_specialization(total_max=5) -> VerifyReport:
     """The finite-variable specialization identity over all classes
-    (lam, 1^k) with bounded |lam| + k, plus its exc/fix consequence
+    (lam, 1^k) with bounded |lam| + k, plus its exc/fix consequence at n = 4
 
         [t^j] a_{n,k}(q,p)
             = (p;q)_{n+1} sum_m p^m sum_{i=0}^{k} q^{im+j} ps_m(Q_{n-i,j,k-i}),
@@ -709,7 +710,7 @@ def verify_finite_specialization(total_max=5, n_consequent=4) -> VerifyReport:
             if 1 in lam:
                 continue
             finite_specialization_check(lam, total_max - size, rep)
-    n = n_consequent
+    n = 4
     for k in range(n + 1):
         for j in range(n):
             lhs = a_poly_fix(n, k).coefficient("t", j).coefficients_in("p")
@@ -891,14 +892,33 @@ def verify_symmetry_unimodality(n_max=7) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def verify_positivity(n_max=7, products_max=None) -> VerifyReport:
+# Cycle-type log-concavity is FALSE from n = 8 on: two 4-cycles give the
+# smallest counterexample (the trivial-isotypic multiplicities of the (4,4)
+# slices are 1,1,2,1,1 across exc = 2..6, and 1*1 - 2*1 < 0, because the center
+# slice gains one invariant from each of h_2[V_(4),2] and V_(4),1 x V_(4),3).
+# Through n = 11 each exception is (4,4), (4,4,2) or (5,5) plus fixed points.
+# The positivity suite asserts exactly these sets, so a regression that loses
+# or grows one is caught.
+_CYCLE_TYPE_LC_EXCEPTIONS = {
+    8: {((4, 4), 3), ((4, 4), 5)},
+    9: {((4, 4, 1), 3), ((4, 4, 1), 5)},
+    10: {((4, 4, 1, 1), 3), ((4, 4, 1, 1), 5), ((4, 4, 2), 4), ((4, 4, 2), 6),
+         ((5, 5), 3), ((5, 5), 7)},
+    11: {((4, 4, 1, 1, 1), 3), ((4, 4, 1, 1, 1), 5), ((4, 4, 2, 1), 4),
+         ((4, 4, 2, 1), 6), ((5, 5, 1), 3), ((5, 5, 1), 7)},
+}
+
+
+def verify_positivity(n_max=7) -> VerifyReport:
     """Positivity statements confirmed at desk scale: Schur positivity of the
     cycle-type slices and their consecutive differences, unimodality of the
     shifted enumerators, and log-concavity of each family of slices.  All are
-    settled results in this range, so failures are build-breaking.
+    settled results in this range, so failures are build-breaking.  Sizes
+    past the last row of _CYCLE_TYPE_LC_EXCEPTIONS raise ValueError.
     """
+    if n_max > max(_CYCLE_TYPE_LC_EXCEPTIONS):
+        raise ValueError(f"n_max={n_max} is past the known log-concavity exceptions")
     rep = VerifyReport("positivity")
-    products_max = n_max if products_max is None else products_max
     for n in range(1, n_max + 1):
         for lam in partitions(n):
             k = lam.mult(1)
@@ -922,40 +942,14 @@ def verify_positivity(n_max=7, products_max=None) -> VerifyReport:
     # The oracles are in h, where a product is a concatenation of integer
     # terms, and each is the zero function for j < 0 or j >= n; Schur
     # positivity of a difference of products is then a Kostka conversion.
-    for n in range(1, products_max + 1):
-        ok = all(
-            _schur_positive(
-                q_symf_oracle(n, j) * q_symf_oracle(n, j)
-                - q_symf_oracle(n, j + 1) * q_symf_oracle(n, j - 1)
-            )
-            for j in range(n)
-        )
+    for n in range(1, n_max + 1):
+        ok = all(_log_concave_at(lambda i: q_symf_oracle(n, i), j) for j in range(n))
         rep.record("log-concavity of full slices", {"n": n}, ok)
-        ok = all(
-            _schur_positive(
-                q_symf_oracle(n, j, k) * q_symf_oracle(n, j, k)
-                - q_symf_oracle(n, j + 1, k) * q_symf_oracle(n, j - 1, k)
-            )
-            for k in range(n + 1)
-            for j in range(n)
-        )
+        ok = all(_log_concave_at(lambda i: q_symf_oracle(n, i, k), j)
+                 for k in range(n + 1) for j in range(n))
         rep.record("log-concavity of fixed-fix slices", {"n": n}, ok)
-        failures = {
-            (tuple(lam), j)
-            for lam in partitions(n)
-            for j in range(n)
-            if not _schur_positive(
-                q_symf_type_oracle(lam, j) * q_symf_type_oracle(lam, j)
-                - q_symf_type_oracle(lam, j + 1) * q_symf_type_oracle(lam, j - 1)
-            )
-        }
-        # Cycle-type log-concavity is FALSE: two 4-cycles give the smallest
-        # counterexample (the trivial-isotypic multiplicities of the (4,4)
-        # slices are 1,1,2,1,1 across exc = 2..6, and 1*1 - 2*1 < 0, because
-        # the center slice gains one invariant from each of h_2[V_(4),2] and
-        # V_(4),1 x V_(4),3).  The check asserts exactly that counterexample
-        # set, so a regression that loses or grows it is caught.
-        expected = {((4, 4), 3), ((4, 4), 5)} if n == 8 else set()
+        failures = _cycle_type_lc_failures(n, q_symf_type_oracle)
+        expected = _CYCLE_TYPE_LC_EXCEPTIONS.get(n, set())
         rep.record("log-concavity of cycle-type slices, known exception list",
                    {"n": n}, failures == expected,
                    witness="" if failures == expected else str(sorted(failures)))
@@ -970,6 +964,18 @@ def verify_positivity(n_max=7, products_max=None) -> VerifyReport:
         rep.record("log-concavity of shifted full enumerator", {"n": n},
                    _poly_log_concave(full))
     return rep
+
+
+def _log_concave_at(f, j) -> bool:
+    """Is f(j)^2 - f(j + 1) f(j - 1) Schur positive?"""
+    return _schur_positive(f(j) * f(j) - f(j + 1) * f(j - 1))
+
+
+def _cycle_type_lc_failures(n, slice_of):
+    """The (lam, j) with lam a partition of n where the slices slice_of(lam, j)
+    are not log-concave in j."""
+    return {(tuple(lam), j) for lam in partitions(n) for j in range(n)
+            if not _log_concave_at(lambda i: slice_of(lam, i), j)}
 
 
 def _poly_log_concave(cs) -> bool:

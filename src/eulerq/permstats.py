@@ -43,13 +43,12 @@ DEFAULT_CAP = 10
 
 
 class CapacityError(ValueError):
-    """An enumeration request exceeded the configured size cap."""
+    """An enumeration request exceeded the size cap DEFAULT_CAP."""
 
 
-def _check_cap(n, cap):
-    limit = DEFAULT_CAP if cap is None else cap
-    if n > limit:
-        raise CapacityError(f"n={n} exceeds cap {limit}; pass a larger cap explicitly")
+def _check_cap(n):
+    if n > DEFAULT_CAP:
+        raise CapacityError(f"n={n} exceeds cap {DEFAULT_CAP}")
 
 
 class Partition(tuple):
@@ -225,24 +224,24 @@ def exd_set(sigma) -> frozenset:
     return statistics(sigma).exd_set
 
 
-def enumerate_permutations(n, cap=None):
+def enumerate_permutations(n):
     """All of S_n in lexicographic order of one line words."""
-    _check_cap(n, cap)
+    _check_cap(n)
     for w in itertools.permutations(range(1, n + 1)):
         yield Permutation(w)
 
 
-def enumerate_by_cycle_type(lam, cap=None):
+def enumerate_by_cycle_type(lam):
     """All permutations of cycle type lam, n!/z_lambda of them, in
     lexicographic order of one line words: S_n filtered by cycle type."""
     lam = Partition(lam)
-    for sigma in enumerate_permutations(lam.n, cap):
+    for sigma in enumerate_permutations(lam.n):
         if sigma.cycle_type() == lam:
             yield sigma
 
 
-def derangements(n, cap=None):
-    for sigma in enumerate_permutations(n, cap):
+def derangements(n):
+    for sigma in enumerate_permutations(n):
         if all(sigma(i) != i for i in range(1, n + 1)):
             yield sigma
 
@@ -330,7 +329,7 @@ def census(n, fields=CENSUS_FIELDS) -> MappingProxyType:
 
 @lru_cache(maxsize=None)
 def _census(n, fields):
-    _check_cap(n, None)
+    _check_cap(n)
     # each field is an int in its own bits of one packed row, so adding a
     # letter adds one int; no field overflows its bits, so none carries
     shifts, at = {}, 0
@@ -423,7 +422,7 @@ def class_census(lam) -> MappingProxyType:
     lam.  Cycle type is not a property of a prefix, so every class of S_n is
     counted together, in one pass over the n! words, cached per n."""
     lam = Partition(lam)
-    _check_cap(lam.n, None)
+    _check_cap(lam.n)
     return _class_censuses(lam.n)[lam]
 
 

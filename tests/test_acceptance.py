@@ -149,10 +149,10 @@ def test_criterion_04_qexp_generating_function():
 
 def test_criterion_05_four_stat_series():
     t0 = time.perf_counter()
-    z, p = (8, 8) if EXTENDED else (4, 4)
-    ok = suite_ok(verify_four_stat_series(z, p))
+    z = 8 if EXTENDED else 4
+    ok = suite_ok(verify_four_stat_series(z))
     elapsed = time.perf_counter() - t0
-    report(5, ok and elapsed < 600, t0, f"orders z {z}, p {p}")
+    report(5, ok and elapsed < 600, t0, f"orders z {z}, p {z}")
 
 
 def test_criterion_06_bijection_round_trips():
@@ -289,7 +289,7 @@ def test_criterion_12_companion_models():
 def test_criterion_13_derangement_identities():
     t0 = time.perf_counter()
     ok = suite_ok(verify_derangement_identities(6))
-    ok = ok and suite_ok(verify_finite_specialization(5, 4))
+    ok = ok and suite_ok(verify_finite_specialization(5))
     report(13, ok, t0, "q-analogs n <= 6, finite families size <= 5")
 
 

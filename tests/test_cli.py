@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 
 from eulerq import cli, enumerate_permutations, eulerian, related, statistics
 from eulerq.cache import CacheEntry, list_entries, load, store
+from eulerq.permstats import DEFAULT_CAP
 from eulerq.report import VerifyReport
 from fixtures_tables import CHAR_TABLES
 
@@ -114,7 +116,50 @@ def test_stats_n_over_cap_message(capsys):
     assert cli.main(["stats", "--n", "11"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: n=11 exceeds cap 10; pass a larger cap explicitly\n"
+    assert captured.err == "error: n=11 exceeds cap 10\n"
+
+
+# one past the CLI's degree limit
+OVER = cli._MAX_DEGREE + 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["qfun", "--n", str(OVER), "--j", "1"],
+    ["qfun", "--lambda", f"{OVER - 1},1", "--j", "1"],
+    ["chartable", str(OVER)],
+    ["expand", f"Q[{OVER},1]"],
+    ["expand", f"Q[({OVER}),1]"],
+    ["expand", f"h[{OVER}]"],
+    ["expand", f"e[{OVER - 2},2] + m[1]"],
+    ["expand", f"h[{OVER - 1}] * h[1]"],
+    ["expand", f"(h[2] + h[{OVER - 3}]) * (m[2,1] - 1)"],
+], ids=["qfun-n", "qfun-lambda", "chartable", "Q-n", "Q-lambda", "atom", "atom-in-sum",
+        "product", "nested-product"])
+def test_degree_past_the_limit_is_usage_error(capsys, tmp_path, argv):
+    assert cli.main([*argv, "--cache-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: degree {OVER} exceeds the limit {OVER - 1}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_product_at_the_limit_is_accepted(capsys):
+    rc, out = run(capsys, "expand", f"h[{OVER - 2}] * h[1]", "h")
+    assert rc == 0
+    assert out.strip() == f"h[{OVER - 2},1]"
+
+
+def test_qfun_past_the_old_cap_renders_the_oracle(capsys, tmp_path):
+    rc, out = run(capsys, "qfun", "--n", "10", "--j", "4", "--k", "2", "--basis", "s",
+                  "--cache-dir", str(tmp_path))
+    assert rc == 0
+    assert out.strip() == eulerian.q_symf_oracle(10, 4, 2).to_basis("s").render()
+
+
+def test_readme_states_the_size_limits():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    assert re.search(r"The degree limit is (\d+):", text).group(1) == str(cli._MAX_DEGREE)
+    assert re.search(r"the census limit is (\d+)", text).group(1) == str(DEFAULT_CAP)
 
 
 def test_qfun_text(capsys, tmp_path):
@@ -142,8 +187,8 @@ def test_qfun_uses_cache(capsys, tmp_path):
 def test_qfun_usage_errors(capsys):
     assert cli.main(["qfun", "--n", "4"]) == 2  # missing j
     assert cli.main(["qfun", "--j", "1"]) == 2  # missing n and lambda
-    assert cli.main(["qfun", "--n", "9", "--j", "1"]) == 2
-    assert cli.main(["qfun", "--lambda", "9", "--j", "1"]) == 2
+    assert cli.main(["qfun", "--n", str(OVER), "--j", "1"]) == 2
+    assert cli.main(["qfun", "--lambda", str(OVER), "--j", "1"]) == 2
     assert cli.main(["qfun", "--lambda", "3,1", "--j", "1", "--k", "0"]) == 2
     capsys.readouterr()
 
@@ -181,7 +226,7 @@ def test_chartable_text_cached(capsys, tmp_path):
     assert rc == 0
     assert out.splitlines()[0].split() == ["lambda", "(4,1)", "(4,2)"]
     assert load(d, "chartable", ["n", 4]) is not None
-    assert cli.main(["chartable", "9"]) == 2
+    assert cli.main(["chartable", str(OVER)]) == 2
     assert cli.main(["chartable", "0"]) == 2
     capsys.readouterr()
 
@@ -218,7 +263,7 @@ def test_expand_arithmetic(capsys):
 
 
 def test_expand_usage_errors(capsys):
-    assert cli.main(["expand", "Q[9,1]"]) == 2
+    assert cli.main(["expand", f"Q[{OVER},1]"]) == 2
     assert cli.main(["expand", "Q[4"]) == 2
     assert cli.main(["expand", "zeta[2]"]) == 2
     assert cli.main(["expand", "h[2]", "--vars", "1"]) == 2  # too few variables
@@ -282,8 +327,8 @@ DEFAULT_CALLS = {
         ("genfun", "verify_main_generating_function", (6,)),
         ("recurrences", "verify_recurrences", (6,)),
         ("qexp", "verify_qexp_generating_function", (6,)),
-        ("series", "verify_four_stat_series", (4, 4)),
-        ("finite-spec", "verify_finite_specialization", (5, 4)),
+        ("series", "verify_four_stat_series", (4,)),
+        ("finite-spec", "verify_finite_specialization", (5,)),
         ("derangements", "verify_derangement_identities", (6,)),
         ("symmetry", "verify_symmetry_unimodality", (6,)),
         ("positivity", "verify_positivity", (6,)),
@@ -296,8 +341,8 @@ DEFAULT_CALLS = {
         ("genfun", "verify_main_generating_function", (6,)),
         ("recurrences", "verify_recurrences", (7,)),
         ("qexp", "verify_qexp_generating_function", (6,)),
-        ("series", "verify_four_stat_series", (8, 8)),
-        ("finite-spec", "verify_finite_specialization", (7, 4)),
+        ("series", "verify_four_stat_series", (8,)),
+        ("finite-spec", "verify_finite_specialization", (7,)),
         ("derangements", "verify_derangement_identities", (6,)),
         ("symmetry", "verify_symmetry_unimodality", (7,)),
         ("positivity", "verify_positivity", (8,)),

@@ -162,8 +162,8 @@ SMALL_SUITES = [
     (verify_main_generating_function, (4,)),
     (verify_recurrences, (4,)),
     (verify_qexp_generating_function, (4,)),
-    (verify_four_stat_series, (2, 2)),
-    (verify_finite_specialization, (3, 3)),
+    (verify_four_stat_series, (2,)),
+    (verify_finite_specialization, (3,)),
     (verify_derangement_identities, (4,)),
     (verify_symmetry_unimodality, (4,)),
     (verify_positivity, (4,)),
@@ -202,7 +202,7 @@ def test_series_suite_fails_on_a_wrong_enumerator(monkeypatch):
         return got + Poly.var("p") if (n, tuple(which)) == (3, stats) else got
 
     monkeypatch.setattr(eulerian, "a_poly", wrong)
-    rep = verify_four_stat_series(5, 5)
+    rep = verify_four_stat_series(5)
     status = {c.params["p_order"]: (c.status, c.witness) for c in rep.checks}
     assert status == {0: ("pass", ""),
                       **{m: ("fail", "first mismatch at z^3") for m in range(1, 6)}}

@@ -42,6 +42,26 @@ def test_q_poly_and_q_symf_match_oracle(n):
             assert q_symf(n, j, k) == q_symf_oracle(n, j, k), (j, k)
 
 
+@pytest.mark.parametrize("n", [9, 10])
+def test_q_symf_matches_oracle_past_the_old_cli_cap(n):
+    for j in range(n + 1):
+        for k in [None] + list(range(n + 1)):
+            assert q_symf(n, j, k) == q_symf_oracle(n, j, k), (j, k)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_cycle_type_log_concavity_exceptions_from_the_formulas(n):
+    """The closed formulas give the exception set the positivity suite
+    asserts, one size past the suite's extended tier included."""
+    assert (eulerian._cycle_type_lc_failures(n, q_symf_type)
+            == eulerian._CYCLE_TYPE_LC_EXCEPTIONS[n])
+
+
+def test_positivity_refuses_sizes_without_a_known_exception_set():
+    with pytest.raises(ValueError, match="n_max=12"):
+        verify_positivity(12)
+
+
 @pytest.mark.parametrize("n", range(N_MAX + 1))
 def test_q_type_poly_and_q_symf_type_match_oracle(n):
     for lam in partitions(n):
@@ -119,8 +139,8 @@ SUITES = [
     (verify_main_generating_function, (4,)),
     (verify_recurrences, (4,)),
     (verify_qexp_generating_function, (4,)),
-    (verify_four_stat_series, (2, 2)),
-    (verify_finite_specialization, (3, 3)),
+    (verify_four_stat_series, (2,)),
+    (verify_finite_specialization, (3,)),
     (verify_derangement_identities, (4,)),
     (verify_symmetry_unimodality, (4,)),
     (verify_positivity, (4,)),

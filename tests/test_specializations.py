@@ -13,7 +13,7 @@ def _failures(*reports):
 
 
 def _run():
-    return _failures(verify_finite_specialization(5, 4), verify_specializations(6))
+    return _failures(verify_finite_specialization(5), verify_specializations(6))
 
 
 def test_suites_build_no_poly_fraction(monkeypatch):
@@ -23,7 +23,7 @@ def test_suites_build_no_poly_fraction(monkeypatch):
     monkeypatch.setattr(polyalg.PolyFraction, "__init__", refuse)
     # verify_finite_specialization runs finite_specialization_check per class
     assert verify_specializations(6).ok
-    assert verify_finite_specialization(5, 4).ok
+    assert verify_finite_specialization(5).ok
     with pytest.raises(AssertionError):
         QSymF.fundamental((), 1).ps_stable()
 
