@@ -17,7 +17,7 @@ import os
 import re
 import sys
 from collections import namedtuple
-from math import factorial
+from math import factorial, perm, prod
 
 from .eulerian import (
     char_table,
@@ -59,9 +59,27 @@ class UsageError(Exception):
 _MAX_DEGREE = 18
 
 
+# The most exponent-vector entries (vectors times N) expand --vars N lists:
+# listing them and reading them back costs 0.3-0.5 us and 12-14 bytes each
+# on one core, so at the limit a launch takes under 1 s and 45 MB
+# (BENCH_16.json).
+_MAX_VAR_ENTRIES = 2_000_000
+
+
 def _check_degree(degree):
     if degree > _MAX_DEGREE:
         raise UsageError(f"degree {degree} exceeds the limit {_MAX_DEGREE}")
+
+
+def _check_vars(mm, N):
+    """Refuse --vars N when the m-expansion mm lists too many exponent
+    vectors in N variables: each m_lam with l(lam) <= N lists the
+    N! / ((N - l)! prod_i m_i!) rearrangements of lam padded with zeros."""
+    vectors = sum(perm(N, lam.length) // prod(map(factorial, lam.multiplicities().values()))
+                  for lam in mm.terms if lam.length <= N)
+    if vectors * N > _MAX_VAR_ENTRIES:
+        raise UsageError(f"--vars {N} lists {vectors} exponent vectors of length {N}, "
+                         f"{vectors * N} entries past the limit {_MAX_VAR_ENTRIES}")
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +474,8 @@ def cmd_expand(args):
         raise UsageError("--vars must be nonnegative")
     value = _ExprParser(args.expr).parse()
     if args.vars:
+        value = value.to_basis("m")
+        _check_vars(value, args.vars)
         mon = value.to_monomial(args.vars)
         try:
             value = mon.to_symf()

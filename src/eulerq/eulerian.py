@@ -51,8 +51,10 @@ from .polyalg import (
     q_factorial,
     q_multinomial,
     qlist_add,
-    qlist_mul,
+    qlist_from_poly,
+    qlist_norm,
     qlist_p_pochhammer,
+    qlist_pack,
     qlist_to_poly,
 )
 from .report import VerifyReport
@@ -642,28 +644,41 @@ def _first_p_mismatch(n, series, lhs):
     """The first p-degree d < len(series) where [p^d] of
     (p;q)_{n+1} sum_m series[m] p^m differs from lhs.get(d, 0), or None.
 
-    series holds q coefficient lists and lhs maps p-degrees to Polys; the
+    series holds q coefficient lists and lhs maps p-degrees to q lists; the
     series side needs series[m] only for m <= d, so comparing up to a finite
-    degree is exact.
+    degree is exact.  Both sides are packed into integers (qlist_pack) at a
+    width w with every coefficient of either side below 2^(w-1) in absolute
+    value, bounded by L1 norms, so each degree costs a few integer products
+    and one integer comparison, and the comparison is exact.
     """
     poch = qlist_p_pochhammer(n)
+    bound = max(sum(map(qlist_norm, poch)) * max(map(qlist_norm, series), default=0),
+                max(map(qlist_norm, lhs.values()), default=0))
+    w = bound.bit_length() + 1
+    poch = [qlist_pack(a, w) for a in poch]
+    series = [qlist_pack(a, w) for a in series]
     for d in range(len(series)):
-        rhs = []
-        for b in range(min(d, n + 1) + 1):
-            qlist_add(rhs, qlist_mul(poch[b], series[d - b]))
-        if qlist_to_poly(rhs) != lhs.get(d, Poly.zero()):
+        rhs = sum(poch[b] * series[d - b] for b in range(min(d, n + 1) + 1))
+        if rhs != qlist_pack(lhs.get(d, ()), w):
             return d
     return None
 
 
+def _p_rows(a):
+    """{d: [p^d] a as a q list} for a Poly a in q and p (qlist_from_poly); a
+    term in t or r, or a negative power of q or p, raises ValueError."""
+    rows = a.coefficients_in("p")
+    if rows and min(rows) < 0:
+        raise ValueError(f"negative power of p in {a}")
+    return {d: qlist_from_poly(c) for d, c in rows.items()}
+
+
 def _shifted_series(pieces, j, depth):
     """[sum_i q^{i m + j} ps_m(pieces[i]) for m = 0 .. depth], as q lists."""
-    out = []
-    for m in range(depth + 1):
-        acc = []
-        for i, qs in enumerate(pieces):
-            qlist_add(acc, qs.ps_at_qlist(m), i * m + j)
-        out.append(acc)
+    out = [[] for _ in range(depth + 1)]
+    for i, qs in enumerate(pieces):
+        for m, ps in enumerate(qs.ps_at_qlists(depth)):
+            qlist_add(out[m], ps, i * m + j)
     return out
 
 
@@ -676,7 +691,7 @@ def finite_specialization_check(lam, k_max, rep=None) -> VerifyReport:
 
     compared on the p-coefficients up to degree n + 2 (the series side only
     needs ps_m for m up to the degree inspected, so the check is exact).  All
-    arithmetic is on integer q coefficient lists (ps_at_qlist).
+    arithmetic is on integer q coefficient lists (ps_at_qlists).
     """
     lam = Partition(lam)
     if 1 in lam:
@@ -686,7 +701,7 @@ def finite_specialization_check(lam, k_max, rep=None) -> VerifyReport:
         full = Partition(tuple(lam) + (1,) * k)
         n = full.n
         for j in range(max(n, 1)):
-            lhs = a_coeff(full, j).coefficients_in("p")
+            lhs = _p_rows(a_coeff(full, j))
             pieces = [q_qsym_type(Partition(tuple(lam) + (1,) * (k - i)), j)
                       for i in range(k + 1)]
             bad = _first_p_mismatch(n, _shifted_series(pieces, j, n + 2), lhs)
@@ -713,7 +728,7 @@ def verify_finite_specialization(total_max=5) -> VerifyReport:
     n = 4
     for k in range(n + 1):
         for j in range(n):
-            lhs = a_poly_fix(n, k).coefficient("t", j).coefficients_in("p")
+            lhs = _p_rows(a_poly_fix(n, k).coefficient("t", j))
             pieces = [q_qsym(n - i, j, k - i) for i in range(k + 1)]
             ok = _first_p_mismatch(n, _shifted_series(pieces, j, n + 2), lhs) is None
             rep.record("finite specialization, exc/fix form", {"n": n, "k": k, "j": j}, ok)
@@ -1209,9 +1224,7 @@ def verify_specializations(n_max=6) -> VerifyReport:
                     ok = False
                 if any(c < 0 for w in [brute, *witness.values()] for c in w):
                     ok = False
-                series = [qs.ps_at_qlist(m) for m in range(n + 3)]
-                by_p = {d: qlist_to_poly(w) for d, w in witness.items()}
-                if _first_p_mismatch(n, series, by_p) is not None:
+                if _first_p_mismatch(n, qs.ps_at_qlists(n + 2), witness) is not None:
                     ok = False
         rep.record("specialization positivity transfer", {"n": n}, ok)
     return rep

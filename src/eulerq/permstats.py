@@ -55,6 +55,8 @@ class Partition(tuple):
     """Integer partition as a weakly decreasing tuple of positive parts."""
 
     def __new__(cls, parts=()):
+        if type(parts) is cls:
+            return parts
         parts = tuple(int(x) for x in parts)
         if any(x <= 0 for x in parts):
             raise ValueError(f"partition parts must be positive: {parts!r}")
@@ -79,8 +81,8 @@ class Partition(tuple):
         return out
 
     def concat(self, other):
-        """Multiset union of parts."""
-        return Partition(tuple(self) + tuple(other))
+        """Multiset union of parts; other is validated unless it is a Partition."""
+        return tuple.__new__(Partition, sorted(self + Partition(other), reverse=True))
 
     def conjugate(self):
         if not self:

@@ -181,33 +181,47 @@ class Poly:
         return {k: Poly(v) for k, v in sorted(out.items())}
 
     def substitute(self, **rules):
-        """Substitute variables by polynomials, exactly.
+        """Substitute variables by monomials, exactly.
 
-        Negative exponents on a substituted variable require the replacement
-        to be an invertible monomial (e.g. q -> 1/q, p -> q**n * p).
+        Each replacement must be a monomial or 0 (an int or Fraction counts as
+        a constant monomial); anything with more than one term raises
+        ValueError.  A negative exponent divides by the replacement, so a
+        coefficient other than +-1 gives Fraction coefficients, and 0 raises
+        ValueError there (e.g. q -> 1/q, p -> q**n * p, t -> 1).
         """
-        repl = {}
+        keep = [1, 1, 1, 1]
+        repl = []
         for name, val in rules.items():
             if name not in _VIDX:
                 raise ValueError(f"unknown variable {name!r}")
-            repl[_VIDX[name]] = _coerce(val)
-        out = Poly()
-        pow_cache = {}
+            val = _coerce(val)
+            if len(val.terms) > 1:
+                raise ValueError(f"substitute needs a monomial for {name}, not {val}")
+            ((mono, mc),) = val.terms.items() or ((_ZERO4, 0),)
+            keep[_VIDX[name]] = 0
+            repl.append((_VIDX[name], mono, mc))
+        out = {}
         for e, c in self.terms.items():
-            term = Poly.const(c)
-            kept = [0, 0, 0, 0]
-            for i in range(4):
-                if i in repl:
-                    if e[i]:
-                        key = (i, e[i])
-                        if key not in pow_cache:
-                            pow_cache[key] = repl[i] ** e[i]
-                        term = term * pow_cache[key]
+            exps = [x * m for x, m in zip(e, keep)]
+            for i, mono, mc in repl:
+                k = e[i]
+                if not k:
+                    continue
+                if k > 0:
+                    c = c * mc**k
+                elif not mc:
+                    raise ValueError(f"cannot substitute 0 for {VARS[i]}^{k}")
                 else:
-                    kept[i] = e[i]
-            term = term * Poly({tuple(kept): 1})
-            out = out + term
-        return out
+                    c = c * (mc**-k if mc in (1, -1) else Fraction(1, 1) / mc**-k)
+                exps = [x + k * y for x, y in zip(exps, mono)]
+            if c:
+                key = tuple(exps)
+                s = out.get(key, 0) + c
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        return Poly(out)
 
     # -- rendering ---------------------------------------------------------
     def render(self):
@@ -340,7 +354,8 @@ def pochhammer(a, n):
 # of q^i.  The principal specializations (QSymF.ps_at and ps_stable) and the
 # specialization suites run on these, with no dict per term.  Cached values
 # are tuples and accumulators are lists.  A list may end in zeros, so compare
-# two of them through qlist_to_poly, which drops zero coefficients.
+# two of them through qlist_to_poly, which drops zero coefficients, or packed
+# into integers by qlist_pack, which ignores them.
 
 def qlist_add(acc, a, shift=0, coeff=1):
     """acc += coeff q^shift a, in place; returns acc."""
@@ -367,6 +382,39 @@ def qlist_mul(a, b):
 def qlist_to_poly(a):
     """The Poly in q with coefficient list a."""
     return Poly({(i, 0, 0, 0): c for i, c in enumerate(a) if c})
+
+
+def qlist_from_poly(a):
+    """The coefficient list of a Poly in q alone, the inverse of qlist_to_poly.
+    A term in p, t or r, a negative power of q or a coefficient that is not
+    an int raises ValueError: none of them has a place in the list."""
+    out = []
+    for e, c in a.terms.items():
+        i = e[0]
+        if e[1:] != (0, 0, 0) or i < 0 or not isinstance(c, int):
+            raise ValueError(f"not an integer polynomial in q alone: {a}")
+        if len(out) <= i:
+            out.extend([0] * (i + 1 - len(out)))
+        out[i] = c
+    return out
+
+
+def qlist_norm(a):
+    """The L1 norm sum |a_i|: no coefficient of a b exceeds it times the
+    largest |b_i|."""
+    return sum(map(abs, a))
+
+
+def qlist_pack(a, w):
+    """The integer sum_i a_i 2^(w i), a evaluated at q = 2^w (Kronecker
+    substitution).  When every coefficient of two lists is below 2^(w-1) in
+    absolute value, they pack to the same integer exactly when they agree up
+    to trailing zeros, and a product of packed lists packs their product as
+    long as its coefficients stay under that bound."""
+    v = 0
+    for c in reversed(a):
+        v = (v << w) + c
+    return v
 
 
 @lru_cache(maxsize=None)

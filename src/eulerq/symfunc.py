@@ -215,15 +215,20 @@ class QSymF:
             qlist_add(out, num if n == d else qlist_mul(num, qlist_pochhammer(n + 1, d - n)))
         return out
 
-    def ps_at_qlist(self, m):
-        """ps_at(m) as a coefficient list: the sum over (n, k) of the grouped
-        numerator times [m - k - 1 + n choose n]_q, for m >= k + 1 (or n = 0)."""
+    def ps_at_qlists(self, depth):
+        """[ps_at(m) as a coefficient list for m = 0 .. depth], grouping the
+        terms once: each is the sum over (n, k) of the grouped numerator times
+        [m - k - 1 + n choose n]_q, for m >= k + 1 (or n = 0)."""
+        groups = self._ps_numerators().items()
         out = []
-        for (n, k), num in self._ps_numerators().items():
-            if n == 0:
-                qlist_add(out, num)
-            elif m >= k + 1:
-                qlist_add(out, qlist_mul(num, qlist_binomial(m - k - 1 + n, n)))
+        for m in range(depth + 1):
+            acc = []
+            for (n, k), num in groups:
+                if n == 0:
+                    qlist_add(acc, num)
+                elif m >= k + 1:
+                    qlist_add(acc, qlist_mul(num, qlist_binomial(m - k - 1 + n, n)))
+            out.append(acc)
         return out
 
     def ps_stable(self):
@@ -245,9 +250,9 @@ class QSymF:
 
         F_{S,n} contributes q^{sum S} [m - |S| - 1 + n choose n]_q when
         m >= |S| + 1 and zero otherwise; F_{emptyset,0} contributes 1.  The
-        Poly form of ps_at_qlist(m).
+        Poly form of ps_at_qlists(m)[m].
         """
-        return qlist_to_poly(self.ps_at_qlist(m))
+        return qlist_to_poly(self.ps_at_qlists(m)[m])
 
 
 def fundamental(S, n):

@@ -270,6 +270,30 @@ def test_expand_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_expand_vars_limit(capsys):
+    # m[1^6] lists C(N, 6) vectors of length N: 74613 * 22 = 1641486 entries
+    # are under the limit, 100947 * 23 = 2321781 past it
+    assert cli._MAX_VAR_ENTRIES == 2_000_000
+    rc, out = run(capsys, "expand", "m[1,1,1,1,1,1]", "m", "--vars", "22")
+    assert rc == 0 and out == "m[1,1,1,1,1,1]\n"
+    assert cli.main(["expand", "m[1,1,1,1,1,1]", "m", "--vars", "23"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --vars 23 lists 100947 exponent vectors of length 23, "
+        "2321781 entries past the limit 2000000\n")
+
+
+@pytest.mark.parametrize("expr, N", [("m[1,1,1,1,1,1]", 8), ("m[3,2,1] + 2*m[2,2]", 5),
+                                     ("h[3]", 4), ("e[2,1]", 2), ("Q[4,1]", 3), ("3", 2)])
+def test_expand_vars_count_is_exact(expr, N, monkeypatch):
+    # the count the limit reads is the number of vectors to_monomial lists
+    mm = cli._ExprParser(expr).parse().to_basis("m")
+    listed = len(mm.to_monomial(N).terms)
+    cli._check_vars(mm, N)
+    monkeypatch.setattr(cli, "_MAX_VAR_ENTRIES", listed * N - 1)
+    with pytest.raises(cli.UsageError, match=f"lists {listed} exponent vectors"):
+        cli._check_vars(mm, N)
+
+
 @pytest.mark.parametrize("expr, message", [
     ("m[0]", "error: partition parts must be positive: (0,)"),
     ("h[1,0]", "error: partition parts must be positive: (1, 0)"),

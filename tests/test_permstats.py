@@ -123,6 +123,30 @@ def test_partition_basics():
         Partition([0, 1])
 
 
+def test_partition_of_a_partition_is_itself():
+    lam = Partition([2, 3, 1])
+    assert Partition(lam) is lam
+    assert Partition(tuple(lam)) == lam and Partition(tuple(lam)) is not lam
+
+
+@pytest.mark.parametrize("lam, other", [((3, 1), (2, 2, 1)), ((), (1,)), ((4,), ()),
+                                        ((2, 1, 1), (5, 1, 3))])
+def test_partition_concat_is_the_multiset_union(lam, other):
+    want = Partition(list(lam) + list(other))
+    for right in (Partition(other), tuple(other), list(other)):
+        got = Partition(lam).concat(right)
+        assert type(got) is Partition and got == want
+        assert tuple(got) == tuple(sorted(got, reverse=True))
+
+
+@pytest.mark.parametrize("bad", [(0,), (2, -1)])
+def test_partition_still_validates_plain_input(bad):
+    with pytest.raises(ValueError):
+        Partition(bad)
+    with pytest.raises(ValueError):
+        Partition((3, 1)).concat(bad)
+
+
 @pytest.mark.parametrize("lam", [(3, 1, 1), (2, 2), (4,), (1, 1, 1)])
 def test_cycle_type_class_sizes(lam):
     lam = Partition(lam)

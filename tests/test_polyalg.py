@@ -22,8 +22,11 @@ from eulerq.polyalg import (
     pochhammer_series,
     qlist_add,
     qlist_binomial,
+    qlist_from_poly,
     qlist_mul,
+    qlist_norm,
     qlist_p_pochhammer,
+    qlist_pack,
     qlist_pochhammer,
     qlist_to_poly,
 )
@@ -102,8 +105,53 @@ def test_substitute():
     # negative exponents require an invertible monomial image
     g = Poly.term(1, q=-1, t=1)
     assert g.substitute(q=Poly.var("q").monomial_inverse()) == q * t
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown variable 'z'"):
         f.substitute(z=q)
+
+
+def test_substitute_takes_monomials_only():
+    q, p, t = Poly.var("q"), Poly.var("p"), Poly.var("t")
+    f = q**2 * t + 3 * t
+    with pytest.raises(ValueError, match="monomial"):
+        f.substitute(q=q + 1)
+    # every variable is replaced at once, from the original exponents
+    assert (q**2 * p).substitute(q=p, p=q) == p**2 * q
+    # 0 kills the positive powers and leaves q^0 alone
+    assert f.substitute(q=0) == 3 * t
+
+
+def test_substitute_negative_exponents():
+    t = Poly.var("t")
+    g = Poly.term(3, q=-2, t=1)
+    # (2t)^-2 t = t^-1 / 4: a non-unit monomial inverts into Fractions
+    got = g.substitute(q=2 * t)
+    assert got.terms == {(0, 0, -1, 0): Fraction(3, 4)}
+    assert isinstance(got.terms[(0, 0, -1, 0)], Fraction)
+    # a unit keeps int coefficients
+    assert g.substitute(q=-t).terms == {(0, 0, -1, 0): 3}
+    assert type(g.substitute(q=-t).terms[(0, 0, -1, 0)]) is int
+    with pytest.raises(ValueError, match="cannot substitute 0"):
+        g.substitute(q=0)
+    with pytest.raises(ValueError, match="cannot substitute 0"):
+        g.substitute(q=Poly.zero(), t=0)
+
+
+monomials = st.builds(lambda c, e: Poly.term(c, *e),
+                      st.integers(min_value=-3, max_value=3).filter(bool),
+                      st.tuples(*[st.integers(min_value=-2, max_value=2)] * 4))
+
+
+@given(polys(), st.dictionaries(st.sampled_from("qptr"), monomials, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_substitute_matches_products(f, rules):
+    # reference: each term as a product of Poly powers of the replacements
+    want = Poly.zero()
+    for e, c in f.terms.items():
+        term = Poly.const(c)
+        for name, k in zip("qptr", e):
+            term = term * (rules[name] ** k if name in rules else Poly.var(name, k))
+        want = want + term
+    assert f.substitute(**rules) == want
 
 
 def test_fraction_coefficients():
@@ -204,6 +252,31 @@ def test_qlist_add_matches_poly(acc, a, shift, c):
     out = qlist_add(acc, a, shift, c)
     assert out is acc
     assert qlist_to_poly(acc) == want
+
+
+def test_qlist_from_poly_is_strict():
+    assert qlist_from_poly(Poly.zero()) == []
+    assert qlist_from_poly(Poly({(2, 0, 0, 0): 5, (0, 0, 0, 0): -1})) == [-1, 0, 5]
+    for bad in (Poly.term(1, q=1, p=1), Poly.term(1, t=1), Poly.term(1, r=2),
+                Poly.term(1, q=-1), Poly.const(Fraction(1, 2)), Poly.const(Fraction(4, 2))):
+        with pytest.raises(ValueError):
+            qlist_from_poly(bad)
+
+
+@given(qlists)
+@settings(max_examples=60, deadline=None)
+def test_qlist_from_poly_inverts_to_poly(a):
+    assert qlist_to_poly(qlist_from_poly(qlist_to_poly(a))) == qlist_to_poly(a)
+
+
+@given(qlists, qlists)
+@settings(max_examples=60, deadline=None)
+def test_qlist_pack(a, b):
+    # every coefficient of a, b and a b is below 2^(w-1) in absolute value
+    w = (qlist_norm(a) * qlist_norm(b) + qlist_norm(a) + qlist_norm(b)).bit_length() + 1
+    assert qlist_pack(a, w) * qlist_pack(b, w) == qlist_pack(qlist_mul(a, b), w)
+    assert (qlist_pack(a, w) == qlist_pack(b, w)) == (qlist_to_poly(a) == qlist_to_poly(b))
+    assert qlist_pack(a + [0, 0], w) == qlist_pack(a, w)
 
 
 def test_qlist_trailing_zeros():

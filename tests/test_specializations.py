@@ -2,9 +2,16 @@
 PolyFraction, and a wrong oracle fails exactly the records that read it."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eulerq import Poly, QSymF, eulerian, polyalg
-from eulerq.eulerian import verify_finite_specialization, verify_specializations
+from eulerq.eulerian import (
+    _first_p_mismatch,
+    finite_specialization_check,
+    verify_finite_specialization,
+    verify_specializations,
+)
+from eulerq.polyalg import qlist_add, qlist_mul, qlist_norm, qlist_p_pochhammer, qlist_to_poly
 
 
 def _failures(*reports):
@@ -65,3 +72,100 @@ def test_extra_fundamental_fails_its_records(monkeypatch):
         ("specializations", "specialization positivity transfer", (("n", 4),), ""),
         ("specializations", "stable specialization, exc/fix", (("n", 4),), ""),
     }
+
+
+# ---------------------------------------------------------------------------
+# the packed comparison against the plain convolution
+# ---------------------------------------------------------------------------
+
+def _convolution(n, series, d):
+    """[p^d] of (p;q)_{n+1} sum_m series[m] p^m, by qlist_mul and qlist_add."""
+    poch = qlist_p_pochhammer(n)
+    out = []
+    for b in range(min(d, n + 1) + 1):
+        qlist_add(out, qlist_mul(poch[b], series[d - b]))
+    return out
+
+
+def _reference_mismatch(n, series, lhs):
+    for d in range(len(series)):
+        if qlist_to_poly(_convolution(n, series, d)) != qlist_to_poly(lhs.get(d, [])):
+            return d
+    return None
+
+
+# small coefficients, and ones at and next to powers of two, where a packing
+# width one bit too small would carry into the next coefficient
+signed = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.builds(lambda k, e, sign: sign * (2**k + e),
+              st.sampled_from((1, 7, 31, 64)), st.sampled_from((-1, 0, 1)),
+              st.sampled_from((-1, 1))))
+signed_qlists = st.one_of(st.just([]), st.just([0]), st.lists(signed, max_size=4))
+
+
+@given(st.integers(min_value=0, max_value=3), st.lists(signed_qlists, max_size=5),
+       st.dictionaries(st.integers(min_value=0, max_value=5), signed_qlists, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_packed_mismatch_matches_convolution(n, series, lhs):
+    assert _first_p_mismatch(n, series, lhs) == _reference_mismatch(n, series, lhs)
+
+
+@given(st.integers(min_value=0, max_value=3), st.lists(signed_qlists, min_size=1, max_size=5),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_packed_mismatch_finds_one_perturbed_coefficient(n, series, data):
+    # the exact side, with one coefficient moved by delta (possibly 0)
+    lhs = {d: _convolution(n, series, d) for d in range(len(series))}
+    d = data.draw(st.integers(min_value=0, max_value=len(series) - 1))
+    i = data.draw(st.integers(min_value=0, max_value=len(lhs[d]) + 1))
+    delta = data.draw(signed)
+    lhs[d] = lhs[d] + [0] * (i + 1 - len(lhs[d]))
+    lhs[d][i] += delta
+    assert _reference_mismatch(n, series, lhs) == (None if delta == 0 else d)
+    assert _first_p_mismatch(n, series, lhs) == _reference_mismatch(n, series, lhs)
+
+
+def test_packed_width_covers_the_left_side():
+    # the series side alone has coefficients up to 2: its width w = 3 would
+    # pack [1 - 2^3, 1] to 1 = the right side; the left side's norm widens w
+    n, series = 0, [[1]]
+    w = (2 * qlist_norm(series[0])).bit_length() + 1
+    assert _first_p_mismatch(n, series, {0: [1]}) is None
+    assert _first_p_mismatch(n, series, {0: [1, 0, 0]}) is None
+    assert _first_p_mismatch(n, series, {0: [1 - 2**w, 1]}) == 0
+    assert _first_p_mismatch(n, series, {}) == 0
+    assert _first_p_mismatch(n, [], {0: [5]}) is None
+
+
+def test_packed_width_keeps_coefficients_strictly_below_its_half():
+    # the bound is 2 * 17 = 34 and [p^1] of the right side is [32]; at
+    # width 6, where 32 is not below 2^5, [-32, 1] would pack to 32 as well
+    series = [[-15], [17]]
+    assert _convolution(0, series, 1) == [32]
+    assert _first_p_mismatch(0, series, {0: [-15], 1: [32]}) is None
+    assert _first_p_mismatch(0, series, {0: [-15], 1: [-32, 1]}) == 1
+
+
+def test_p_rows_are_strict():
+    assert eulerian._p_rows(Poly.term(2, q=1, p=3) + 1) == {0: [1], 3: [0, 2]}
+    # a p term where only q may stand, or a term in t, raises
+    with pytest.raises(ValueError):
+        polyalg.qlist_from_poly(Poly.term(1, q=1, p=1))
+    with pytest.raises(ValueError):
+        eulerian._p_rows(Poly.term(1, q=1, p=1, t=1))
+
+
+@pytest.mark.parametrize("extra", [Poly.term(1, r=1), Poly.term(1, q=-1), Poly.term(1, p=-1)])
+def test_finite_check_refuses_what_no_q_list_holds(monkeypatch, extra):
+    # a term in r, or a negative power of q or p, in the t^1 slice of a_(2,1)
+    # raises instead of being dropped from the comparison
+    original = eulerian.a_poly_type
+
+    def mutated(lam, stats=("maj", "des", "exc")):
+        out = original(lam, stats)
+        return out + extra * Poly.var("t") if tuple(lam) == (2, 1) else out
+
+    monkeypatch.setattr(eulerian, "a_poly_type", mutated)
+    with pytest.raises(ValueError):
+        finite_specialization_check((2,), 1)
