@@ -66,6 +66,12 @@ _MAX_DEGREE = 18
 _MAX_VAR_ENTRIES = 2_000_000
 
 
+# The most rows stats --n N --table lists, one per word of S_N: at about 11 us
+# and 0.7 KB a row, a launch at the limit takes under 1 s and about 50 MB
+# (BENCH_17.json).
+_MAX_TABLE_ROWS = 50_000
+
+
 def _check_degree(degree):
     if degree > _MAX_DEGREE:
         raise UsageError(f"degree {degree} exceeds the limit {_MAX_DEGREE}")
@@ -223,6 +229,9 @@ def cmd_stats(args):
         bad = [s for s in names if s not in _STAT_NAMES]
         if bad:
             raise UsageError(f"unknown statistics {bad}; choose from {_STAT_NAMES}")
+        if factorial(n) > _MAX_TABLE_ROWS:
+            raise UsageError(f"--table lists {factorial(n)} rows at n={n}, "
+                             f"past the limit {_MAX_TABLE_ROWS}")
     # each column sum reads the census projected to that one statistic
     sums = {}
     try:

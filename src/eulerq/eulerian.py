@@ -27,7 +27,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 
 from .permstats import (
     CENSUS_FIELDS,
@@ -52,6 +52,7 @@ from .polyalg import (
     q_multinomial,
     qlist_add,
     qlist_from_poly,
+    qlist_mul,
     qlist_norm,
     qlist_p_pochhammer,
     qlist_pack,
@@ -202,53 +203,66 @@ def character_value_oracle(n, j, mu) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _t_geometric(k):
-    """t [k - 1]_t = t + t^2 + .. + t^(k-1)."""
-    return Poly({(0, 0, i, 0): 1 for i in range(1, k)})
-
-
 def _tq_geometric(k):
     """tq [k - 1]_{tq} = tq + (tq)^2 + .. + (tq)^(k-1)."""
     return Poly({(i, 0, i, 0): 1 for i in range(1, k)})
 
 
-def _sympoly_times_tpoly(sp: SymPoly, tp: Poly) -> SymPoly:
-    """Multiply a SymPoly by a polynomial in t and r."""
+def times_t_geometric(sp: SymPoly, k) -> SymPoly:
+    """sp times t [k - 1]_t = t + t^2 + .. + t^(k-1)."""
+    return sum((sp.shift(t=a) for a in range(1, k)), SymPoly.zero())
+
+
+def cleared_lhs(polys, n, sym):
+    """[z^n] of (B(tz) - t B(z)) sum_i polys[i] z^i, B = sum_k sym([k]) z^k:
+    the left side of a cleared identity.  None if a polys[i <= n] is None."""
+    if any(p is None for p in polys[:n + 1]):
+        return None
     out = SymPoly.zero()
-    for e, c in tp.terms.items():
-        if e[0] or e[1]:
-            raise ValueError("only t and r exponents allowed here")
-        out = out + sp.shift(t=e[2], r=e[3]).scale(c)
+    for k in range(n + 1):
+        piece = polys[n - k] * sym([k] if k else [])
+        out = out + piece.shift(t=k) - piece.shift(t=1)
     return out
 
 
-def _compositions_min2(total, parts):
-    """Ordered tuples of `parts` integers >= 2 summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(2, total - 2 * (parts - 1) + 1):
-        for rest in _compositions_min2(total - first, parts - 1):
-            yield (first,) + rest
+def _closed_terms(n):
+    """(k, mu, w, c) for k = 0..n and mu a partition of n - k with parts >= 2:
+    w counts the orderings of the parts of mu, l(mu)! / prod_i m_i(mu)! (the
+    prod_i m_i! is z_mu / prod_i mu_i), and c lists prod_i x [mu_i - 1]_x."""
+    for k in range(n + 1):
+        for mu in partitions(n - k):
+            if mu and mu[-1] < 2:
+                continue
+            c = [1]
+            for part in mu:
+                c = qlist_mul(c, [0] + [1] * (part - 1))
+            yield k, mu, factorial(mu.length) * prod(mu) // mu.z(), c
 
 
 @lru_cache(maxsize=None)
 def q_poly(n) -> SymPoly:
     """sum over j, k of Q(n, j, k) t^j r^k in the h basis, by the closed
-    h-positive formula: the sum over k_0 >= 0 and ordered tuples
-    (k_1, .., k_m) of parts >= 2 with k_0 + .. + k_m = n of
+    h-positive formula summed over partitions rather than ordered tuples of
+    parts >= 2 (the h factors commute): the sum over k >= 0 and mu of n - k of
+    (orderings of mu) r^k h_{mu + (k)} prod_i t [mu_i - 1]_t.  Each term is
+    one h_lam, so its coefficients are written in with no product."""
+    slices = {}
+    for k, mu, w, c in _closed_terms(n):
+        lam = mu.concat((k,)) if k else mu
+        for j, cj in enumerate(c):
+            if cj:
+                slices.setdefault((j, k), {})[lam] = w * cj
+    return SymPoly({jk: SymF("h", terms) for jk, terms in slices.items()})
 
-        r^{k_0} h_{k_0} prod_i h_{k_i} t [k_i - 1]_t.
-    """
-    out = SymPoly.zero()
-    for m in range(n // 2 + 1):
-        for k0 in range(n - 2 * m + 1):
-            for ks in _compositions_min2(n - k0, m):
-                term = SymPoly.wrap(sym_h([k0] if k0 else []), r=k0)
-                for ki in ks:
-                    term = _sympoly_times_tpoly(term * sym_h([ki]), _t_geometric(ki))
-                out = out + term
+
+def _a_poly_closed(n) -> Poly:
+    """a_poly(n) by the closed formula, grouped by parts as in q_poly (the
+    q-multinomial is symmetric in its parts): the sum over k and mu of
+    (orderings of mu) [n choose k, mu]_q r^k prod_i tq [mu_i - 1]_{tq}."""
+    out = Poly.zero()
+    for k, mu, w, c in _closed_terms(n):
+        tq = Poly({(j, 0, j, k): w * cj for j, cj in enumerate(c) if cj})
+        out = out + q_multinomial(n, (k,) + mu) * tq
     return out
 
 
@@ -515,11 +529,9 @@ def verify_main_generating_function(n_max=6) -> VerifyReport:
         sum_{k=0}^{n} (t^k - t) h_k Q_{n-k}(t, r) = (1 - t) r^n h_n.
     """
     rep = VerifyReport("genfun")
+    polys = [q_poly_oracle(n) for n in range(n_max + 1)]
     for n in range(n_max + 1):
-        lhs = SymPoly.zero()
-        for k in range(n + 1):
-            piece = q_poly_oracle(n - k) * sym_h([k] if k else [])
-            lhs = lhs + piece.shift(t=k) - piece.shift(t=1)
+        lhs = cleared_lhs(polys, n, sym_h)
         hn = sym_h([n] if n else [])
         rhs = SymPoly.wrap(hn, r=n) - SymPoly.wrap(hn, t=1, r=n)
         rep.record("cleared generating identity", {"n": n}, lhs == rhs)
@@ -552,8 +564,7 @@ def verify_recurrences(n_max=7) -> VerifyReport:
     for n in range(n_max + 1):
         rhs = SymPoly.wrap(sym_h([n] if n else []), r=n)
         for k in range(n - 1):
-            rhs = rhs + _sympoly_times_tpoly(q_poly_oracle(k) * sym_h([n - k]),
-                                             _t_geometric(n - k))
+            rhs = rhs + times_t_geometric(q_poly_oracle(k) * sym_h([n - k]), n - k)
         rep.record("two-variable recurrence", {"n": n}, q_poly_oracle(n) == rhs)
         rep.record("closed h-positive formula", {"n": n}, q_poly(n) == q_poly_oracle(n))
     for n in range(n_max + 1):
@@ -562,15 +573,7 @@ def verify_recurrences(n_max=7) -> VerifyReport:
         for k in range(n - 1):
             rhs = rhs + q_binomial(n, k) * a_poly(k) * _tq_geometric(n - k)
         rep.record("three-statistic recurrence", {"n": n}, an == rhs)
-        closed = Poly.zero()
-        for m in range(n // 2 + 1):
-            for k0 in range(n - 2 * m + 1):
-                for ks in _compositions_min2(n - k0, m):
-                    term = q_multinomial(n, (k0,) + ks) * Poly.term(1, r=k0)
-                    for ki in ks:
-                        term = term * _tq_geometric(ki)
-                    closed = closed + term
-        rep.record("three-statistic closed formula", {"n": n}, an == closed)
+        rep.record("three-statistic closed formula", {"n": n}, an == _a_poly_closed(n))
     return rep
 
 

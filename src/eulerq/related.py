@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement, groupby
 from math import comb
 from types import MappingProxyType
 
-from .eulerian import q_symf_oracle
+from .eulerian import cleared_lhs, q_symf_oracle, times_t_geometric
 from .report import VerifyReport
 from .symfunc import MonExpansion, SymF, SymPoly, sym_e, sym_h
 
@@ -338,14 +338,6 @@ def _q_sympoly(n):
     return out
 
 
-def _times_t_geometric(sp, k):
-    """Multiply a SymPoly by t [k - 1]_t = t + t^2 + .. + t^(k-1)."""
-    out = SymPoly.zero()
-    for a in range(1, k):
-        out = out + sp.shift(t=a)
-    return out
-
-
 DERANGEMENT_COUNTS = [1, 0, 1, 2, 9, 44, 265, 1854]
 
 
@@ -403,7 +395,7 @@ def verify_related(n_words=5, n_gessel=4) -> VerifyReport:
     for n in range(1, n_words + 1):
         rhs = SymPoly.zero()
         for i in range(2, n + 1):
-            rhs = rhs + _times_t_geometric(dpolys[n - i] * sym_e([i]), i)
+            rhs = rhs + times_t_geometric(dpolys[n - i] * sym_e([i]), i)
         rep.record("derangement enumerator recurrence", {"n": n},
                    dpolys[n] is not None and dpolys[n] == rhs)
 
@@ -418,13 +410,10 @@ def verify_related(n_words=5, n_gessel=4) -> VerifyReport:
             rhs = rhs + (i - 1) * (sym_e([i]) * ytotal[n - i])
         rep.record("no-repeat word series recurrence", {"n": n},
                    ytotal[n] == rhs)
-        lhs = SymPoly.zero()
-        for k in range(n + 1):
-            term = ypolys[n - k] * sym_e([k] if k else [])
-            lhs = lhs + term.shift(t=k) - term.shift(t=1)
+        lhs = cleared_lhs(ypolys, n, sym_e)
         target = SymPoly.wrap(sym_e([n])) - SymPoly.wrap(sym_e([n]), t=1)
         rep.record("descent-graded no-repeat word identity", {"n": n},
-                   ypolys[n] is not None and lhs == target)
+                   lhs is not None and lhs == target)
 
     # no-double-descent identities and their bridge to the excedance family
     gfirst = [_lift(_table(no_double_descent_tdict, n, max(n, 1)), "h")
@@ -437,13 +426,10 @@ def verify_related(n_words=5, n_gessel=4) -> VerifyReport:
     rep.record("tightened two-letter enumerator", {"n": 2},
                n_gessel < 2 or gboth[2] == SymPoly.wrap(sym_h([2]), t=1))
     for n in range(1, n_gessel + 1):
-        lhs = SymPoly.zero()
-        for k in range(n + 1):
-            term = gfirst[n - k] * sym_h([k] if k else [])
-            lhs = lhs + term.shift(t=k) - term.shift(t=1)
+        lhs = cleared_lhs(gfirst, n, sym_h)
         target = SymPoly.wrap(sym_h([n])) - SymPoly.wrap(sym_h([n]), t=1)
         rep.record("weighted no-double-descent identity", {"n": n},
-                   gfirst[n] is not None and lhs == target)
+                   lhs is not None and lhs == target)
         rep.record("weighted enumerator matches the excedance polynomial",
                    {"n": n}, gfirst[n] == qpolys[n])
         rhs = SymPoly.zero()

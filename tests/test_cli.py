@@ -112,6 +112,21 @@ def test_stats_n_table_lists_every_permutation(capsys):
     assert rows == [[list(st.word), st.comaj, st.inv] for st in want]
 
 
+def test_stats_table_limit(capsys):
+    # 8! = 40320 rows are under the limit, 9! = 362880 past it; without
+    # --table the census still counts S_10
+    assert cli._MAX_TABLE_ROWS == 50_000
+    rc, out = run(capsys, "stats", "--n", "8", "--table", "maj")
+    lines = out.splitlines()
+    assert rc == 0 and len(lines) == 40324 and lines[40321] == "permutations: 40320"
+    assert cli.main(["stats", "--n", "9", "--table", "maj"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --table lists 362880 rows at n=9, past the limit 50000\n"
+    rc, out = run(capsys, "stats", "--n", "10")
+    assert rc == 0 and "permutations: 3628800" in out
+
+
 def test_stats_n_over_cap_message(capsys):
     assert cli.main(["stats", "--n", "11"]) == 2
     captured = capsys.readouterr()

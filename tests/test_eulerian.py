@@ -41,6 +41,8 @@ from eulerq.eulerian import (
     verify_symmetry_unimodality,
 )
 from eulerq import cli
+from eulerq.polyalg import q_multinomial
+from eulerq.symfunc import SymPoly
 from fixtures_tables import CHAR_TABLES
 
 
@@ -141,6 +143,61 @@ def test_brute_force_enumerators():
 def test_closed_formula_matches_brute_force():
     for n in range(0, 6):
         assert q_poly(n) == q_poly_oracle(n)
+
+
+def _compositions_min2(total, parts):
+    """Ordered tuples of `parts` integers >= 2 summing to total."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(2, total - 2 * (parts - 1) + 1):
+        for rest in _compositions_min2(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _closed_sums_by_compositions(n):
+    """Both closed formulas as the paper states them, one term per k_0 and
+    ordered tuple (k_1, .., k_m) of parts >= 2 with k_0 + .. + k_m = n:
+    r^{k_0} h_{k_0} prod_i h_{k_i} t [k_i - 1]_t for Q_n, and
+    [n choose k_0, .., k_m]_q r^{k_0} prod_i tq [k_i - 1]_{tq} for A_n."""
+    q_n, a_n = SymPoly.zero(), Poly.zero()
+    for m in range(n // 2 + 1):
+        for k0 in range(n - 2 * m + 1):
+            for ks in _compositions_min2(n - k0, m):
+                q_term = SymPoly.wrap(sym_h([k0] if k0 else []), r=k0)
+                a_term = q_multinomial(n, (k0,) + ks) * Poly.term(1, r=k0)
+                for ki in ks:
+                    q_term = q_term * sym_h([ki])
+                    q_term = sum((q_term.shift(t=a) for a in range(1, ki)), SymPoly.zero())
+                    a_term = a_term * Poly({(a, 0, a, 0): 1 for a in range(1, ki)})
+                q_n, a_n = q_n + q_term, a_n + a_term
+    return q_n, a_n
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_closed_formulas_match_the_composition_sums(n):
+    q_n, a_n = _closed_sums_by_compositions(n)
+    assert q_poly(n) == q_n
+    if n <= 8:
+        assert eulerian._a_poly_closed(n) == a_n
+
+
+def test_q_poly_makes_no_sympoly_product(monkeypatch):
+    calls = []
+    mul = SymPoly.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(SymPoly, "__mul__", counting)
+    _closed_sums_by_compositions(4)
+    assert calls, "the counter sees the products of the composition sum"
+    calls.clear()
+    q_poly.cache_clear()
+    q_poly(12)
+    assert calls == []
 
 
 def test_cycle_type_palindromicity_spot():
