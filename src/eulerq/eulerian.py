@@ -44,13 +44,12 @@ from .permstats import (
 from .polyalg import (
     Poly,
     QExpSeries,
-    TruncSeries,
     parse_poly,
-    pochhammer_series,
     q_binomial,
     q_factorial,
     q_multinomial,
     qlist_add,
+    qlist_binomial,
     qlist_from_poly,
     qlist_mul,
     qlist_norm,
@@ -606,36 +605,107 @@ def verify_four_stat_series(z_max=4) -> VerifyReport:
     is num/den with den = ((z;q)_m - qt (qtz;q)_m) (rz;q)_{m+1}, whose
     constant term 1 - qt is not a unit in the polynomials.  So the identity
     is checked in cleared form, L den == num mod z^{z_max+1}, with L the
-    truncated z-series of the left sides: polynomial arithmetic only.  Since
-    den has a nonzero constant term and the polynomials are an integral
-    domain, the first z-power where L den - num is nonzero is the first
-    z-power where L differs from num/den.
+    truncated z-series of the left sides.  Since den has a nonzero constant
+    term and the polynomials are an integral domain, the first z-power where
+    L den - num is nonzero is the first z-power where L differs from num/den.
+
+    Every z-coefficient is a dict (t, r) -> int, the int being that
+    coefficient's q list packed at q = 2^w (qlist_pack), so the series
+    products are integer products (_series_rows).  Width rule: w is one bit
+    above an L1 bound on every coefficient of L den - num, found by running
+    the same products on L1 norms (_series_width).  Then every coefficient
+    of the difference is below 2^(w-1) in absolute value, it packs to 0
+    exactly when it is 0, and the comparison is exact.
     """
     rep = VerifyReport("series")
-    stats = ("maj", "des", "exc", "fix")
-    lhs = {}
-    for n in range(z_max + 1):
-        by_p = a_poly(n, stats).coefficients_in("p")
-        for m in range(z_max + 1):
-            acc = Poly.zero()
-            for b, coeff in by_p.items():
-                if b <= m:
-                    acc = acc + coeff * q_binomial(m - b + n, n)
-            lhs[(n, m)] = acc
-    one = Poly.one()
-    qt = Poly.term(1, q=1, t=1)
-    for m in range(z_max + 1):
-        zq = pochhammer_series(one, m, "z", z_max)
-        zt = pochhammer_series(qt, m, "z", z_max)
-        zr = pochhammer_series(Poly.var("r"), m + 1, "z", z_max)
-        num = zq * zt * (one - qt)
-        den = (zq - zt * qt) * zr
-        left = TruncSeries("z", z_max, [lhs[(n, m)] for n in range(z_max + 1)])
-        diff = left * den - num
-        bad = next((n for n, c in enumerate(diff.coeffs) if not c.is_zero()), None)
+    groups = _series_groups(z_max)
+    w = _series_width(groups)
+    for m, row in enumerate(_series_rows(groups, lambda a: qlist_pack(a, w))):
+        bad = next((d for d, c in enumerate(row) if any(c.values())), None)
         rep.record("series coefficient row", {"p_order": m, "z_max": z_max}, bad is None,
                    witness="" if bad is None else f"first mismatch at z^{bad}")
     return rep
+
+
+def _series_groups(z_max):
+    """For n = 0 .. z_max, A_n(maj, des, exc, fix) as {(des, exc, fix): maj
+    q list}: the p, t and r exponents of a_poly's terms and their q lists.
+    A negative exponent raises ValueError."""
+    groups = []
+    for n in range(z_max + 1):
+        g = {}
+        for e, c in a_poly(n, ("maj", "des", "exc", "fix")).terms.items():
+            if min(e) < 0:
+                raise ValueError(f"negative exponent in A_{n}: {e}")
+            qlist_add(g.setdefault(e[1:], []), (c,), e[0])
+        groups.append(g)
+    return groups
+
+
+def _series_width(groups):
+    """The packing width of verify_four_stat_series: one bit above the
+    largest L1 bound that _series_rows gives on the coefficients of
+    L den - num when every q list is replaced by its L1 norm (the norm of
+    [z^i] (uz; q)_k is C(k, i))."""
+    bound = max(v for row in _series_rows(groups, qlist_norm) for c in row for v in c.values())
+    return bound.bit_length() + 1
+
+
+def _series_rows(groups, f):
+    """For p-order m = 0 .. z_max, the z-coefficients of L den - num up to
+    z^z_max (see verify_four_stat_series), each a dict (t, r) -> int, with
+    every q list x that enters replaced by f(x).  With f = qlist_pack at a
+    width w this is L den - num at q = 2^w; with f = qlist_norm every value
+    bounds the L1 norm of its q list, since the L1 norm of a sum or product
+    is at most the sum or product of the norms."""
+    z_max = len(groups) - 1
+    mapped = [{k: f(a) for k, a in g.items()} for g in groups]
+    minus_qt = [{(1, 0): f((0, -1))}]
+    one_minus_qt = [{(0, 0): f((1,)), (1, 0): f((0, -1))}]
+    minus_one = [{(0, 0): f((-1,))}]
+    rows = []
+    for m in range(z_max + 1):
+        # [z^i] (uz; q)_k is u^i (-1)^i q^(i choose 2) [k choose i]_q, listed
+        # by qlist_p_pochhammer(k - 1)
+        poch = qlist_p_pochhammer(m - 1)[:z_max + 1]
+        zq = [{(0, 0): f(a)} for a in poch]
+        zt = [{(i, 0): f((0,) * i + a)} for i, a in enumerate(poch)]
+        zr = [{(0, i): f(a)} for i, a in enumerate(qlist_p_pochhammer(m)[:z_max + 1])]
+        left = []
+        for n, g in enumerate(mapped):
+            binom = [f(qlist_binomial(m - b + n, n)) for b in range(m + 1)]
+            row = {}
+            for (b, t, r), v in g.items():
+                if b <= m:
+                    row[t, r] = row.get((t, r), 0) + v * binom[b]
+            left.append(row)
+        den = _zmul(_zadd(zq, _zmul(zt, minus_qt, z_max)), zr, z_max)
+        num = _zmul(_zmul(zq, zt, z_max), one_minus_qt, z_max)
+        rows.append(_zadd(_zmul(left, den, z_max), _zmul(num, minus_one, z_max)))
+    return rows
+
+
+def _zmul(a, b, z_max):
+    """The product of two z-series, truncated after z^z_max; each is a list
+    of z-coefficients, each a dict (t, r) -> int."""
+    out = [{} for _ in range(min(z_max + 1, len(a) + len(b) - 1))]
+    for i, x in enumerate(a[:z_max + 1]):
+        for j, y in enumerate(b[:z_max + 1 - i]):
+            o = out[i + j]
+            for (t1, r1), u in x.items():
+                for (t2, r2), v in y.items():
+                    k = (t1 + t2, r1 + r2)
+                    o[k] = o.get(k, 0) + u * v
+    return out
+
+
+def _zadd(a, b):
+    """The sum of two z-series of _zmul's form."""
+    out = [dict(x) for x in a] + [{} for _ in range(len(b) - len(a))]
+    for o, y in zip(out, b):
+        for k, v in y.items():
+            o[k] = o.get(k, 0) + v
+    return out
 
 
 # ---------------------------------------------------------------------------

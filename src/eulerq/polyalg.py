@@ -628,16 +628,6 @@ class TruncSeries:
         return f"TruncSeries({body})"
 
 
-def pochhammer_series(u, m, var, order):
-    """(u z; q)_m as a truncated series in var=z, for a Poly multiplier u."""
-    u = _coerce(u)
-    out = TruncSeries.one(var, order)
-    for i in range(m):
-        factor = TruncSeries(var, order, [Poly.one(), -(u * Poly.var("q", i))])
-        out = out * factor
-    return out
-
-
 # ---------------------------------------------------------------------------
 # q-exponential style series: sum c_n z^n / [n]_q!
 # ---------------------------------------------------------------------------

@@ -444,23 +444,26 @@ def _conjugates(n):
     return tuple(index[lam.conjugate()] for lam in partitions(n))
 
 
+@lru_cache(maxsize=None)
 def _horizontal_strips(shape, r):
     """Every shape, as a plain tuple, that adds a horizontal strip of r boxes
     to shape, with weight 1: row i grows to at most the old length of row
     i - 1, and the boxes left over start a new row no longer than the old
-    last row."""
+    last row.  Cached, as a tuple of (shape, weight) pairs."""
     grown = [((), r)]  # (rows so far, boxes left)
     for i, x in enumerate(shape):
         room = shape[i - 1] - x if i else r
         grown = [(rows + (x + d,), left - d)
                  for rows, left in grown for d in range(min(left, room) + 1)]
     last = shape[-1] if shape else r
-    return [(rows + (left,) if left else rows, 1) for rows, left in grown if left <= last]
+    return tuple((rows + (left,) if left else rows, 1) for rows, left in grown if left <= last)
 
 
+@lru_cache(maxsize=None)
 def _border_strips(shape, r):
     """Every shape, as a plain tuple, that adds a border strip of r boxes to
-    shape, with weight (-1)^height (Macdonald, ch. I, section 7).
+    shape, with weight (-1)^height (Macdonald, ch. I, section 7).  Cached,
+    as a tuple of (shape, weight) pairs.
 
     On the beta set of shape padded with r zero rows, a strip moves the bead
     b of row i to the empty place b + r, landing in row p <= i: rows p + 1
@@ -480,7 +483,7 @@ def _border_strips(shape, r):
         grown = (rows[:p] + (b + r - (ell - 1 - p),) + tuple(x + 1 for x in rows[p:i])
                  + rows[i + 1:len(shape)])
         out.append((grown, -1 if (i - p) % 2 else 1))
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -60,13 +60,15 @@ def test_verify_commands_print_recorded_bytes(command):
 
 # sha256 of `verify SUITE --mode extended --output json` for the suites that
 # run on packed q-lists, monomial substitution and Partition fast paths,
-# recorded before those kernels were introduced: the widest coefficients they
+# recorded before those kernels were introduced (series: before its Poly
+# products became packed integer products): the widest coefficients they
 # meet leave the output byte-identical
 EXTENDED = {
     "finite-spec": "c2509b737eeab53d9fec0a86797a747686bf0babff4efea30fa72665f91ec427",
     "specializations": "399804fecfe241d62923abacf9652cd5987253ba3dcdb25e568360ef112fc6fc",
     "symmetry": "45c9eb714b7c78185b0d37c53f12cde66b792c19e57b8f651727e75642c5b620",
     "qexp": "e7e19ba139863df260b8cbe88f64dd36e2fec32d5b6c94f84bf22b96c1ce06d3",
+    "series": "d40bb59c67d34e3684c93d4ff19975ddba1b6bc24cbeac2cafe2bd18bfe564a7",
 }
 
 

@@ -1,6 +1,7 @@
 """The Q family: fixed values, expansions, tables, and suite smoke runs."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eulerq import (
     Partition,
@@ -41,7 +42,7 @@ from eulerq.eulerian import (
     verify_symmetry_unimodality,
 )
 from eulerq import cli
-from eulerq.polyalg import q_multinomial
+from eulerq.polyalg import q_binomial, q_multinomial
 from eulerq.symfunc import SymPoly
 from fixtures_tables import CHAR_TABLES
 
@@ -248,18 +249,128 @@ def test_suite_registry_names():
     assert [n for n, _ in cli.selected_entries("all", "extended", 0)][:11] == names
 
 
+SERIES_STATS = ("maj", "des", "exc", "fix")
+
+
 def test_series_suite_fails_on_a_wrong_enumerator(monkeypatch):
-    """An extra term p in the brute-force A_3(q, p, t, r) reaches the left
-    side at z^3 in every row of p-order 1 or more, and in no other place."""
-    stats = ("maj", "des", "exc", "fix")
+    """An extra term p in the brute-force A_3(q, p, t, r), or its q p t
+    coefficient raised from 1 to 2, reaches the left side at z^3 in every
+    row of p-order 1 or more, and in no other place."""
+    real = eulerian.a_poly
+    assert real(3, SERIES_STATS).terms[(1, 1, 1, 0)] == 1
+    for extra in (Poly.var("p"), Poly.term(1, q=1, p=1, t=1)):
+        def wrong(n, which=("maj", "exc", "fix"), extra=extra):
+            got = real(n, which)
+            return got + extra if (n, tuple(which)) == (3, SERIES_STATS) else got
+
+        monkeypatch.setattr(eulerian, "a_poly", wrong)
+        rep = verify_four_stat_series(5)
+        status = {c.params["p_order"]: (c.status, c.witness) for c in rep.checks}
+        assert status == {0: ("pass", ""),
+                          **{m: ("fail", "first mismatch at z^3") for m in range(1, 6)}}
+
+
+def test_series_suite_at_order_zero():
+    rep = verify_four_stat_series(0)
+    assert [(c.params, c.status) for c in rep.checks] == [
+        ({"p_order": 0, "z_max": 0}, "pass")]
+
+
+def test_series_suite_refuses_a_negative_exponent(monkeypatch):
     real = eulerian.a_poly
 
     def wrong(n, which=("maj", "exc", "fix")):
         got = real(n, which)
-        return got + Poly.var("p") if (n, tuple(which)) == (3, stats) else got
+        return got + Poly.term(1, q=-1) if (n, tuple(which)) == (2, SERIES_STATS) else got
 
     monkeypatch.setattr(eulerian, "a_poly", wrong)
-    rep = verify_four_stat_series(5)
-    status = {c.params["p_order"]: (c.status, c.witness) for c in rep.checks}
-    assert status == {0: ("pass", ""),
-                      **{m: ("fail", "first mismatch at z^3") for m in range(1, 6)}}
+    with pytest.raises(ValueError, match="negative exponent"):
+        verify_four_stat_series(3)
+
+
+def _poly_series_sides(z_max, m):
+    """L den and num of verify_four_stat_series at p-order m, as lists of
+    z-coefficients up to z^z_max, from Poly products."""
+    one, qt, r = Poly.one(), Poly.term(1, q=1, t=1), Poly.var("r")
+
+    def mul(a, b):
+        out = [Poly.zero()] * (z_max + 1)
+        for i, x in enumerate(a[:z_max + 1]):
+            for j, y in enumerate(b[:z_max + 1 - i]):
+                out[i + j] = out[i + j] + x * y
+        return out
+
+    def poch(u, k):  # (uz; q)_k
+        out = [one]
+        for i in range(k):
+            out = mul(out, [one, -(u * Poly.var("q", i))])
+        return out
+
+    left = []
+    for n in range(z_max + 1):
+        by_p = eulerian.a_poly(n, SERIES_STATS).coefficients_in("p")
+        acc = Poly.zero()
+        for b, coeff in by_p.items():
+            if b <= m:
+                acc = acc + coeff * q_binomial(m - b + n, n)
+        left.append(acc)
+    zq, zt, zr = poch(one, m), poch(qt, m), poch(r, m + 1)
+    den = mul([a - qt * b for a, b in zip(zq, zt)], zr)
+    return mul(left, den), mul(mul(zq, zt), [one - qt])
+
+
+@pytest.mark.parametrize("z_max", range(5))
+def test_series_width_covers_every_coefficient(z_max):
+    """Every coefficient of L den and of num, and so of L den - num, is below
+    2^(w-1) in absolute value at the suite's packing width w."""
+    w = eulerian._series_width(eulerian._series_groups(z_max))
+    for m in range(z_max + 1):
+        for side in _poly_series_sides(z_max, m):
+            for c in side:
+                assert all(abs(v) < 2 ** (w - 1) for v in c.terms.values())
+
+
+def test_series_width_keeps_coefficients_strictly_below_its_half(monkeypatch):
+    """A_0 = 1 - 2^40 makes L den - num = -2^40 (1 - qt) at z_max = 0, whose
+    coefficients meet the L1 bound 2^40 exactly: w = 42 keeps them below
+    2^(w-1), where w = 41, without the extra bit, would not."""
+    real = eulerian.a_poly
+
+    def wrong(n, which=("maj", "exc", "fix")):
+        got = real(n, which)
+        return got - 2 ** 40 if (n, tuple(which)) == (0, SERIES_STATS) else got
+
+    monkeypatch.setattr(eulerian, "a_poly", wrong)
+    w = eulerian._series_width(eulerian._series_groups(0))
+    lden, num = _poly_series_sides(0, 0)
+    assert lden[0] - num[0] == Poly.term(-(2 ** 40)) + Poly.term(2 ** 40, q=1, t=1)
+    assert w == 42
+    assert not verify_four_stat_series(0).ok
+
+
+@given(n=st.integers(0, 3), exps=st.tuples(*[st.integers(0, 3)] * 4),
+       coeff=st.sampled_from([-(2 ** 40), -3, -1, 1, 2, 2 ** 40]))
+@settings(max_examples=25, deadline=None)
+def test_series_records_match_poly_products(n, exps, coeff):
+    """With one term of some A_n changed, the packed suite reports the first
+    mismatch of the Poly products in every row, and the width still covers
+    the (now nonzero) difference."""
+    real = eulerian.a_poly
+    extra = Poly({exps: coeff})
+
+    def wrong(k, which=("maj", "exc", "fix")):
+        got = real(k, which)
+        return got + extra if (k, tuple(which)) == (n, SERIES_STATS) else got
+
+    z_max = 3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eulerian, "a_poly", wrong)
+        rep = verify_four_stat_series(z_max)
+        w = eulerian._series_width(eulerian._series_groups(z_max))
+        expected = []
+        for m in range(z_max + 1):
+            diff = [a - b for a, b in zip(*_poly_series_sides(z_max, m))]
+            assert all(abs(v) < 2 ** (w - 1) for c in diff for v in c.terms.values())
+            bad = next((d for d, c in enumerate(diff) if not c.is_zero()), None)
+            expected.append(("pass", "") if bad is None else ("fail", f"first mismatch at z^{bad}"))
+    assert [(c.status, c.witness) for c in rep.checks] == expected

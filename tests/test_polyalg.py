@@ -19,7 +19,6 @@ from eulerq.polyalg import (
     P,
     QExpSeries,
     pochhammer,
-    pochhammer_series,
     qlist_add,
     qlist_binomial,
     qlist_from_poly,
@@ -209,8 +208,8 @@ def test_pochhammer():
     q = Poly.var("q")
     assert pochhammer(Poly.var("t"), 0) == Poly.one()
     assert pochhammer(Poly.var("t"), 2) == (1 - Poly.var("t")) * (1 - q * Poly.var("t"))
-    ps = pochhammer_series(Poly.one(), 3, "z", 3)
-    assert ps.coeffs[1] == -(1 + q + q**2)
+    # [z^1] of (z; q)_3, the p-coefficient list of (p; q)_{2+1}
+    assert qlist_to_poly(qlist_p_pochhammer(2)[1]) == -(1 + q + q**2)
 
 
 def test_qexp_convolution():
