@@ -140,14 +140,18 @@ def cmd_verify(args):
     reports = [report_fn() for _, report_fn in entries]
     passed = all(r.ok for r in reports)
     if args.output == "json":
-        envelope = {
-            "command": "verify",
-            "mode": args.mode,
-            "suite": args.suite,
-            "passed": passed,
-            "suites": [r.to_jsonable() for r in reports],
-        }
-        print(json.dumps(envelope, sort_keys=True, separators=(",", ":")))
+        # The bytes of json.dumps(envelope, sort_keys=True) with the reports
+        # under "suites", written one report at a time: "suites" sorts after
+        # every other envelope key, so the envelope is its head, then the
+        # reports, then the closing brackets.
+        head = {"command": "verify", "mode": args.mode, "suite": args.suite, "passed": passed}
+        out = sys.stdout
+        out.write(json.dumps(head, sort_keys=True, separators=(",", ":"))[:-1] + ',"suites":[')
+        for i, r in enumerate(reports):
+            if i:
+                out.write(",")
+            out.write(json.dumps(r.to_jsonable(), sort_keys=True, separators=(",", ":")))
+        out.write("]}\n")
     else:
         for r in reports:
             print(r.summary())

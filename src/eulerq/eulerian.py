@@ -55,7 +55,6 @@ from .polyalg import (
     qlist_norm,
     qlist_p_pochhammer,
     qlist_pack,
-    qlist_to_poly,
 )
 from .report import VerifyReport
 from .symfunc import (
@@ -713,28 +712,39 @@ def _zadd(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _first_p_mismatch(n, series, lhs):
+def _p_width(n, norm, lhs):
+    """The packing width of _first_p_mismatch: one bit above the largest L1
+    bound on either side, given a bound norm on the L1 norm of every series
+    term (the p-coefficients of (p;q)_{n+1} have L1 norms summing to
+    2^(n+1)).  Then every coefficient of either side is below 2^(w-1) in
+    absolute value, the two pack to the same integer only when they agree,
+    and the comparison is exact."""
+    bound = max(norm << (n + 1), max(map(qlist_norm, lhs.values()), default=0))
+    return bound.bit_length() + 1
+
+
+def _first_p_mismatch(n, series, lhs, w):
     """The first p-degree d < len(series) where [p^d] of
     (p;q)_{n+1} sum_m series[m] p^m differs from lhs.get(d, 0), or None.
 
-    series holds q coefficient lists and lhs maps p-degrees to q lists; the
-    series side needs series[m] only for m <= d, so comparing up to a finite
-    degree is exact.  Both sides are packed into integers (qlist_pack) at a
-    width w with every coefficient of either side below 2^(w-1) in absolute
-    value, bounded by L1 norms, so each degree costs a few integer products
-    and one integer comparison, and the comparison is exact.
+    series holds q polynomials packed at q = 2^w (qlist_pack), with w from
+    _p_width, and lhs maps p-degrees to q lists; the series side needs
+    series[m] only for m <= d, so comparing up to a finite degree is exact.
+    Each degree costs a few integer products and one integer comparison.
     """
-    poch = qlist_p_pochhammer(n)
-    bound = max(sum(map(qlist_norm, poch)) * max(map(qlist_norm, series), default=0),
-                max(map(qlist_norm, lhs.values()), default=0))
-    w = bound.bit_length() + 1
-    poch = [qlist_pack(a, w) for a in poch]
-    series = [qlist_pack(a, w) for a in series]
+    poch = _packed_p_pochhammer(n, w)
     for d in range(len(series)):
         rhs = sum(poch[b] * series[d - b] for b in range(min(d, n + 1) + 1))
         if rhs != qlist_pack(lhs.get(d, ()), w):
             return d
     return None
+
+
+@lru_cache(maxsize=None)
+def _packed_p_pochhammer(n, w):
+    """The p-coefficients of (p;q)_{n+1} (qlist_p_pochhammer), packed at
+    q = 2^w."""
+    return tuple(qlist_pack(a, w) for a in qlist_p_pochhammer(n))
 
 
 def _p_rows(a):
@@ -746,13 +756,17 @@ def _p_rows(a):
     return {d: qlist_from_poly(c) for d, c in rows.items()}
 
 
-def _shifted_series(pieces, j, depth):
-    """[sum_i q^{i m + j} ps_m(pieces[i]) for m = 0 .. depth], as q lists."""
-    out = [[] for _ in range(depth + 1)]
+def _specialization_mismatch(n, pieces, j, lhs):
+    """_first_p_mismatch for the series sum_i q^{i m + j} ps_m(pieces[i]),
+    m = 0 .. n + 2.  The width comes first, from ps_norm (a shift by a power
+    of q keeps a norm), and then every ps_m is built packed (ps_packed)."""
+    depth = n + 2
+    w = _p_width(n, sum(qs.ps_norm(depth) for qs in pieces), lhs)
+    series = [0] * (depth + 1)
     for i, qs in enumerate(pieces):
-        for m, ps in enumerate(qs.ps_at_qlists(depth)):
-            qlist_add(out[m], ps, i * m + j)
-    return out
+        for m, v in enumerate(qs.ps_packed(depth, w)):
+            series[m] += v << (w * (i * m + j))
+    return _first_p_mismatch(n, series, lhs, w)
 
 
 def finite_specialization_check(lam, k_max, rep=None) -> VerifyReport:
@@ -764,7 +778,8 @@ def finite_specialization_check(lam, k_max, rep=None) -> VerifyReport:
 
     compared on the p-coefficients up to degree n + 2 (the series side only
     needs ps_m for m up to the degree inspected, so the check is exact).  All
-    arithmetic is on integer q coefficient lists (ps_at_qlists).
+    arithmetic is on q polynomials packed into integers
+    (_specialization_mismatch).
     """
     lam = Partition(lam)
     if 1 in lam:
@@ -777,7 +792,7 @@ def finite_specialization_check(lam, k_max, rep=None) -> VerifyReport:
             lhs = _p_rows(a_coeff(full, j))
             pieces = [q_qsym_type(Partition(tuple(lam) + (1,) * (k - i)), j)
                       for i in range(k + 1)]
-            bad = _first_p_mismatch(n, _shifted_series(pieces, j, n + 2), lhs)
+            bad = _specialization_mismatch(n, pieces, j, lhs)
             rep.record("finite specialization of class enumerator",
                        {"lam": tuple(lam), "k": k, "j": j}, bad is None,
                        witness="" if bad is None else f"p-degree {bad}")
@@ -791,7 +806,7 @@ def verify_finite_specialization(total_max=5) -> VerifyReport:
         [t^j] a_{n,k}(q,p)
             = (p;q)_{n+1} sum_m p^m sum_{i=0}^{k} q^{im+j} ps_m(Q_{n-i,j,k-i}),
 
-    both on integer q coefficient lists, up to p-degree n + 2."""
+    both on q polynomials packed into integers, up to p-degree n + 2."""
     rep = VerifyReport("finite-spec")
     for size in range(total_max + 1):
         for lam in partitions(size):
@@ -803,7 +818,7 @@ def verify_finite_specialization(total_max=5) -> VerifyReport:
         for j in range(n):
             lhs = _p_rows(a_poly_fix(n, k).coefficient("t", j))
             pieces = [q_qsym(n - i, j, k - i) for i in range(k + 1)]
-            ok = _first_p_mismatch(n, _shifted_series(pieces, j, n + 2), lhs) is None
+            ok = _specialization_mismatch(n, pieces, j, lhs) is None
             rep.record("finite specialization, exc/fix form", {"n": n, "k": k, "j": j}, ok)
     return rep
 
@@ -1229,47 +1244,57 @@ def _cleared_stable(qs, n):
     return qs.ps_stable_qlist(n)
 
 
-def _stable_matches(a, qs, n, j) -> bool:
-    """Is the Poly a equal to q^j (q;q)_n ps_stable(qs)?"""
+def _q_terms(a, shift=0):
+    """The terms dict of the Poly q^shift sum_i a[i] q^i, for a q list a."""
+    return {(i, 0, 0, 0): c for i, c in enumerate(a, shift) if c}
+
+
+def _stable_matches(terms, qs, n, j) -> bool:
+    """Is the Poly whose terms dict is terms equal to q^j (q;q)_n ps_stable(qs)?"""
     num = _cleared_stable(qs, n)
-    return num is not None and a == qlist_to_poly(qlist_add([], num, j))
+    return num is not None and terms == _q_terms(num, j)
+
+
+def _summed_terms(slices):
+    """The terms dict of the sum of QSymF slices, zero coefficients dropped."""
+    out = {}
+    for qs in slices:
+        for key, c in qs.terms.items():
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
 
 
 def verify_specializations(n_max=6) -> VerifyReport:
     """Stable and finite principal specializations against brute force, plus
     the partition-of-unity decompositions of the full EXD sum.  The stable
     identities [t^j] A = q^j (q;q)_n ps(Q) are checked with (q;q)_n cleared
-    and the finite ones on q coefficient lists, so nothing is divided."""
+    on coefficient dicts and the finite ones on packed q polynomials, so
+    nothing is divided."""
     rep = VerifyReport("specializations")
     for n in range(n_max + 1):
         ok = all(
-            _stable_matches(a_poly_type(lam, ("maj", "exc")).coefficient("t", j),
+            _stable_matches(a_poly_type(lam, ("maj", "exc")).coefficient("t", j).terms,
                             q_qsym_type(lam, j), n, j)
             for lam in partitions(n)
             for j in range(max(n, 1))
         )
         rep.record("stable specialization, cycle type", {"n": n}, ok)
         ok = all(
-            _stable_matches(a_poly_fix(n, k, ("maj", "exc")).coefficient("t", j),
+            _stable_matches(a_poly_fix(n, k, ("maj", "exc")).coefficient("t", j).terms,
                             q_qsym(n, j, k), n, j)
             for k in range(n + 1)
             for j in range(max(n, 1))
         )
         rep.record("stable specialization, exc/fix", {"n": n}, ok)
-        total_jk = QSymF.zero()
-        total_type = QSymF.zero()
-        for j in range(n + 1):
-            for k in range(n + 1):
-                total_jk = total_jk + q_qsym(n, j, k)
-        for lam in partitions(n):
-            for j in range(n + 1):
-                total_type = total_type + q_qsym_type(lam, j)
+        total_jk = _summed_terms(q_qsym(n, j, k) for j in range(n + 1) for k in range(n + 1))
+        total_type = _summed_terms(q_qsym_type(lam, j)
+                                   for lam in partitions(n) for j in range(n + 1))
         rows, fields = _oracle_census(n)
         exd = row_stat("exd_set", n, fields)
         sets = Counter()
         for row, c in rows.items():
             sets[(n, exd(row))] += c
-        everything = QSymF(dict(sets))
+        everything = QSymF(dict(sets)).terms
         rep.record("partitions of the full sum agree", {"n": n},
                    total_jk == everything and total_type == everything)
         nums = [_cleared_stable(q_qsym(n, j), n) for j in range(max(n, 1))]
@@ -1278,7 +1303,7 @@ def verify_specializations(n_max=6) -> VerifyReport:
             weighted = []
             for j, num in enumerate(nums):
                 qlist_add(weighted, num, j)
-            ok = qlist_to_poly(weighted) == q_factorial(n)
+            ok = _q_terms(weighted) == q_factorial(n).terms
         rep.record("weighted stable specialization totals", {"n": n}, ok)
     for n in range(1, n_max + 1):
         ok = True
@@ -1293,11 +1318,11 @@ def verify_specializations(n_max=6) -> VerifyReport:
                 for S, cnt in counter.items():
                     qlist_add(brute, (cnt,), sum(S))
                     qlist_add(witness.setdefault(len(S) + 1, []), (cnt,), sum(S))
-                if not _stable_matches(qlist_to_poly(brute), qs, n, 0):
+                if not _stable_matches(_q_terms(brute), qs, n, 0):
                     ok = False
                 if any(c < 0 for w in [brute, *witness.values()] for c in w):
                     ok = False
-                if _first_p_mismatch(n, qs.ps_at_qlists(n + 2), witness) is not None:
+                if _specialization_mismatch(n, [qs], 0, witness) is not None:
                     ok = False
         rep.record("specialization positivity transfer", {"n": n}, ok)
     return rep

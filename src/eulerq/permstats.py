@@ -415,7 +415,10 @@ def _class_censuses(n):
     counts = Counter((_cycle_type(w), _row(w)) for w in itertools.permutations(range(1, n + 1)))
     classes = {}
     for (lam, row), c in counts.items():
-        classes.setdefault(lam, Counter())[row] = c
+        rows = classes.get(lam)
+        if rows is None:
+            rows = classes[lam] = Counter()
+        rows[row] = c
     return {Partition(lam): MappingProxyType(rows) for lam, rows in classes.items()}
 
 

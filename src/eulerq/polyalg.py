@@ -352,10 +352,11 @@ def pochhammer(a, n):
 
 # Polynomials in q alone as coefficient lists: index i holds the coefficient
 # of q^i.  The principal specializations (QSymF.ps_at and ps_stable) and the
-# specialization suites run on these, with no dict per term.  Cached values
-# are tuples and accumulators are lists.  A list may end in zeros, so compare
-# two of them through qlist_to_poly, which drops zero coefficients, or packed
-# into integers by qlist_pack, which ignores them.
+# specialization suites run on these, or on them packed into integers by
+# qlist_pack, with no dict per term.  Cached values are tuples and
+# accumulators are lists.  A list may end in zeros, so compare two of them
+# through qlist_to_poly, which drops zero coefficients, or packed, which
+# ignores them; qlist_unpack reads a packed one back without them.
 
 def qlist_add(acc, a, shift=0, coeff=1):
     """acc += coeff q^shift a, in place; returns acc."""
@@ -415,6 +416,21 @@ def qlist_pack(a, w):
     for c in reversed(a):
         v = (v << w) + c
     return v
+
+
+def qlist_unpack(v, w):
+    """The coefficient list a, with no trailing zeros, that qlist_pack packs
+    to v at width w when every a_i is below 2^(w-1) in absolute value: the
+    base-2^w digits of v, each taken in (-2^(w-1), 2^(w-1))."""
+    out = []
+    full, half = 1 << w, 1 << (w - 1)
+    while v:
+        c = v & (full - 1)
+        if c >= half:
+            c -= full
+        out.append(c)
+        v = (v - c) >> w
+    return out
 
 
 @lru_cache(maxsize=None)

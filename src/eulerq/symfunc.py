@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 
 from .permstats import Partition, partitions
 from .polyalg import (
@@ -37,8 +37,10 @@ from .polyalg import (
     qlist_add,
     qlist_binomial,
     qlist_mul,
+    qlist_pack,
     qlist_pochhammer,
     qlist_to_poly,
+    qlist_unpack,
 )
 
 BASES = ("m", "h", "e", "p", "s")
@@ -125,31 +127,24 @@ class QSymF:
 
     # -- monomial quasisymmetric coefficients -------------------------------
     def _monomial_qsym_coeffs(self, n):
-        """dict T -> coefficient of the monomial quasisymmetric M_{comp(T),n}.
+        """The coefficients of the monomial quasisymmetric M_{comp(T),n}, as a
+        list indexed by the bitmask of T (bit i - 1 set for i in T).
 
         Uses F_{S,n} = sum over T containing S of M_{T,n}, via a subset sum
         (zeta) transform over bitmask encodings of subsets of [n-1].
         """
-        if n == 0:
-            c = self.terms.get((0, frozenset()), 0)
-            return {frozenset(): c} if c else {}
-        g = [0] * (1 << (n - 1))
+        size = 1 << max(n - 1, 0)
+        g = [0] * size
         for (m, S), c in self.terms.items():
             if m == n:
-                mask = 0
-                for i in S:
-                    mask |= 1 << (i - 1)
-                g[mask] += c
-        for b in range(n - 1):
-            bit = 1 << b
-            for mask in range(1 << (n - 1)):
-                if mask & bit:
-                    g[mask] += g[mask ^ bit]
-        out = {}
-        for mask in range(1 << (n - 1)):
-            if g[mask]:
-                out[frozenset(i + 1 for i in range(n - 1) if mask & (1 << i))] = g[mask]
-        return out
+                g[_mask(S)] += c
+        bit = 1
+        while bit < size:
+            for low in range(0, size, 2 * bit):
+                for mask in range(low + bit, low + 2 * bit):
+                    g[mask] += g[mask - bit]
+            bit *= 2
+        return g
 
     def _m_coeffs(self):
         """dict lambda -> coefficient of m_lambda, or None when the function is
@@ -157,15 +152,15 @@ class QSymF:
         coefficients are constant on compositions with the same sorted part
         multiset, and then the coefficient of m_lambda is the one at
         D(lambda), the descent set of the unique weakly decreasing word of
-        content lambda."""
+        content lambda.  Both sets are read by bitmask from _m_table."""
         out = {}
         for n in self.degrees():
-            coeffs = self._monomial_qsym_coeffs(n)
-            for lam in partitions(n):
-                vals = {coeffs.get(T, 0) for T in _descent_sets_of_rearrangements(lam)}
-                if len(vals) > 1:
-                    return None
-                c = coeffs.get(_dropset(lam), 0)
+            g = self._monomial_qsym_coeffs(n)
+            for lam, drop, masks in _m_table(n):
+                c = g[drop]
+                for T in masks:
+                    if g[T] != c:
+                        return None
                 if c:
                     out[lam] = c
         return out
@@ -198,7 +193,11 @@ class QSymF:
         terms c F_{S,n} with |S| = k."""
         groups = {}
         for (n, S), c in self.terms.items():
-            qlist_add(groups.setdefault((n, len(S)), []), (c,), sum(S))
+            num = groups.setdefault((n, len(S)), [])
+            i = sum(S)
+            if len(num) <= i:
+                num.extend([0] * (i + 1 - len(num)))
+            num[i] += c
         return groups
 
     def ps_stable_qlist(self, d):
@@ -215,20 +214,33 @@ class QSymF:
             qlist_add(out, num if n == d else qlist_mul(num, qlist_pochhammer(n + 1, d - n)))
         return out
 
-    def ps_at_qlists(self, depth):
-        """[ps_at(m) as a coefficient list for m = 0 .. depth], grouping the
-        terms once: each is the sum over (n, k) of the grouped numerator times
-        [m - k - 1 + n choose n]_q, for m >= k + 1 (or n = 0)."""
-        groups = self._ps_numerators().items()
-        out = []
-        for m in range(depth + 1):
-            acc = []
-            for (n, k), num in groups:
-                if n == 0:
-                    qlist_add(acc, num)
-                elif m >= k + 1:
-                    qlist_add(acc, qlist_mul(num, qlist_binomial(m - k - 1 + n, n)))
-            out.append(acc)
+    def ps_norm(self, depth):
+        """A bound on the L1 norm of ps_at(m) for every m <= depth: the sum
+        over c F_{S,n} of |c| C(depth - |S| - 1 + n, n), since the L1 norm of
+        [a choose b]_q is C(a, b) and grows with a.  Integer coefficients."""
+        norms = {}
+        for (n, S), c in self.terms.items():
+            key = (n, len(S))
+            norms[key] = norms.get(key, 0) + abs(c)
+        return sum(v if n == 0 else v * comb(depth - k - 1 + n, n)
+                   for (n, k), v in norms.items() if n == 0 or depth > k)
+
+    def ps_packed(self, depth, w):
+        """[ps_at(m) packed at q = 2^w (qlist_pack) for m = 0 .. depth], each
+        the sum over (n, k) of the packed numerator of _ps_numerators, built
+        as the sum of c 2^(w sum S), times the packed
+        [m - k - 1 + n choose n]_q, for m >= k + 1 (or n = 0).  Packing is
+        evaluation at 2^w, so these are exact at every w; a width above
+        ps_norm(depth).bit_length() also lets qlist_unpack read them back.
+        Integer coefficients."""
+        groups = {}
+        for (n, S), c in self.terms.items():
+            key = (n, len(S))
+            groups[key] = groups.get(key, 0) + (c << (w * sum(S)))
+        out = [0] * (depth + 1)
+        for (n, k), v in groups.items():
+            for m in range(0 if n == 0 else k + 1, depth + 1):
+                out[m] += v if n == 0 else v * _packed_binomial(m - k - 1 + n, n, w)
         return out
 
     def ps_stable(self):
@@ -249,10 +261,15 @@ class QSymF:
         """Principal specialization in m variables, x_i -> q^{i-1} for i <= m.
 
         F_{S,n} contributes q^{sum S} [m - |S| - 1 + n choose n]_q when
-        m >= |S| + 1 and zero otherwise; F_{emptyset,0} contributes 1.  The
-        Poly form of ps_at_qlists(m)[m].
+        m >= |S| + 1 and zero otherwise; F_{emptyset,0} contributes 1.  Taken
+        on packed integers (ps_packed) with rational coefficients scaled to
+        integers by the lcm of their denominators.
         """
-        return qlist_to_poly(self.ps_at_qlists(m)[m])
+        scale = lcm(*(c.denominator for c in self.terms.values()))
+        f = self if scale == 1 else QSymF({key: int(c * scale) for key, c in self.terms.items()})
+        w = f.ps_norm(m).bit_length() + 1
+        a = qlist_unpack(f.ps_packed(m, w)[m], w)
+        return qlist_to_poly(a if scale == 1 else [Fraction(c, scale) for c in a])
 
 
 def fundamental(S, n):
@@ -293,13 +310,36 @@ def _rearrangements(vec):
     return place(0)
 
 
-@lru_cache(maxsize=None)
 def _descent_sets_of_rearrangements(lam):
     """Descent sets realizable by weakly decreasing words of every content
     that is a rearrangement of lam: the partial-sum sets of the distinct
     rearrangements of the parts."""
     return frozenset(frozenset(itertools.accumulate(parts[:-1]))
                      for parts in _rearrangements(tuple(lam)))
+
+
+def _mask(S):
+    """The bitmask of a subset S of [n-1]: bit i - 1 set for i in S."""
+    mask = 0
+    for i in S:
+        mask |= 1 << (i - 1)
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _m_table(n):
+    """For every partition lam of n, in partitions(n) order: (lam, mask of
+    _dropset(lam), masks of _descent_sets_of_rearrangements(lam)), the
+    subsets at which QSymF._m_coeffs reads degree n."""
+    return tuple((lam, _mask(_dropset(lam)),
+                  tuple(_mask(T) for T in _descent_sets_of_rearrangements(lam)))
+                 for lam in partitions(n))
+
+
+@lru_cache(maxsize=None)
+def _packed_binomial(a, b, w):
+    """[a choose b]_q packed at q = 2^w (qlist_pack), for QSymF.ps_packed."""
+    return qlist_pack(qlist_binomial(a, b), w)
 
 
 def _weakly_decreasing_sequences(n, N, strict_at):

@@ -28,6 +28,7 @@ from eulerq.polyalg import (
     qlist_pack,
     qlist_pochhammer,
     qlist_to_poly,
+    qlist_unpack,
 )
 
 coeffs = st.integers(min_value=-9, max_value=9)
@@ -276,6 +277,26 @@ def test_qlist_pack(a, b):
     assert qlist_pack(a, w) * qlist_pack(b, w) == qlist_pack(qlist_mul(a, b), w)
     assert (qlist_pack(a, w) == qlist_pack(b, w)) == (qlist_to_poly(a) == qlist_to_poly(b))
     assert qlist_pack(a + [0, 0], w) == qlist_pack(a, w)
+
+
+@given(st.integers(min_value=1, max_value=70), st.data())
+@settings(max_examples=150, deadline=None)
+def test_qlist_unpack_inverts_pack(w, data):
+    # signed coefficients up to the widest the width allows, 2^(w-1) - 1
+    top = 2 ** (w - 1) - 1
+    coeff = st.one_of(st.integers(min_value=-top, max_value=top), st.sampled_from((top, -top)))
+    a = data.draw(st.lists(coeff, max_size=6))
+    want = list(a)
+    while want and want[-1] == 0:
+        want.pop()
+    assert qlist_unpack(qlist_pack(a, w), w) == want
+
+
+def test_qlist_unpack_edges():
+    assert qlist_unpack(0, 5) == []
+    assert qlist_unpack(qlist_pack([0, 0, -15, 0, 15, 0], 5), 5) == [0, 0, -15, 0, 15]
+    # 16 is not below 2^4, so at width 5 it reads back as the digits of 32 - 16
+    assert qlist_unpack(qlist_pack([16], 5), 5) == [-16, 1]
 
 
 def test_qlist_trailing_zeros():

@@ -4,14 +4,23 @@ PolyFraction, and a wrong oracle fails exactly the records that read it."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerq import Poly, QSymF, eulerian, polyalg
+from eulerq import Partition, Poly, QSymF, eulerian, polyalg
 from eulerq.eulerian import (
     _first_p_mismatch,
+    _p_width,
     finite_specialization_check,
     verify_finite_specialization,
     verify_specializations,
 )
-from eulerq.polyalg import qlist_add, qlist_mul, qlist_norm, qlist_p_pochhammer, qlist_to_poly
+from eulerq.polyalg import (
+    qlist_add,
+    qlist_binomial,
+    qlist_mul,
+    qlist_norm,
+    qlist_p_pochhammer,
+    qlist_pack,
+    qlist_to_poly,
+)
 
 
 def _failures(*reports):
@@ -87,6 +96,13 @@ def _convolution(n, series, d):
     return out
 
 
+def _packed_mismatch(n, series, lhs):
+    """_first_p_mismatch for a series of q lists: the width from _p_width,
+    with the largest L1 norm of a series term as its norm bound."""
+    w = _p_width(n, max(map(qlist_norm, series), default=0), lhs)
+    return _first_p_mismatch(n, [qlist_pack(a, w) for a in series], lhs, w)
+
+
 def _reference_mismatch(n, series, lhs):
     for d in range(len(series)):
         if qlist_to_poly(_convolution(n, series, d)) != qlist_to_poly(lhs.get(d, [])):
@@ -108,7 +124,7 @@ signed_qlists = st.one_of(st.just([]), st.just([0]), st.lists(signed, max_size=4
        st.dictionaries(st.integers(min_value=0, max_value=5), signed_qlists, max_size=4))
 @settings(max_examples=150, deadline=None)
 def test_packed_mismatch_matches_convolution(n, series, lhs):
-    assert _first_p_mismatch(n, series, lhs) == _reference_mismatch(n, series, lhs)
+    assert _packed_mismatch(n, series, lhs) == _reference_mismatch(n, series, lhs)
 
 
 @given(st.integers(min_value=0, max_value=3), st.lists(signed_qlists, min_size=1, max_size=5),
@@ -123,7 +139,7 @@ def test_packed_mismatch_finds_one_perturbed_coefficient(n, series, data):
     lhs[d] = lhs[d] + [0] * (i + 1 - len(lhs[d]))
     lhs[d][i] += delta
     assert _reference_mismatch(n, series, lhs) == (None if delta == 0 else d)
-    assert _first_p_mismatch(n, series, lhs) == _reference_mismatch(n, series, lhs)
+    assert _packed_mismatch(n, series, lhs) == _reference_mismatch(n, series, lhs)
 
 
 def test_packed_width_covers_the_left_side():
@@ -131,11 +147,11 @@ def test_packed_width_covers_the_left_side():
     # pack [1 - 2^3, 1] to 1 = the right side; the left side's norm widens w
     n, series = 0, [[1]]
     w = (2 * qlist_norm(series[0])).bit_length() + 1
-    assert _first_p_mismatch(n, series, {0: [1]}) is None
-    assert _first_p_mismatch(n, series, {0: [1, 0, 0]}) is None
-    assert _first_p_mismatch(n, series, {0: [1 - 2**w, 1]}) == 0
-    assert _first_p_mismatch(n, series, {}) == 0
-    assert _first_p_mismatch(n, [], {0: [5]}) is None
+    assert _packed_mismatch(n, series, {0: [1]}) is None
+    assert _packed_mismatch(n, series, {0: [1, 0, 0]}) is None
+    assert _packed_mismatch(n, series, {0: [1 - 2**w, 1]}) == 0
+    assert _packed_mismatch(n, series, {}) == 0
+    assert _packed_mismatch(n, [], {0: [5]}) is None
 
 
 def test_packed_width_keeps_coefficients_strictly_below_its_half():
@@ -143,8 +159,8 @@ def test_packed_width_keeps_coefficients_strictly_below_its_half():
     # width 6, where 32 is not below 2^5, [-32, 1] would pack to 32 as well
     series = [[-15], [17]]
     assert _convolution(0, series, 1) == [32]
-    assert _first_p_mismatch(0, series, {0: [-15], 1: [32]}) is None
-    assert _first_p_mismatch(0, series, {0: [-15], 1: [-32, 1]}) == 1
+    assert _packed_mismatch(0, series, {0: [-15], 1: [32]}) is None
+    assert _packed_mismatch(0, series, {0: [-15], 1: [-32, 1]}) == 1
 
 
 def test_p_rows_are_strict():
@@ -169,3 +185,59 @@ def test_finite_check_refuses_what_no_q_list_holds(monkeypatch, extra):
     monkeypatch.setattr(eulerian, "a_poly_type", mutated)
     with pytest.raises(ValueError):
         finite_specialization_check((2,), 1)
+
+
+# ---------------------------------------------------------------------------
+# the packed finite specialization against q lists
+# ---------------------------------------------------------------------------
+
+def _ps_at_qlist(qs, m):
+    """ps_m(qs) as a q list, term by term with qlist_binomial."""
+    out = []
+    for (n, S), c in qs.terms.items():
+        if n == 0:
+            qlist_add(out, (c,))
+        elif m >= len(S) + 1:
+            qlist_add(out, qlist_binomial(m - len(S) - 1 + n, n), sum(S), c)
+    return out
+
+
+def _shifted_qlists(pieces, j, depth):
+    """[sum_i q^{i m + j} ps_m(pieces[i]) for m = 0 .. depth], as q lists."""
+    out = [[] for _ in range(depth + 1)]
+    for i, qs in enumerate(pieces):
+        for m in range(depth + 1):
+            qlist_add(out[m], _ps_at_qlist(qs, m), i * m + j)
+    return out
+
+
+@pytest.mark.parametrize("scaled", [(2, 1, 1), (2, 1), (2,)])
+def test_scaled_piece_gives_the_list_reference_record(monkeypatch, scaled):
+    # one class's Q slices times -2^40: every record of the (2, 1^k) checks
+    # equals the first mismatch of the q-list series, and some records fail
+    original = eulerian.q_qsym_type
+
+    def mutated(lam, j):
+        out = original(lam, j)
+        return -2**40 * out if tuple(lam) == scaled else out
+
+    monkeypatch.setattr(eulerian, "q_qsym_type", mutated)
+    rep = finite_specialization_check((2,), 2)
+    assert not rep.ok
+    for check in rep.checks:
+        k, j = check.params["k"], check.params["j"]
+        full = Partition((2,) + (1,) * k)
+        lhs = eulerian._p_rows(eulerian.a_coeff(full, j))
+        pieces = [mutated(Partition((2,) + (1,) * (k - i)), j) for i in range(k + 1)]
+        bad = _reference_mismatch(full.n, _shifted_qlists(pieces, j, full.n + 2), lhs)
+        assert check.status == ("pass" if bad is None else "fail")
+        assert check.witness == ("" if bad is None else f"p-degree {bad}")
+
+
+def test_scaled_piece_alone_matches_the_list_reference():
+    # the piece alone, scaled by -2^40, against the unscaled left side
+    qs = -2**40 * eulerian.q_qsym(4, 1, 1)
+    lhs = eulerian._p_rows(eulerian.a_poly_fix(4, 1).coefficient("t", 1))
+    series = _shifted_qlists([qs], 0, 6)
+    assert eulerian._specialization_mismatch(4, [qs], 0, lhs) == _reference_mismatch(4, series, lhs)
+    assert _reference_mismatch(4, series, lhs) is not None

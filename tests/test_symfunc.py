@@ -28,8 +28,8 @@ from eulerq import (
     sym_p,
     sym_s,
 )
-from eulerq.eulerian import q_symf_oracle, q_symf_type_oracle
-from eulerq.polyalg import PolyFraction, pochhammer, qlist_to_poly
+from eulerq.eulerian import q_qsym, q_qsym_type, q_symf_oracle, q_symf_type_oracle
+from eulerq.polyalg import PolyFraction, pochhammer, qlist_from_poly, qlist_pack, qlist_to_poly
 from eulerq.symfunc import _descent_sets_of_rearrangements, _kostka
 
 BASES = "hespm"
@@ -216,6 +216,24 @@ def test_ps_at_matches_substitution(f):
     for m in range(1, 5):
         assert f.ps_at(m) == _substituted(f, m), m
     assert f.ps_at(0) == Poly.const(f.terms.get((0, frozenset()), 0))
+    # rational coefficients are scaled to integers and back
+    g = Fraction(2, 3) * f + QSymF({(2, (1,)): Fraction(1, 5)})
+    assert g.ps_at(3) == _substituted(g, 3)
+
+
+@given(qsym_functions())
+@settings(max_examples=40, deadline=None)
+def test_ps_norm_bounds_what_ps_packed_packs(f):
+    # ps_packed at any width packs the substituted polynomial, and ps_norm
+    # bounds its L1 norm at every m up to the depth
+    depth = 4
+    bound = f.ps_norm(depth)
+    for w in (3, bound.bit_length() + 1):
+        packed = f.ps_packed(depth, w)
+        for m in range(depth + 1):
+            want = qlist_from_poly(_substituted(f, m))
+            assert sum(map(abs, want)) <= bound
+            assert packed[m] == qlist_pack(want, w)
 
 
 @given(qsym_functions())
@@ -331,6 +349,47 @@ def test_descent_sets_of_rearrangements_match_definition():
         for lam in partitions(n):
             assert _descent_sets_of_rearrangements(lam) == old_descent_sets_of_rearrangements(lam)
     assert _descent_sets_of_rearrangements(Partition([1] * 12)) == {frozenset(range(1, 12))}
+
+
+def old_m_coeffs(f):
+    """The m coefficients of a QSymF by frozensets, or None when it is not
+    symmetric: M_T collects the F_S with S inside T, and m_lam is read at the
+    descent set of the weakly decreasing word of content lam, after checking
+    every rearrangement of lam."""
+    out = {}
+    for n in f.degrees():
+        subsets = [frozenset(T) for r in range(max(n, 1))
+                   for T in itertools.combinations(range(1, n), r)]
+        coeffs = {T: sum(c for (m, S), c in f.terms.items() if m == n and S <= T)
+                  for T in subsets}
+        for lam in partitions(n):
+            if len({coeffs[T] for T in old_descent_sets_of_rearrangements(lam)}) > 1:
+                return None
+            word = [v for v in range(len(lam), 0, -1) for _ in range(lam[v - 1])]
+            drops = frozenset(i for i in range(1, n) if word[i - 1] > word[i])
+            if coeffs[drops]:
+                out[lam] = coeffs[drops]
+    return out
+
+
+def test_mask_assembly_matches_frozenset_reference():
+    slices = [q_qsym(n, j, k) for n in range(7) for j in range(max(n, 1))
+              for k in [None] + list(range(n + 1))]
+    slices += [q_qsym_type(lam, j) for n in range(7) for lam in partitions(n)
+               for j in range(max(n, 1))]
+    for f in slices:
+        want = old_m_coeffs(f)
+        assert want is not None
+        assert f.to_symf() == SymF("m", want)
+    # mixed degrees, the constant term and a rational coefficient
+    f = QSymF({(0, ()): 2, (2, ()): Fraction(1, 3), (3, (1,)): 1, (3, (2,)): 1})
+    assert f.to_symf() == SymF("m", old_m_coeffs(f))
+    # F_{{1},3} alone is not symmetric: M_{(1,2)} and M_{(2,1)} differ
+    bad = QSymF.fundamental({1}, 3)
+    assert old_m_coeffs(bad) is None
+    assert not bad.is_symmetric()
+    with pytest.raises(ValueError):
+        bad.to_symf()
 
 
 # -- an oracle for the basis layer: polynomials in N variables -------------
