@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, prod
 
@@ -39,7 +38,6 @@ from .permstats import (
     partitions,
     row_stat,
     stat_field,
-    z_lambda,
 )
 from .polyalg import (
     Poly,
@@ -62,10 +60,13 @@ from .symfunc import (
     QSymF,
     SymF,
     SymPoly,
+    class_mul,
+    class_plethysm_h,
+    class_values,
+    from_class_values,
     plethysm_h,
     restrict_frobenius,
     sym_h,
-    sym_p,
 )
 
 # ---------------------------------------------------------------------------
@@ -92,7 +93,11 @@ def _group_exd(rows, n, key, fields=CENSUS_FIELDS):
     exd = row_stat("exd_set", n, fields)
     out = {}
     for row, count in rows.items():
-        out.setdefault(key(row), Counter())[exd(row)] += count
+        k = key(row)
+        counter = out.get(k)
+        if counter is None:
+            counter = out[k] = Counter()
+        counter[exd(row)] += count
     return out
 
 
@@ -166,34 +171,15 @@ def q_poly_oracle(n) -> SymPoly:
 
 
 @lru_cache(maxsize=None)
-def q_type_poly_oracle(lam) -> SymPoly:
-    """sum over j of Q(lam, j) t^j in the m basis: its one reader compares
-    it with the p-basis formula, which goes through m either way."""
-    lam = Partition(lam)
-    out = SymPoly.zero()
-    for j, counter in sorted(_type_data(lam).items()):
-        out = out + SymPoly.wrap(_qsym([counter], lam.n).to_symf(), t=j)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _single_cycle_p_oracle(n, j) -> SymF:
-    """Q((n), j) in the power-sum basis, converted once per (n, j)."""
-    return q_symf_type_oracle(Partition([n]), j).to_basis("p")
-
-
-def _character(slice_p, mu) -> int:
-    """z_mu times the p_mu coefficient of a slice in the power-sum basis."""
-    mu = Partition(mu)
-    val = Fraction(slice_p.coefficient(mu)) * z_lambda(mu)
-    if val.denominator != 1:
-        raise ArithmeticError(f"non-integral character value at {tuple(mu)}")
-    return int(val)
+def _type_class_oracle(lam, j) -> dict:
+    """The class values of q_symf_type_oracle(lam, j), computed once per
+    (lam, j)."""
+    return class_values(q_symf_type_oracle(lam, j))
 
 
 def character_value_oracle(n, j, mu) -> int:
     """character_value read off the census."""
-    return _character(_single_cycle_p_oracle(n, j), mu)
+    return _type_class_oracle(Partition([n]), j).get(Partition(mu), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -289,39 +275,49 @@ def character_poly(lam) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _single_cycle_poly(n) -> SymPoly:
-    """sum over j of Q((n), j) t^j in the p basis: the coefficient of
-    p_mu / z_mu in Q((n), j) is [t^j] character_poly(mu), and Q((1), 0) = p_1."""
+def _single_cycle_classes(n) -> dict:
+    """sum over j of Q((n), j) t^j as a graded class function (symfunc): the
+    value of Q((n), j) at mu is [t^j] character_poly(mu), and Q((1), 0) = p_1."""
     if n == 1:
-        return SymPoly.wrap(sym_p([1]))
+        return {(0, 0): {Partition([1]): 1}}
     slices = {}
     for mu in partitions(n):
-        z = z_lambda(mu)
         for (_, _, j, _), c in character_poly(mu).terms.items():
-            slices.setdefault(j, {})[mu] = Fraction(c, z)
-    return SymPoly({(j, 0): SymF("p", terms) for j, terms in slices.items()})
+            slices.setdefault((j, 0), {})[mu] = c
+    return slices
 
 
 @lru_cache(maxsize=None)
-def q_type_poly(lam) -> SymPoly:
-    """sum over j of Q(lam, j) t^j in the p basis, as the plethysm product
-    over cycle sizes prod_i h_{m_i}[sum_j Q((i), j) t^j]."""
-    out = SymPoly.one("p")
+def _type_classes(lam) -> dict:
+    """sum over j of Q(lam, j) t^j as a graded class function, by the
+    plethysm product over cycle sizes prod_i h_{m_i}[sum_j Q((i), j) t^j]."""
+    out = {(0, 0): {Partition(): 1}}
     for i, m in sorted(Partition(lam).multiplicities().items()):
-        out = out * plethysm_h(m, _single_cycle_poly(i))
+        out = class_mul(out, class_plethysm_h(m, _single_cycle_classes(i)))
     return out
+
+
+def q_type_poly(lam) -> SymPoly:
+    """sum over j of Q(lam, j) t^j in the p basis, slice by slice from
+    q_symf_type."""
+    lam = Partition(lam)
+    return SymPoly({key: q_symf_type(lam, key[0]) for key in _type_classes(lam)})
 
 
 @lru_cache(maxsize=None)
 def q_symf_type(lam, j) -> SymF:
-    """Q(lam, j) in the p basis: [t^j] of q_type_poly(lam)."""
-    return SymF.zero("p") + q_type_poly(Partition(lam)).coefficient(t=j)
+    """Q(lam, j) in the p basis: the class values of the t^j slice of
+    _type_classes(lam), each divided by z_mu."""
+    return from_class_values(_type_classes(Partition(lam)).get((j, 0), {}), "p")
 
 
 def character_value(n, j, mu) -> int:
-    """Character of the degree-n single-cycle slice at the class mu: z_mu
-    times the power-sum coefficient of Q((n), j)."""
-    return _character(q_symf_type(Partition([n]), j), mu)
+    """Character of the degree-n single-cycle slice at the class mu: the
+    value at mu of the t^j slice of _type_classes((n))."""
+    mu = Partition(mu)
+    if mu.n != n:
+        raise ValueError("partition sizes differ")
+    return _type_classes(Partition([n])).get((j, 0), {}).get(mu, 0)
 
 
 def char_table(n):
@@ -1126,16 +1122,16 @@ def verify_character_formula(n_max=7) -> VerifyReport:
         rep.record("character columns palindromic", {"n": n}, ok)
     for n in range(1, n_max + 1):
         ok = True
-        p_forms = [q_symf_oracle(n, j).to_basis("p") for j in range(n)]
+        values = [class_values(q_symf_oracle(n, j)) for j in range(n)]
         for mu in partitions(n):
             want = eulerian_poly(mu.length)
             for part in mu:
                 want = want * Poly({(0, 0, i, 0): 1 for i in range(part)})
             got = Poly.zero()
             for j in range(n):
-                c = Fraction(p_forms[j].coefficient(mu)) * z_lambda(mu)
+                c = values[j].get(mu, 0)
                 if c:
-                    got = got + Poly.term(int(c), t=j)
+                    got = got + Poly.term(c, t=j)
             if got != want:
                 ok = False
         rep.record("power-sum expansion of the full slice", {"n": n}, ok)
@@ -1155,8 +1151,9 @@ def verify_structure_identities(n_max=6, restrict_max=6, dims_max=None) -> Verif
     dims_max = n_max if dims_max is None else dims_max
     for n in range(1, n_max + 1):
         for lam in partitions(n):
+            oracle = {(j, 0): v for j in range(n) if (v := _type_class_oracle(lam, j))}
             rep.record("plethysm product over cycle sizes", {"lam": tuple(lam)},
-                       q_type_poly(lam) == q_type_poly_oracle(lam))
+                       _type_classes(lam) == oracle)
     for total in range(2, n_max + 1):
         for a in range(1, total // 2 + 1):
             b = total - a

@@ -15,13 +15,16 @@ Kostka numbers (Macdonald, ch. I, section 6, by the Pieri rule of section
 3) and border strips the characters (Murnaghan-Nakayama, section 7).
 h and e expand along the Kostka columns (e with conjugated shapes), s
 expands in m along their rows, and m -> s and s -> h, e are unitriangular
-solves.  p -> s reads the border-strip columns: it scales the input by the
-lcm of its denominators, accumulates plain integers and divides once per
-result, so an integral answer comes back in ints.  s -> p takes the same
-dot product with those columns as s -> m takes with the Kostka columns.  So
-every conversion among m, h, e and s stays in the integers; only s -> p
-divides, by z_mu, and it serves the p target alone.  Products of s or m operands
-are taken in h, where they are concatenations; plethysm works in p.
+solves.  p is read through class values, chi_f(mu) = z_mu [p_mu] f, an
+integer for a virtual character: s -> class takes the same dot product with
+the border-strip columns as s -> m takes with the Kostka columns, and
+class -> s sums (n!/z_mu) chi_f(mu) chi^lam(mu) over those columns in plain
+integers and divides once per result by n!, so an integral answer comes
+back in ints.  p -> s is that sum with the input scaled by the lcm of its
+denominators, and s -> p divides each class value by z_mu, which serves the
+p target alone.  Products of s or m operands are taken in h, where they are
+concatenations; plethysm works on class values, where a product is an
+induction with integer weights and p_k[-] rescales the classes.
 """
 from __future__ import annotations
 
@@ -580,6 +583,35 @@ def _by_degree(terms):
     return out
 
 
+def _exact(c, d):
+    """c / d: an int when d divides the int c, else a Fraction."""
+    return c // d if type(c) is int and c % d == 0 else Fraction(c, d)
+
+
+def _column_dots(strips, n, vec):
+    """{mu: sum_i vec[i] column_mu[i]} over the partitions mu of n, for the
+    degree-n Schur vector vec: with _horizontal_strips the coefficient of
+    m_mu, with _border_strips the class value chi_f(mu)."""
+    out = {}
+    for mu in partitions(n):
+        c = sum(vec.get(i, 0) * k for i, k in _column(strips, mu).items())
+        if c:
+            out[mu] = c
+    return out
+
+
+def _schur_of_columns(n, scaled, d):
+    """{lam: sum_j scaled[j] chi^lam(mu_j) / d}, mu_j = partitions(n)[j]:
+    integer sums over the border-strip columns, then one exact division per
+    result, which keeps a Fraction only where it is not integral."""
+    plist = partitions(n)
+    acc = {}
+    for j, c in scaled.items():
+        for i, k in _column(_border_strips, plist[j]).items():
+            acc[i] = acc.get(i, 0) + c * k
+    return {plist[i]: _exact(c, d) for i, c in acc.items() if c}
+
+
 def _to_s(basis, terms):
     """Schur coefficients of the coefficient dict terms in basis."""
     if basis == "s":
@@ -600,16 +632,10 @@ def _to_s(basis, terms):
             continue
         if basis == "p":
             # p_mu is column mu of the character table: scale the vector by
-            # the lcm D of its denominators, sum ints, divide once per result
+            # the lcm d of its denominators and divide once per result
             d = lcm(*(c.denominator for c in vec.values()))
-            acc = {}
-            for j, c in vec.items():
-                c = c.numerator * (d // c.denominator)
-                for i, k in _column(_border_strips, plist[j]).items():
-                    acc[i] = acc.get(i, 0) + c * k
-            for i, c in acc.items():
-                if c:
-                    out[plist[i]] = c // d if c % d == 0 else Fraction(c, d)
+            out.update(_schur_of_columns(n, {j: c.numerator * (d // c.denominator)
+                                             for j, c in vec.items()}, d))
             continue
         # h_mu is column mu of K, e_mu the same with conjugated shapes
         target = _conjugates(n) if basis == "e" else range(len(plist))
@@ -626,14 +652,14 @@ def _from_s(sterms, basis):
     out = {}
     for n, vec in _by_degree(sterms).items():
         plist = partitions(n)
-        if basis in ("m", "p"):
-            # the coefficient of m_mu is sum_i b_i K_{i, mu}, and that of p_mu
-            # is sum_i b_i chi^i(mu) / z_mu
-            strips = _horizontal_strips if basis == "m" else _border_strips
-            for mu in plist:
-                c = sum(vec.get(i, 0) * k for i, k in _column(strips, mu).items())
-                if c:
-                    out[mu] = c if basis == "m" else Fraction(c, mu.z())
+        if basis == "m":
+            # the coefficient of m_mu is sum_i b_i K_{i, mu}
+            out.update(_column_dots(_horizontal_strips, n, vec))
+            continue
+        if basis == "p":
+            # the coefficient of p_mu is the class value at mu over z_mu
+            for mu, c in _column_dots(_border_strips, n, vec).items():
+                out[mu] = _exact(c, mu.z())
             continue
         if basis == "e":
             # omega sends s_lam to s_lam' and e_mu to h_mu
@@ -1003,37 +1029,104 @@ class SymPoly:
 
 
 # ---------------------------------------------------------------------------
-# plethysm with h_m and restriction
+# class functions: the value chi_f(mu) = z_mu [p_mu] f, an integer for a
+# virtual character.  A graded class function maps (t, r) exponents to a
+# dict mu -> value, as SymPoly.terms maps them to a SymF.
 # ---------------------------------------------------------------------------
 
-def _p_scale_sympoly(g, k):
-    """p_k plethysm applied to a SymPoly with p-basis coefficients: partitions
-    scale by k and t, r exponents scale by k (alphabet semantics for t, r)."""
+def class_values(f):
+    """{mu: chi_f(mu)} for a SymF f, read through s except from p."""
+    if f.basis == "p":
+        return {mu: c * mu.z() for mu, c in f.terms.items()}
     out = {}
-    for (a, b), f in g.terms.items():
-        scaled = SymF("p", {Partition(tuple(x * k for x in lam)): c for lam, c in f.terms.items()})
-        out[(a * k, b * k)] = scaled
-    return SymPoly(out)
+    for n, vec in _by_degree(_to_s(f.basis, f.terms)).items():
+        out.update(_column_dots(_border_strips, n, vec))
+    return out
 
+
+def from_class_values(values, basis):
+    """The SymF in basis with class values {mu: chi_f(mu)}.  To s, degree n
+    sums (n!/z_mu) chi_f(mu) chi^lam(mu) over mu, scaled by the lcm d of
+    the values' denominators, and divides once by n! d."""
+    if basis == "p":
+        return SymF("p", {mu: _exact(c, mu.z()) for mu, c in values.items()})
+    out = {}
+    for n, vec in _by_degree(values).items():
+        d = lcm(*(c.denominator for c in vec.values()))
+        top = factorial(n)
+        plist = partitions(n)
+        scaled = {j: c.numerator * (d // c.denominator) * (top // plist[j].z())
+                  for j, c in vec.items()}
+        out.update(_schur_of_columns(n, scaled, top * d))
+    return SymF(basis, _from_s(out, basis))
+
+
+@lru_cache(maxsize=None)
+def _induction(mu, nu):
+    """(mu u nu, z_{mu u nu} / (z_mu z_nu)): p_mu p_nu = p_{mu u nu}, so
+    a product's class value at mu u nu takes this integer weight, a product
+    of binomials in the multiplicities."""
+    lam = mu.concat(nu)
+    return lam, lam.z() // (mu.z() * nu.z())
+
+
+def class_mul(f, g):
+    """The product of two graded class functions: an induction from the
+    Young subgroup, exponents adding."""
+    out = {}
+    for (a1, b1), x in f.items():
+        for (a2, b2), y in g.items():
+            acc = out.setdefault((a1 + a2, b1 + b2), {})
+            for mu, u in x.items():
+                for nu, v in y.items():
+                    lam, w = _induction(mu, nu)
+                    _addto(acc, lam, w * u * v)
+    return {key: acc for key, acc in out.items() if acc}
+
+
+def _adams(g, k):
+    """p_k[g] for a graded class function g: mu goes to k mu and the value
+    gains k^l(mu), since z_{k mu} = k^l(mu) z_mu; t and r go to t^k, r^k."""
+    return {(a * k, b * k): {Partition(x * k for x in mu): v * k ** len(mu)
+                             for mu, v in x.items()}
+            for (a, b), x in g.items()}
+
+
+def class_plethysm_h(m, g):
+    """h_m[g] for a graded class function g, with t and r as monomial
+    weights: (1/m!) sum over nu of (m!/z_nu) prod_i p_{nu_i}[g], one exact
+    division by m! per value."""
+    top = factorial(m)
+    adams = {k: _adams(g, k) for k in range(1, m + 1)}
+    total = {}
+    for nu in partitions(m):
+        prod = {(0, 0): {Partition(): top // nu.z()}}
+        for part in nu:
+            prod = class_mul(prod, adams[part])
+        for key, x in prod.items():
+            acc = total.setdefault(key, {})
+            for mu, v in x.items():
+                _addto(acc, mu, v)
+    return {key: {mu: _exact(v, top) for mu, v in acc.items()}
+            for key, acc in total.items() if acc}
+
+
+# ---------------------------------------------------------------------------
+# plethysm with h_m and restriction
+# ---------------------------------------------------------------------------
 
 def plethysm_h(m, f):
     """h_m[f] for f a SymF or SymPoly; t and r act as monomial weights.
 
-    Computed in the p basis from h_m = sum over nu of p_nu / z_nu and
-    p_k[p_j] = p_{kj}, with t -> t^k and r -> r^k inside p_k.
+    Computed on class values (class_plethysm_h); a SymF comes back in its
+    own basis, a SymPoly in p.
     """
-    wrapped = isinstance(f, SymF)
-    g = SymPoly.wrap(f) if wrapped else f
-    g = g.to_basis("p")
-    total = SymPoly.zero()
-    for nu in partitions(m):
-        prod = SymPoly({(0, 0): SymF("p", {Partition(): Fraction(1, nu.z())})})
-        for part in nu:
-            prod = prod * _p_scale_sympoly(g, part)
-        total = total + prod
-    if wrapped:
-        return total.coefficient(0, 0).to_basis(f.basis)
-    return total
+    if isinstance(f, SymF):
+        values = class_plethysm_h(m, {(0, 0): class_values(f)}).get((0, 0), {})
+        return from_class_values(values, f.basis)
+    g = {key: class_values(x) for key, x in f.terms.items()}
+    return SymPoly({key: from_class_values(x, "p")
+                    for key, x in class_plethysm_h(m, g).items()})
 
 
 def restrict_frobenius(f):

@@ -124,6 +124,14 @@ def test_character_polynomial_formula():
                 assert character_value(n, j, lam) == pred.coefficient("t", j)
 
 
+def test_character_value_refuses_a_class_of_another_size():
+    for mu in [(2,), (2, 2), ()]:
+        with pytest.raises(ValueError, match="partition sizes differ"):
+            character_value(3, 1, mu)
+    assert character_value(3, 1, (2, 1)) == 1
+    assert character_value(3, 5, (3,)) == 0
+
+
 def test_four_statistic_witness():
     a4 = shift_exc_by_qinv(a_poly(4, ("maj", "des", "exc")))
     assert a4.coefficient("t", 1) == parse_poly(A4_T1_COEFF)

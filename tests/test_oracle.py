@@ -2,9 +2,11 @@
 grip on the formulas: a wrong formula must fail exactly the records that
 compare it with its oracle, and no other record."""
 
+import fractions
+
 import pytest
 
-from eulerq import eulerian, partitions, related, sym_h, sym_p, symfunc, verify_related
+from eulerq import SymPoly, cli, eulerian, partitions, related, sym_h, sym_p, symfunc, verify_related
 from eulerq.eulerian import (
     char_table,
     character_value_oracle,
@@ -17,7 +19,6 @@ from eulerq.eulerian import (
     q_symf_type,
     q_symf_type_oracle,
     q_type_poly,
-    q_type_poly_oracle,
     verify_character_formula,
     verify_derangement_identities,
     verify_finite_specialization,
@@ -65,7 +66,8 @@ def test_positivity_refuses_sizes_without_a_known_exception_set():
 @pytest.mark.parametrize("n", range(N_MAX + 1))
 def test_q_type_poly_and_q_symf_type_match_oracle(n):
     for lam in partitions(n):
-        assert q_type_poly(lam) == q_type_poly_oracle(lam), tuple(lam)
+        oracle = SymPoly({(j, 0): q_symf_type_oracle(lam, j) for j in range(n + 1)})
+        assert q_type_poly(lam) == oracle, tuple(lam)
         for j in range(n + 1):
             assert q_symf_type(lam, j) == q_symf_type_oracle(lam, j), (tuple(lam), j)
 
@@ -132,8 +134,8 @@ def test_production_bases():
 
 # The production functions with an lru_cache, held here so the caches can be
 # cleared around a mutation even while a module attribute is patched.
-PRODUCTION_CACHES = (eulerian.q_poly, eulerian.q_symf, eulerian._single_cycle_poly,
-                     eulerian.q_type_poly, eulerian.q_symf_type)
+PRODUCTION_CACHES = (eulerian.q_poly, eulerian.q_symf, eulerian._single_cycle_classes,
+                     eulerian._type_classes, eulerian.q_symf_type)
 
 SUITES = [
     (verify_main_generating_function, (4,)),
@@ -157,11 +159,18 @@ PLETHYSM = "plethysm product over cycle sizes"
 MUTATIONS = {
     "none": (None, None, set()),
     "q_poly": ("q_poly", lambda f: lambda n: f(n).scale(2), {CLOSED}),
-    "single-cycle slice": ("_single_cycle_poly", lambda f: lambda n: f(n).shift(t=1),
+    "single-cycle slice": ("_single_cycle_classes",
+                           lambda f: lambda n: {(a + 1, b): x for (a, b), x in f(n).items()},
                            {CHARACTERS, PLETHYSM}),
-    "q_type_poly": ("q_type_poly", lambda f: lambda lam: f(lam).scale(2),
+    # the type product, the class values q_type_poly converts to p
+    "q_type_poly": ("_type_classes",
+                    lambda f: lambda lam: {key: {mu: 2 * v for mu, v in x.items()}
+                                           for key, x in f(lam).items()},
                     {CHARACTERS, PLETHYSM}),
-    "q_symf_type": ("q_symf_type", lambda f: lambda lam, j: f(lam, j) * 2, {CHARACTERS}),
+    # q_symf_type only converts the type product to p, and no suite reads
+    # it: test_q_type_poly_and_q_symf_type_match_oracle compares it with
+    # q_symf_type_oracle for every lam of size at most N_MAX
+    "q_symf_type": ("q_symf_type", lambda f: lambda lam, j: f(lam, j) * 2, set()),
     "q_symf": ("q_symf", lambda f: lambda n, j, k=None: f(n, j, k) + sym_h([n]), set()),
 }
 
@@ -185,3 +194,24 @@ def test_wrong_formula_fails_only_its_records(case, fresh_production, monkeypatc
                 monkeypatch.setattr(module, target, mutate(original))
     failing = {c.identity for fn, args in SUITES for c in fn(*args).failures()}
     assert failing == expected
+
+
+# ---------------------------------------------------------------------------
+# the suites run in integers: the cycle-type family is carried as integer
+# class values from the formulas to the checks
+# ---------------------------------------------------------------------------
+
+def test_ci_suites_build_no_fraction(monkeypatch):
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("Fraction built")
+
+    caches = [fn for module in (eulerian, related) for fn in vars(module).values()
+              if hasattr(fn, "cache_clear")]
+    for fn in caches:
+        fn.cache_clear()
+    # every Fraction an operation makes starts from a constructed one
+    monkeypatch.setattr(fractions.Fraction, "__new__", refuse)
+    for suite in cli.SUITES:
+        assert suite.run(suite.ci, "ci").ok, suite.name
+    with pytest.raises(AssertionError):
+        symfunc.sym_s([2]).to_basis("p")

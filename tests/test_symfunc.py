@@ -30,7 +30,13 @@ from eulerq import (
 )
 from eulerq.eulerian import q_qsym, q_qsym_type, q_symf_oracle, q_symf_type_oracle
 from eulerq.polyalg import PolyFraction, pochhammer, qlist_from_poly, qlist_pack, qlist_to_poly
-from eulerq.symfunc import _descent_sets_of_rearrangements, _kostka
+from eulerq.symfunc import (
+    _descent_sets_of_rearrangements,
+    _kostka,
+    class_mul,
+    class_values,
+    from_class_values,
+)
 
 BASES = "hespm"
 
@@ -610,3 +616,110 @@ def test_sympoly_equality_matches_comparison_in_m():
                 == {k: f.to_basis("m").terms for k, f in b.terms.items()})
         assert (a == b) is want
         assert (b == a) is want
+
+
+# ---------------------------------------------------------------------------
+# class values: the integer kernel against the Fraction route through p
+# ---------------------------------------------------------------------------
+
+def fraction_p(f):
+    """f in p by the Fraction route: [p_mu] f is the sum over lam of
+    [s_lam] f chi^lam(mu) / z_mu, every cell a Fraction."""
+    out = {}
+    for lam, c in f.to_basis("s").terms.items():
+        for mu in partitions(lam.n):
+            out[mu] = out.get(mu, 0) + Fraction(c * mn_character(lam, mu), mu.z())
+    return SymF("p", out)
+
+
+def fraction_plethysm_h(m, f):
+    """h_m[f] by the Fraction route the class kernel replaced: in p, from
+    h_m = sum over nu of p_nu / z_nu and p_k[p_mu] = p_{k mu}, with t -> t^k
+    and r -> r^k inside p_k.  A SymPoly comes back in p."""
+    wrapped = isinstance(f, SymF)
+    g = SymPoly.wrap(f) if wrapped else f
+    g = SymPoly({key: fraction_p(x) for key, x in g.terms.items()})
+    total = SymPoly.zero()
+    for nu in partitions(m):
+        prod = SymPoly.wrap(sym_p([], Fraction(1, nu.z())))
+        for part in nu:
+            prod = prod * SymPoly({
+                (a * part, b * part): SymF("p", {Partition(x * part for x in mu): c
+                                                 for mu, c in x.terms.items()})
+                for (a, b), x in g.terms.items()})
+        total = total + prod
+    return total.coefficient(0, 0) if wrapped else total
+
+
+SCHUR_COMBINATIONS = [
+    sym_s([1]),
+    sym_s([2]) - sym_s([1, 1]),
+    sym_s([1, 1]) + 3 * sym_s([2]),
+    2 * sym_s([2, 1]) - sym_s([3]),
+    sym_s([2]) + sym_s([1]) + sym_s([]),
+]
+
+
+def test_class_product_matches_the_p_product():
+    for f in SCHUR_COMBINATIONS:
+        for g in SCHUR_COMBINATIONS:
+            got = class_mul({(0, 0): class_values(f), (1, 0): class_values(g)},
+                            {(0, 2): class_values(g)})
+            want = {(0, 2): fraction_p(f) * fraction_p(g),
+                    (1, 2): fraction_p(g) * fraction_p(g)}
+            assert got == {key: {mu: c * mu.z() for mu, c in x.terms.items()}
+                           for key, x in want.items()}
+            assert all(type(v) is int for x in got.values() for v in x.values())
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_plethysm_h_matches_the_fraction_route_on_symf(m):
+    for f in SCHUR_COMBINATIONS:
+        if m * f.degree() > 9:
+            continue
+        got = plethysm_h(m, f)
+        assert got.basis == "s"
+        assert got.terms == fraction_p_to_s(fraction_plethysm_h(m, f)), (m, f)
+        assert all(type(c) is int for c in got.terms.values())
+        assert plethysm_h(m, f.to_basis("h")) == got.to_basis("h")
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_plethysm_h_matches_the_fraction_route_on_sympoly(m):
+    g = SymPoly({(0, 0): sym_s([1]), (1, 0): sym_s([2]) - sym_s([1, 1]),
+                 (2, 1): 2 * sym_s([1])})
+    got = plethysm_h(m, g)
+    want = fraction_plethysm_h(m, g)
+    assert got.terms.keys() == want.terms.keys()
+    for key, f in got.terms.items():
+        assert f.basis == "p"
+        assert f.terms == want.terms[key].terms, key
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_schur_class_round_trip(n):
+    total = SymF("s")
+    for i, lam in enumerate(partitions(n)):
+        values = class_values(sym_s(lam))
+        assert values == {mu: mn_character(lam, mu) for mu in partitions(n)
+                          if mn_character(lam, mu)}
+        assert from_class_values(values, "s").terms == {lam: 1}
+        total = total + sym_s(lam, i - 3)
+    values = class_values(total)
+    assert all(type(v) is int for v in values.values())
+    assert from_class_values(values, "s") == total
+    assert all(type(c) is int for c in from_class_values(values, "s").terms.values())
+    for basis in BASES:
+        assert from_class_values(values, basis).terms == total.to_basis(basis).terms
+
+
+def test_class_to_s_keeps_a_fraction_where_the_answer_is_not_integral():
+    # p_1 / 2, and p_2, whose Schur coefficients are +-1/2 though its class
+    # values are integers
+    got = from_class_values({Partition([1]): Fraction(1, 2)}, "s").terms
+    assert got == {Partition([1]): Fraction(1, 2)}
+    assert type(got[Partition([1])]) is Fraction
+    assert sym_p([1], Fraction(1, 2)).to_basis("s").terms == got
+    got = from_class_values({Partition([2]): 1}, "s").terms
+    assert got == {Partition([2]): Fraction(1, 2), Partition([1, 1]): Fraction(-1, 2)}
+    assert class_values(sym_p([1], Fraction(1, 2))) == {Partition([1]): Fraction(1, 2)}
