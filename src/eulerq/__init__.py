@@ -3,8 +3,8 @@
 The package builds the families Q(n, j), Q(n, j, k), and Q(lam, j) from
 their closed formulas over exact rationals, exposes their expansions in the
 standard symmetric function bases, implements the bijections behind them,
-and ships verification suites that check every identity, and every formula,
-against brute force (the *_oracle functions in `eulerian`).
+and ships verification suites (`suites`) that check every identity, and
+every formula, against brute force (the *_oracle functions in `eulerian`).
 """
 
 from .permstats import (
@@ -89,9 +89,9 @@ from .related import (
     MultisetDerangement,
     d_poly,
     multiset_derangements,
-    verify_related,
     y_poly,
 )
 from .report import Check, VerifyReport
+from .suites import verify_related
 
 __version__ = "1.0.0"

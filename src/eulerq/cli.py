@@ -1,5 +1,5 @@
-"""Command line front end: statistics, Q-function renderings, verification
-suites, character tables, expression expansion, and the table cache.
+"""Command line front end: statistics, Q functions (`eulerian`), verify
+suites (`suites`), character tables, expression expansion, and the table cache.
 
 Exit codes are stable for scripting: 0 success, 1 a verification check
 failed, 2 usage or parse error.  JSON output is key-sorted and compact, and
@@ -19,22 +19,7 @@ import sys
 from collections import namedtuple
 from math import factorial, perm, prod
 
-from .eulerian import (
-    char_table,
-    q_symf,
-    q_symf_type,
-    verify_character_formula,
-    verify_derangement_identities,
-    verify_finite_specialization,
-    verify_four_stat_series,
-    verify_main_generating_function,
-    verify_qexp_generating_function,
-    verify_positivity,
-    verify_recurrences,
-    verify_specializations,
-    verify_structure_identities,
-    verify_symmetry_unimodality,
-)
+from .eulerian import char_table, q_symf, q_symf_type
 from .permstats import (
     CapacityError,
     Partition,
@@ -45,7 +30,20 @@ from .permstats import (
     stat_field,
     statistics,
 )
-from .related import verify_related
+from .suites import (
+    verify_character_formula,
+    verify_derangement_identities,
+    verify_finite_specialization,
+    verify_four_stat_series,
+    verify_main_generating_function,
+    verify_positivity,
+    verify_qexp_generating_function,
+    verify_recurrences,
+    verify_related,
+    verify_specializations,
+    verify_structure_identities,
+    verify_symmetry_unimodality,
+)
 from .symfunc import SymF
 
 
@@ -53,10 +51,10 @@ class UsageError(Exception):
     pass
 
 
-# The largest degree qfun, chartable and expand evaluate: every family of
-# them takes under 10 s of CPU on one core at this degree (BENCH_15.json).
+# The largest degree qfun, chartable and expand evaluate: at it every family
+# takes at most 10 s CPU on one core, and at 24 one does not (BENCH_21.json).
 # The census behind stats --n has its own limit, permstats.DEFAULT_CAP.
-_MAX_DEGREE = 18
+_MAX_DEGREE = 23
 
 
 # The most exponent-vector entries (vectors times N) expand --vars N lists:

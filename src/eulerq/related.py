@@ -12,10 +12,8 @@ Three models are implemented, each with a monomial enumerator in x_1..x_N:
     the start either), weighted by t^des (1+t)^(n-1-2 des); their generating
     function reproduces sum_j Q(n, j) t^j without any omega twist.
 
-verify_related checks the bridges to the Q family and the classical
-generating identities the models satisfy on their own: the inversion-free
-recurrence for derangement enumerators, the no-repeat word series and its
-descent-graded refinement, and both no-double-descent identities.
+The models are enumerated directly and read nothing of the Q family; the
+related suite in `suites` checks them against it.
 """
 
 from functools import lru_cache
@@ -23,9 +21,7 @@ from itertools import combinations_with_replacement, groupby
 from math import comb
 from types import MappingProxyType
 
-from .eulerian import cleared_lhs, q_symf_oracle, times_t_geometric
-from .report import VerifyReport
-from .symfunc import MonExpansion, SymF, SymPoly, sym_e, sym_h
+from .symfunc import MonExpansion, _rearrangements
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +182,12 @@ def _content_profile(content):
 
 
 def multiset_derangements(n, N):
-    """All multiset derangements of order n with entries at most N."""
+    """All multiset derangements of order n with entries at most N, listed
+    apart from the counting kernel _profile_rearrangements."""
     for content in combinations_with_replacement(range(1, N + 1), n):
-        letters = sorted(set(content))
-        for bottom in _profile_rearrangements(_content_profile(content)):
-            yield MultisetDerangement(content, tuple(letters[v] for v in bottom))
+        for bottom in _rearrangements(content):
+            if all(a != b for a, b in zip(content, bottom)):
+                yield MultisetDerangement(content, bottom)
 
 
 def derangements_tdict(n, N):
@@ -298,161 +295,3 @@ def no_double_descent_tdict(n, N, guard_first=False):
 
     rec(0, None, False, 0)
     return {j: MonExpansion(N, terms) for j, terms in out.items()}
-
-
-# ---------------------------------------------------------------------------
-# verification
-# ---------------------------------------------------------------------------
-
-def _lift(tdict, basis):
-    """Lift {t-power: MonExpansion} to a SymPoly with coefficients in basis,
-    or None if a grade fails to be symmetric in its variables."""
-    out = SymPoly.zero()
-    for j, mon in tdict.items():
-        if mon.is_zero():
-            continue
-        if not mon.is_symmetric():
-            return None
-        out = out + SymPoly.wrap(mon.to_symf().to_basis(basis), t=j)
-    return out
-
-
-# Each model is lifted into the basis its identities are stated in (e for the
-# derangement and no-repeat words, h for the no-double-descent words), so
-# their products are concatenations and their comparisons dict comparisons.
-
-def _d_sympoly(n):
-    return _lift(_table(derangements_tdict, n, max(n, 1)), "e")
-
-
-def _y_sympoly(n):
-    return _lift(_table(words_no_repeat_tdict, n, max(n, 1)), "e")
-
-
-def _q_sympoly(n):
-    out = SymPoly.zero()
-    for j in range(max(n, 1)):
-        f = q_symf_oracle(n, j)
-        if not f.is_zero():
-            out = out + SymPoly.wrap(f, t=j)
-    return out
-
-
-DERANGEMENT_COUNTS = [1, 0, 1, 2, 9, 44, 265, 1854]
-
-
-def verify_related(n_words=5, n_gessel=4) -> VerifyReport:
-    """Check the companion models against the Q family and their own
-    generating identities."""
-    rep = VerifyReport("related")
-
-    one2 = MonExpansion(2, {(1, 1): 1})
-    rep.record("smallest multiset derangement", {"n": 2},
-               d_poly(2, 1, 2) == one2 and d_poly(2, 0, 2).is_zero())
-    rep.record("no derangement of order one", {"n": 1},
-               all(d_poly(1, j, 3).is_zero() for j in range(2)))
-    rep.record("empty array contributes one", {"n": 0},
-               d_poly(0, 0, 3) == MonExpansion.one(3))
-    rep.record("single letters carry no descent", {"n": 1},
-               y_poly(1, 0, 2) == MonExpansion(2, {(1, 0): 1, (0, 1): 1}))
-    rep.record("two-letter words split by the descent", {"n": 2},
-               y_poly(2, 0, 2) == one2 and y_poly(2, 1, 2) == one2)
-
-    # the object-level enumeration agrees with the memoized counting kernel
-    for n in range(5):
-        N = max(n, 1)
-        seen = {}
-        for D in multiset_derangements(n, N):
-            key = (D.exc(), D.monomial(N))
-            seen[key] = seen.get(key, 0) + 1
-        built = {}
-        for j in range(n + 1):
-            for e, c in d_poly(n, j, N).terms.items():
-                built[(j, e)] = c
-        rep.record("array enumeration matches counting kernel", {"n": n},
-                   seen == built)
-
-    # bridges: omega images of the fixed-excedance slices
-    for n in range(1, n_words + 1):
-        okd = all(
-            d_poly(n, j, n) == q_symf_oracle(n, j, 0).omega().to_monomial(n)
-            for j in range(n)
-        )
-        rep.record("derangement enumerator is the omega image of the "
-                   "fixed-point-free slice", {"n": n}, okd)
-        oky = all(
-            y_poly(n, j, n) == q_symf_oracle(n, j).omega().to_monomial(n)
-            for j in range(n)
-        )
-        rep.record("no-repeat word enumerator is the omega image of the "
-                   "excedance slice", {"n": n}, oky)
-        rep.record("model enumerators are symmetric", {"n": n},
-                   all(d_poly(n, j, n).is_symmetric()
-                       and y_poly(n, j, n).is_symmetric() for j in range(n)))
-
-    # derangement recurrence cleared from 1 / (1 - sum t [i-1]_t e_i z^i)
-    dpolys = [_d_sympoly(n) for n in range(n_words + 1)]
-    for n in range(1, n_words + 1):
-        rhs = SymPoly.zero()
-        for i in range(2, n + 1):
-            rhs = rhs + times_t_geometric(dpolys[n - i] * sym_e([i]), i)
-        rep.record("derangement enumerator recurrence", {"n": n},
-                   dpolys[n] is not None and dpolys[n] == rhs)
-
-    # no-repeat word series, total and descent-graded
-    ypolys = [_y_sympoly(n) for n in range(n_words + 1)]
-    ytotal = [SymF.zero("e") if yp is None else
-              sum((yp.coefficient(t=j) for j in yp.t_support()), SymF.zero("e"))
-              for yp in ypolys]
-    for n in range(1, n_words + 1):
-        rhs = sym_e([n])
-        for i in range(2, n + 1):
-            rhs = rhs + (i - 1) * (sym_e([i]) * ytotal[n - i])
-        rep.record("no-repeat word series recurrence", {"n": n},
-                   ytotal[n] == rhs)
-        lhs = cleared_lhs(ypolys, n, sym_e)
-        target = SymPoly.wrap(sym_e([n])) - SymPoly.wrap(sym_e([n]), t=1)
-        rep.record("descent-graded no-repeat word identity", {"n": n},
-                   lhs is not None and lhs == target)
-
-    # no-double-descent identities and their bridge to the excedance family
-    gfirst = [_lift(_table(no_double_descent_tdict, n, max(n, 1)), "h")
-              for n in range(n_gessel + 1)]
-    gboth = [_lift(_table(no_double_descent_tdict, n, max(n, 1), True), "h")
-             for n in range(n_gessel + 1)]
-    qpolys = [_q_sympoly(n) for n in range(n_gessel + 1)]
-    rep.record("length-one words reduce to the complete homogeneous slice",
-               {"n": 1}, n_gessel < 1 or gfirst[1] == SymPoly.wrap(sym_h([1])))
-    rep.record("tightened two-letter enumerator", {"n": 2},
-               n_gessel < 2 or gboth[2] == SymPoly.wrap(sym_h([2]), t=1))
-    for n in range(1, n_gessel + 1):
-        lhs = cleared_lhs(gfirst, n, sym_h)
-        target = SymPoly.wrap(sym_h([n])) - SymPoly.wrap(sym_h([n]), t=1)
-        rep.record("weighted no-double-descent identity", {"n": n},
-                   lhs is not None and lhs == target)
-        rep.record("weighted enumerator matches the excedance polynomial",
-                   {"n": n}, gfirst[n] == qpolys[n])
-        rhs = SymPoly.zero()
-        for k in range(n + 1):
-            if gboth[n - k] is not None:
-                rhs = rhs + gboth[n - k] * sym_h([k] if k else [])
-        rep.record("tightened variant rebuilds the excedance polynomial",
-                   {"n": n},
-                   all(g is not None for g in gboth[:n + 1]) and rhs == qpolys[n])
-
-    # distinct top rows are classical derangements
-    for n in range(7):
-        total = sum(_rearrangement_exc_counts((1,) * n).values())
-        rep.record("distinct-entry arrays reduce to derangement counts",
-                   {"n": n}, total == DERANGEMENT_COUNTS[n])
-
-    # numeric weight check at t = 1: each word counts 2^(n-1-2 des)
-    for n in range(1, n_words + 1):
-        lhs = 0
-        for mon in _table(no_double_descent_tdict, n, n).values():
-            lhs += sum(mon.terms.values())
-        qn = sum((q_symf_oracle(n, j) for j in range(n)), SymF.zero("h"))
-        rhs = sum(qn.to_monomial(n).terms.values())
-        rep.record("doubling weight totals match", {"n": n}, lhs == rhs)
-
-    return rep

@@ -46,10 +46,9 @@ from eulerq.bijections import (
     involution_swap_values,
     parse_word,
 )
-from eulerq.eulerian import (
+from eulerq.eulerian import a_poly, char_table
+from eulerq.suites import (
     A4_T1_COEFF,
-    a_poly,
-    char_table,
     shift_exc_by_qinv,
     t_symmetric,
     verify_character_formula,

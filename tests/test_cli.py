@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from eulerq import cli, enumerate_permutations, eulerian, related, statistics
+from eulerq import cli, enumerate_permutations, eulerian, statistics, suites
 from eulerq.cache import CacheEntry, list_entries, load, store
 from eulerq.permstats import DEFAULT_CAP
 from eulerq.report import VerifyReport
@@ -353,7 +353,7 @@ def _record_verify_calls(monkeypatch):
     """Replace every verify_* function the suite thunks can reach by one that
     only records its name and arguments."""
     calls = []
-    for module in (cli, eulerian, related):
+    for module in (cli, suites):
         for name in dir(module):
             if name.startswith("verify_") and callable(getattr(module, name)):
                 monkeypatch.setattr(module, name,
@@ -425,9 +425,11 @@ def test_suite_table_matches_the_benchmark_suites():
 
 
 def test_traced_names_exist():
-    """perfbench/traced_cli.py imports each module in LAYERS and reads
-    vars(cls)[meth] for each class method in METHODS; a name the package
-    drops would only show when the benchmark runs traced."""
+    """perfbench/traced_cli.py imports each module in LAYERS, reads
+    vars(cls)[meth] for each class method in METHODS, and counts the calls
+    of each function in Q_FUNCTIONS as eulerian.<name>; a name the package
+    drops or moves out of eulerian would only show when the benchmark runs
+    traced."""
     spec = importlib.util.spec_from_file_location("traced_cli", ROOT / "perfbench" / "traced_cli.py")
     traced = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(traced)
@@ -438,6 +440,10 @@ def test_traced_names_exist():
             cls = getattr(modules[layer], cls_name, None)
             missing += [f"{layer}.{cls_name}.{meth}" for meth in methods
                         if cls is None or meth not in vars(cls)]
+    formulas = modules["eulerian"]
+    missing += [f"eulerian.{name}" for name in traced.Q_FUNCTIONS
+                if not callable(getattr(formulas, name, None))
+                or getattr(formulas, name).__module__ != formulas.__name__]
     assert missing == []
 
 

@@ -17,7 +17,6 @@ from eulerq import (
     sym_h,
 )
 from eulerq.eulerian import (
-    A4_T1_COEFF,
     a_poly,
     a_poly_derangements,
     a_poly_fix,
@@ -27,6 +26,9 @@ from eulerq.eulerian import (
     q_poly_oracle,
     q_qsym,
     q_qsym_type,
+)
+from eulerq.suites import (
+    A4_T1_COEFF,
     shift_exc_by_qinv,
     t_symmetric,
     verify_character_formula,
@@ -41,7 +43,7 @@ from eulerq.eulerian import (
     verify_structure_identities,
     verify_symmetry_unimodality,
 )
-from eulerq import cli
+from eulerq import cli, suites
 from eulerq.polyalg import q_binomial, q_multinomial
 from eulerq.symfunc import SymPoly
 from fixtures_tables import CHAR_TABLES
@@ -264,14 +266,14 @@ def test_series_suite_fails_on_a_wrong_enumerator(monkeypatch):
     """An extra term p in the brute-force A_3(q, p, t, r), or its q p t
     coefficient raised from 1 to 2, reaches the left side at z^3 in every
     row of p-order 1 or more, and in no other place."""
-    real = eulerian.a_poly
+    real = suites.a_poly
     assert real(3, SERIES_STATS).terms[(1, 1, 1, 0)] == 1
     for extra in (Poly.var("p"), Poly.term(1, q=1, p=1, t=1)):
         def wrong(n, which=("maj", "exc", "fix"), extra=extra):
             got = real(n, which)
             return got + extra if (n, tuple(which)) == (3, SERIES_STATS) else got
 
-        monkeypatch.setattr(eulerian, "a_poly", wrong)
+        monkeypatch.setattr(suites, "a_poly", wrong)
         rep = verify_four_stat_series(5)
         status = {c.params["p_order"]: (c.status, c.witness) for c in rep.checks}
         assert status == {0: ("pass", ""),
@@ -285,13 +287,13 @@ def test_series_suite_at_order_zero():
 
 
 def test_series_suite_refuses_a_negative_exponent(monkeypatch):
-    real = eulerian.a_poly
+    real = suites.a_poly
 
     def wrong(n, which=("maj", "exc", "fix")):
         got = real(n, which)
         return got + Poly.term(1, q=-1) if (n, tuple(which)) == (2, SERIES_STATS) else got
 
-    monkeypatch.setattr(eulerian, "a_poly", wrong)
+    monkeypatch.setattr(suites, "a_poly", wrong)
     with pytest.raises(ValueError, match="negative exponent"):
         verify_four_stat_series(3)
 
@@ -316,7 +318,7 @@ def _poly_series_sides(z_max, m):
 
     left = []
     for n in range(z_max + 1):
-        by_p = eulerian.a_poly(n, SERIES_STATS).coefficients_in("p")
+        by_p = suites.a_poly(n, SERIES_STATS).coefficients_in("p")
         acc = Poly.zero()
         for b, coeff in by_p.items():
             if b <= m:
@@ -331,7 +333,7 @@ def _poly_series_sides(z_max, m):
 def test_series_width_covers_every_coefficient(z_max):
     """Every coefficient of L den and of num, and so of L den - num, is below
     2^(w-1) in absolute value at the suite's packing width w."""
-    w = eulerian._series_width(eulerian._series_groups(z_max))
+    w = suites._series_width(suites._series_groups(z_max))
     for m in range(z_max + 1):
         for side in _poly_series_sides(z_max, m):
             for c in side:
@@ -342,14 +344,14 @@ def test_series_width_keeps_coefficients_strictly_below_its_half(monkeypatch):
     """A_0 = 1 - 2^40 makes L den - num = -2^40 (1 - qt) at z_max = 0, whose
     coefficients meet the L1 bound 2^40 exactly: w = 42 keeps them below
     2^(w-1), where w = 41, without the extra bit, would not."""
-    real = eulerian.a_poly
+    real = suites.a_poly
 
     def wrong(n, which=("maj", "exc", "fix")):
         got = real(n, which)
         return got - 2 ** 40 if (n, tuple(which)) == (0, SERIES_STATS) else got
 
-    monkeypatch.setattr(eulerian, "a_poly", wrong)
-    w = eulerian._series_width(eulerian._series_groups(0))
+    monkeypatch.setattr(suites, "a_poly", wrong)
+    w = suites._series_width(suites._series_groups(0))
     lden, num = _poly_series_sides(0, 0)
     assert lden[0] - num[0] == Poly.term(-(2 ** 40)) + Poly.term(2 ** 40, q=1, t=1)
     assert w == 42
@@ -363,7 +365,7 @@ def test_series_records_match_poly_products(n, exps, coeff):
     """With one term of some A_n changed, the packed suite reports the first
     mismatch of the Poly products in every row, and the width still covers
     the (now nonzero) difference."""
-    real = eulerian.a_poly
+    real = suites.a_poly
     extra = Poly({exps: coeff})
 
     def wrong(k, which=("maj", "exc", "fix")):
@@ -372,9 +374,9 @@ def test_series_records_match_poly_products(n, exps, coeff):
 
     z_max = 3
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eulerian, "a_poly", wrong)
+        mp.setattr(suites, "a_poly", wrong)
         rep = verify_four_stat_series(z_max)
-        w = eulerian._series_width(eulerian._series_groups(z_max))
+        w = suites._series_width(suites._series_groups(z_max))
         expected = []
         for m in range(z_max + 1):
             diff = [a - b for a, b in zip(*_poly_series_sides(z_max, m))]

@@ -2,13 +2,30 @@
 grip on the formulas: a wrong formula must fail exactly the records that
 compare it with its oracle, and no other record."""
 
+import ast
 import fractions
+from pathlib import Path
 
 import pytest
 
-from eulerq import SymPoly, cli, eulerian, partitions, related, sym_h, sym_p, symfunc, verify_related
+from eulerq import (
+    SymPoly,
+    cli,
+    eulerian,
+    partitions,
+    permstats,
+    polyalg,
+    related,
+    suites,
+    sym_h,
+    sym_p,
+    symfunc,
+    verify_related,
+)
 from eulerq.eulerian import (
+    _a_poly_closed,
     char_table,
+    character_value,
     character_value_oracle,
     q_poly,
     q_poly_oracle,
@@ -19,6 +36,8 @@ from eulerq.eulerian import (
     q_symf_type,
     q_symf_type_oracle,
     q_type_poly,
+)
+from eulerq.suites import (
     verify_character_formula,
     verify_derangement_identities,
     verify_finite_specialization,
@@ -54,8 +73,8 @@ def test_q_symf_matches_oracle_past_the_old_cli_cap(n):
 def test_cycle_type_log_concavity_exceptions_from_the_formulas(n):
     """The closed formulas give the exception set the positivity suite
     asserts, one size past the suite's extended tier included."""
-    assert (eulerian._cycle_type_lc_failures(n, q_symf_type)
-            == eulerian._CYCLE_TYPE_LC_EXCEPTIONS[n])
+    assert (suites._cycle_type_lc_failures(n, q_symf_type)
+            == suites._CYCLE_TYPE_LC_EXCEPTIONS[n])
 
 
 def test_positivity_refuses_sizes_without_a_known_exception_set():
@@ -189,7 +208,7 @@ def test_wrong_formula_fails_only_its_records(case, fresh_production, monkeypatc
     target, mutate, expected = MUTATIONS[case]
     if target is not None:
         original = getattr(eulerian, target)
-        for module in (eulerian, related):
+        for module in (eulerian, suites):
             if getattr(module, target, None) is original:
                 monkeypatch.setattr(module, target, mutate(original))
     failing = {c.identity for fn, args in SUITES for c in fn(*args).failures()}
@@ -205,7 +224,7 @@ def test_ci_suites_build_no_fraction(monkeypatch):
     def refuse(cls, *args, **kwargs):
         raise AssertionError("Fraction built")
 
-    caches = [fn for module in (eulerian, related) for fn in vars(module).values()
+    caches = [fn for module in (eulerian, related, suites) for fn in vars(module).values()
               if hasattr(fn, "cache_clear")]
     for fn in caches:
         fn.cache_clear()
@@ -215,3 +234,91 @@ def test_ci_suites_build_no_fraction(monkeypatch):
         assert suite.run(suite.ci, "ci").ok, suite.name
     with pytest.raises(AssertionError):
         symfunc.sym_s([2]).to_basis("p")
+
+
+# ---------------------------------------------------------------------------
+# the layout: formulas and census oracles in eulerian, models in related,
+# suites apart from both, and no formula reading the census
+# ---------------------------------------------------------------------------
+
+SRC = Path(eulerian.__file__).parent
+
+
+def _tree(module):
+    return ast.parse((SRC / f"{module}.py").read_text())
+
+
+def _imports(module):
+    """{package module: names} of an eulerq module's relative imports, at
+    any depth ("from . import cache" lists cache with no names)."""
+    out = {}
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                for alias in node.names:
+                    out.setdefault(alias.name, set())
+            else:
+                out.setdefault(node.module, set()).update(a.name for a in node.names)
+    return out
+
+
+def test_only_the_front_ends_import_the_suites():
+    importers = {path.stem for path in SRC.glob("*.py") if "suites" in _imports(path.stem)}
+    assert importers == {"cli", "__init__"}
+
+
+def test_the_models_import_nothing_from_the_formulas():
+    assert "eulerian" not in _imports("related")
+
+
+# The one private function of eulerian that only a suite reads is the closed
+# formula for A_n, which the recurrences suite compares with the census.
+@pytest.mark.parametrize("module, suite_read", [("eulerian", {"_a_poly_closed"}),
+                                                ("related", set())], ids=["eulerian", "related"])
+def test_formulas_and_models_hold_no_suite_code(module, suite_read):
+    """No verify_* function, and no private helper that only suites read:
+    each has a reader outside suites, by name or by import."""
+    defined = {node.name for node in _tree(module).body if isinstance(node, ast.FunctionDef)}
+    assert {name for name in defined if name.startswith("verify_")} == set()
+    read = set()
+    for path in SRC.glob("*.py"):
+        if path.stem != "suites":
+            for node in ast.walk(_tree(path.stem)):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.ImportFrom):
+                    read.update(alias.name for alias in node.names)
+    assert {name for name in defined if name.startswith("_")} - read == suite_read
+
+
+def test_formulas_read_no_census_and_no_model(monkeypatch):
+    """With every cache cleared, and the census, the class census and every
+    function and class of related made to raise, the formulas the command
+    line reaches still return for every n <= 8."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("census or model read")
+
+    for module in (permstats, polyalg, symfunc, eulerian, related):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    for module in (permstats, eulerian):
+        monkeypatch.setattr(module, "census", refuse)
+        monkeypatch.setattr(module, "class_census", refuse)
+    for name, value in list(vars(related).items()):
+        if callable(value) and getattr(value, "__module__", None) == related.__name__:
+            monkeypatch.setattr(related, name, refuse)
+    for n in range(9):
+        q_poly(n)
+        _a_poly_closed(n)
+        for j in range(n + 1):
+            for k in [None] + list(range(n + 1)):
+                q_symf(n, j, k)
+        for lam in partitions(n):
+            q_type_poly(lam)
+            for j in range(n + 1):
+                q_symf_type(lam, j)
+                if n:
+                    character_value(n, j, lam)
+        if n:
+            char_table(n)

@@ -14,13 +14,9 @@ from eulerq import (
     verify_related,
     y_poly,
 )
-from eulerq import cli, related
-from eulerq.related import (
-    DERANGEMENT_COUNTS,
-    WORD_CONSTRAINTS,
-    derangements_tdict,
-    words_no_repeat_tdict,
-)
+from eulerq import cli, related, suites
+from eulerq.related import WORD_CONSTRAINTS, derangements_tdict, words_no_repeat_tdict
+from eulerq.suites import DERANGEMENT_COUNTS
 
 
 def test_multiset_derangement_basics():
@@ -125,8 +121,10 @@ BUILDERS = ("words_no_repeat_tdict", "derangements_tdict", "no_double_descent_td
 @pytest.fixture
 def cold_tables():
     related._table.cache_clear()
+    related._rearrangement_exc_counts.cache_clear()
     yield
     related._table.cache_clear()
+    related._rearrangement_exc_counts.cache_clear()
 
 
 def test_each_model_table_is_built_once(cold_tables, monkeypatch):
@@ -141,12 +139,28 @@ def test_each_model_table_is_built_once(cold_tables, monkeypatch):
             counter[args] += 1
             return original(*args)
 
-        monkeypatch.setattr(related, builder, counted)
+        for module in (related, suites):
+            monkeypatch.setattr(module, builder, counted)
     assert verify_related(5, 4).ok
     for builder, counter in calls.items():
         assert counter and max(counter.values()) == 1, (builder, counter)
     assert {(n, n) for n in range(1, 6)} <= set(calls["words_no_repeat_tdict"])
     assert {(n, n) for n in range(1, 6)} <= set(calls["derangements_tdict"])
+
+
+def test_array_enumeration_is_checked_apart_from_the_counting_kernel(cold_tables, monkeypatch):
+    """A counting kernel that drops every bottom row starting with the
+    largest letter fails the record that compares it with the listed
+    arrays, at each order where such a row exists."""
+    original = related._profile_rearrangements
+
+    def dropping(profile):
+        return (b for b in original(profile) if not b or b[0] != len(profile) - 1)
+
+    monkeypatch.setattr(related, "_profile_rearrangements", dropping)
+    failing = {c.params["n"] for c in verify_related(4, 3).failures()
+               if c.identity == "array enumeration matches counting kernel"}
+    assert failing == {2, 3, 4}
 
 
 def test_model_tables_are_read_only(cold_tables):

@@ -4,8 +4,8 @@ PolyFraction, and a wrong oracle fails exactly the records that read it."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerq import Partition, Poly, QSymF, eulerian, polyalg
-from eulerq.eulerian import (
+from eulerq import Partition, Poly, QSymF, eulerian, polyalg, suites
+from eulerq.suites import (
     _first_p_mismatch,
     _p_width,
     finite_specialization_check,
@@ -51,13 +51,13 @@ def test_unmutated_suites_pass():
 def test_extra_class_term_fails_its_records(monkeypatch):
     # a_(3) gains q p t: the finite identity breaks at p^1 for j = 1, and the
     # stable one (which reads [t^1] of the maj/exc enumerator) at n = 3
-    original = eulerian.a_poly_type
+    original = suites.a_poly_type
 
     def mutated(lam, stats=("maj", "des", "exc")):
         out = original(lam, stats)
         return out + Poly.term(1, q=1, p=1, t=1) if tuple(lam) == (3,) else out
 
-    monkeypatch.setattr(eulerian, "a_poly_type", mutated)
+    monkeypatch.setattr(suites, "a_poly_type", mutated)
     assert _run() == {
         ("finite-spec", "finite specialization of class enumerator",
          (("j", 1), ("k", 0), ("lam", (3,))), "p-degree 1"),
@@ -67,13 +67,13 @@ def test_extra_class_term_fails_its_records(monkeypatch):
 
 def test_extra_fundamental_fails_its_records(monkeypatch):
     # Q(4, 1, 1) gains F_{empty, 4}
-    original = eulerian.q_qsym
+    original = suites.q_qsym
 
     def mutated(n, j, k=None):
         out = original(n, j, k)
         return out + QSymF.fundamental((), 4) if (n, j, k) == (4, 1, 1) else out
 
-    monkeypatch.setattr(eulerian, "q_qsym", mutated)
+    monkeypatch.setattr(suites, "q_qsym", mutated)
     assert _run() == {
         ("finite-spec", "finite specialization, exc/fix form",
          (("j", 1), ("k", 1), ("n", 4)), ""),
@@ -164,25 +164,25 @@ def test_packed_width_keeps_coefficients_strictly_below_its_half():
 
 
 def test_p_rows_are_strict():
-    assert eulerian._p_rows(Poly.term(2, q=1, p=3) + 1) == {0: [1], 3: [0, 2]}
+    assert suites._p_rows(Poly.term(2, q=1, p=3) + 1) == {0: [1], 3: [0, 2]}
     # a p term where only q may stand, or a term in t, raises
     with pytest.raises(ValueError):
         polyalg.qlist_from_poly(Poly.term(1, q=1, p=1))
     with pytest.raises(ValueError):
-        eulerian._p_rows(Poly.term(1, q=1, p=1, t=1))
+        suites._p_rows(Poly.term(1, q=1, p=1, t=1))
 
 
 @pytest.mark.parametrize("extra", [Poly.term(1, r=1), Poly.term(1, q=-1), Poly.term(1, p=-1)])
 def test_finite_check_refuses_what_no_q_list_holds(monkeypatch, extra):
     # a term in r, or a negative power of q or p, in the t^1 slice of a_(2,1)
     # raises instead of being dropped from the comparison
-    original = eulerian.a_poly_type
+    original = suites.a_poly_type
 
     def mutated(lam, stats=("maj", "des", "exc")):
         out = original(lam, stats)
         return out + extra * Poly.var("t") if tuple(lam) == (2, 1) else out
 
-    monkeypatch.setattr(eulerian, "a_poly_type", mutated)
+    monkeypatch.setattr(suites, "a_poly_type", mutated)
     with pytest.raises(ValueError):
         finite_specialization_check((2,), 1)
 
@@ -215,19 +215,19 @@ def _shifted_qlists(pieces, j, depth):
 def test_scaled_piece_gives_the_list_reference_record(monkeypatch, scaled):
     # one class's Q slices times -2^40: every record of the (2, 1^k) checks
     # equals the first mismatch of the q-list series, and some records fail
-    original = eulerian.q_qsym_type
+    original = suites.q_qsym_type
 
     def mutated(lam, j):
         out = original(lam, j)
         return -2**40 * out if tuple(lam) == scaled else out
 
-    monkeypatch.setattr(eulerian, "q_qsym_type", mutated)
+    monkeypatch.setattr(suites, "q_qsym_type", mutated)
     rep = finite_specialization_check((2,), 2)
     assert not rep.ok
     for check in rep.checks:
         k, j = check.params["k"], check.params["j"]
         full = Partition((2,) + (1,) * k)
-        lhs = eulerian._p_rows(eulerian.a_coeff(full, j))
+        lhs = suites._p_rows(suites.a_coeff(full, j))
         pieces = [mutated(Partition((2,) + (1,) * (k - i)), j) for i in range(k + 1)]
         bad = _reference_mismatch(full.n, _shifted_qlists(pieces, j, full.n + 2), lhs)
         assert check.status == ("pass" if bad is None else "fail")
@@ -237,7 +237,7 @@ def test_scaled_piece_gives_the_list_reference_record(monkeypatch, scaled):
 def test_scaled_piece_alone_matches_the_list_reference():
     # the piece alone, scaled by -2^40, against the unscaled left side
     qs = -2**40 * eulerian.q_qsym(4, 1, 1)
-    lhs = eulerian._p_rows(eulerian.a_poly_fix(4, 1).coefficient("t", 1))
+    lhs = suites._p_rows(eulerian.a_poly_fix(4, 1).coefficient("t", 1))
     series = _shifted_qlists([qs], 0, 6)
-    assert eulerian._specialization_mismatch(4, [qs], 0, lhs) == _reference_mismatch(4, series, lhs)
+    assert suites._specialization_mismatch(4, [qs], 0, lhs) == _reference_mismatch(4, series, lhs)
     assert _reference_mismatch(4, series, lhs) is not None
