@@ -6,45 +6,23 @@ failed, 2 usage or parse error.  JSON output is key-sorted and compact, and
 verify runs its suites one after another in suite table order, so identical
 inputs produce byte-identical bytes.
 
-Only the commands that read or write the table cache (qfun, chartable and
-cache) import its module, so the others do not pay for loading it.
+At module level this imports only the standard library, and `import eulerq`
+loads no package module, so a launch loads what its command reads: stats
+the census (`permstats`); qfun and chartable the formulas (`eulerian`);
+expand the bases (`symfunc`), and `eulerian` only for a Q[..] atom; verify
+the suites, and every layer under them; and the table cache's module only
+qfun, text chartable and cache.  `json` loads only where JSON is written or
+the cache is read.  `main` builds the argument parser of the one command
+it is given, and every command's parser for help and usage errors.
 """
 
 import argparse
 import itertools
-import json
 import os
 import re
 import sys
 from collections import namedtuple
 from math import factorial, perm, prod
-
-from .eulerian import char_table, q_symf, q_symf_type
-from .permstats import (
-    CapacityError,
-    Partition,
-    Permutation,
-    _row,
-    census,
-    row_stat,
-    stat_field,
-    statistics,
-)
-from .suites import (
-    verify_character_formula,
-    verify_derangement_identities,
-    verify_finite_specialization,
-    verify_four_stat_series,
-    verify_main_generating_function,
-    verify_positivity,
-    verify_qexp_generating_function,
-    verify_recurrences,
-    verify_related,
-    verify_specializations,
-    verify_structure_identities,
-    verify_symmetry_unimodality,
-)
-from .symfunc import SymF
 
 
 class UsageError(Exception):
@@ -70,6 +48,12 @@ _MAX_VAR_ENTRIES = 2_000_000
 _MAX_TABLE_ROWS = 50_000
 
 
+def _print_json(payload):
+    """payload as one line of key-sorted, compact JSON."""
+    import json
+    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+
+
 def _check_degree(degree):
     if degree > _MAX_DEGREE:
         raise UsageError(f"degree {degree} exceeds the limit {_MAX_DEGREE}")
@@ -92,25 +76,32 @@ def _check_vars(mm, N):
 
 Suite = namedtuple("Suite", "name ci extended run")
 
+
+def _suites():
+    """The suites module, imported by the first suite that runs."""
+    from . import suites
+    return suites
+
+
 # One row per verify suite, in the order `verify all` runs them: the bound n
 # of each mode, and run(n, mode), the suite's verify_* call at bound n.  Each
-# run looks its verify_* function up when it is called and stores no
-# reference, so a tracer that rebinds this module's globals sees every call.
+# run looks its verify_* function up on `suites` when it runs and stores no
+# reference, so a tracer or a test that rebinds it there sees every call.
 SUITES = (
-    Suite("genfun", 6, 6, lambda n, mode: verify_main_generating_function(n)),
-    Suite("recurrences", 6, 7, lambda n, mode: verify_recurrences(n)),
-    Suite("qexp", 6, 6, lambda n, mode: verify_qexp_generating_function(n)),
-    Suite("series", 4, 8, lambda n, mode: verify_four_stat_series(n)),
-    Suite("finite-spec", 5, 7, lambda n, mode: verify_finite_specialization(n)),
-    Suite("derangements", 6, 6, lambda n, mode: verify_derangement_identities(n)),
-    Suite("symmetry", 6, 7, lambda n, mode: verify_symmetry_unimodality(n)),
-    Suite("positivity", 6, 8, lambda n, mode: verify_positivity(n)),
-    Suite("characters", 6, 8, lambda n, mode: verify_character_formula(n)),
+    Suite("genfun", 6, 6, lambda n, mode: _suites().verify_main_generating_function(n)),
+    Suite("recurrences", 6, 7, lambda n, mode: _suites().verify_recurrences(n)),
+    Suite("qexp", 6, 6, lambda n, mode: _suites().verify_qexp_generating_function(n)),
+    Suite("series", 4, 8, lambda n, mode: _suites().verify_four_stat_series(n)),
+    Suite("finite-spec", 5, 7, lambda n, mode: _suites().verify_finite_specialization(n)),
+    Suite("derangements", 6, 6, lambda n, mode: _suites().verify_derangement_identities(n)),
+    Suite("symmetry", 6, 7, lambda n, mode: _suites().verify_symmetry_unimodality(n)),
+    Suite("positivity", 6, 8, lambda n, mode: _suites().verify_positivity(n)),
+    Suite("characters", 6, 8, lambda n, mode: _suites().verify_character_formula(n)),
     Suite("structure", 6, 7,
-          lambda n, mode: verify_structure_identities(n, min(n, 6), n)),
-    Suite("specializations", 6, 8, lambda n, mode: verify_specializations(n)),
+          lambda n, mode: _suites().verify_structure_identities(n, min(n, 6), n)),
+    Suite("specializations", 6, 8, lambda n, mode: _suites().verify_specializations(n)),
     Suite("related", 5, 6,
-          lambda n, mode: verify_related(n, min(n, 4 if mode == "ci" else 6))),
+          lambda n, mode: _suites().verify_related(n, min(n, 4 if mode == "ci" else 6))),
 )
 
 
@@ -138,6 +129,7 @@ def cmd_verify(args):
     reports = [report_fn() for _, report_fn in entries]
     passed = all(r.ok for r in reports)
     if args.output == "json":
+        import json
         # The bytes of json.dumps(envelope, sort_keys=True) with the reports
         # under "suites", written one report at a time: "suites" sorts after
         # every other envelope key, so the envelope is its head, then the
@@ -167,6 +159,7 @@ _STAT_NAMES = ("des", "exc", "maj", "comaj", "inv", "fix")
 
 
 def _parse_word(text):
+    from .permstats import Permutation
     text = text.strip()
     try:
         if "," in text:
@@ -196,6 +189,7 @@ def _stat_totals(n):
 
 
 def cmd_stats(args):
+    from .permstats import CapacityError, _row, census, row_stat, stat_field, statistics
     if (args.perm is None) == (args.n is None):
         raise UsageError("give exactly one of a permutation word or --n")
     if args.perm is not None:
@@ -211,7 +205,7 @@ def cmd_stats(args):
             "comaj": st.comaj, "inv": st.inv, "fix": st.fix,
         }
         if args.output == "json":
-            print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+            _print_json(payload)
         else:
             joiner = "" if len(st.word) < 10 and all(x < 10 for x in st.word) else ","
             print("word: " + joiner.join(map(str, st.word)))
@@ -263,7 +257,7 @@ def cmd_stats(args):
             "sums": {s: sums[s] for s in names},
             "cross_check": checked,
         }
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        _print_json(payload)
     else:
         if n == 0:
             print("S_0 holds one permutation, the empty word; every statistic is 0")
@@ -285,6 +279,7 @@ def cmd_stats(args):
 # ---------------------------------------------------------------------------
 
 def _parse_partition(text):
+    from .permstats import Partition
     try:
         return Partition(int(x) for x in text.split(",") if x.strip())
     except ValueError as e:
@@ -292,6 +287,7 @@ def _parse_partition(text):
 
 
 def cmd_qfun(args):
+    from .eulerian import q_symf, q_symf_type
     if args.j is None or args.j < 0:
         raise UsageError("--j is required and must be nonnegative")
     if (args.lam is None) == (args.n is None):
@@ -317,13 +313,14 @@ def cmd_qfun(args):
     if args.output == "json":
         out = {"command": "qfun", "params": params, "basis": args.basis,
                "value": payload}
-        print(json.dumps(out, sort_keys=True, separators=(",", ":")))
+        _print_json(out)
     else:
         print(payload)
     return 0
 
 
 def _chartable_text(n):
+    from .eulerian import char_table
     js, rows = char_table(n)
     head = ["lambda"] + [f"({n},{j})" for j in js]
     body = [[",".join(map(str, mu))] + [str(v) for v in vals] for mu, vals in rows]
@@ -338,11 +335,12 @@ def cmd_chartable(args):
         raise UsageError("n must be positive")
     _check_degree(args.n)
     if args.output == "json":
+        from .eulerian import char_table
         js, rows = char_table(args.n)
         out = {"command": "chartable", "n": args.n,
                "columns": [[args.n, j] for j in js],
                "rows": [{"lam": list(mu), "values": vals} for mu, vals in rows]}
-        print(json.dumps(out, sort_keys=True, separators=(",", ":")))
+        _print_json(out)
         return 0
     from . import cache as cachestore
     directory = args.cache_dir or cachestore.default_cache_dir()
@@ -412,6 +410,7 @@ class _ExprParser:
         return value
 
     def factor(self):
+        from .symfunc import SymF
         tok = self.peek()
         if tok == "-":
             self.take()
@@ -429,6 +428,7 @@ class _ExprParser:
         return self.atom()
 
     def atom(self):
+        from .symfunc import SymF
         name = self.take()
         if name == "omega":
             self.take("(")
@@ -443,6 +443,7 @@ class _ExprParser:
         raise UsageError(f"unknown name {name!r}")
 
     def q_atom(self):
+        from .eulerian import q_symf, q_symf_type
         self.take("[")
         if self.peek() == "(":
             self.take()
@@ -473,6 +474,7 @@ class _ExprParser:
         return out
 
     def partition(self, closer):
+        from .permstats import Partition
         parts = self.int_list(closer)
         if not all(parts):
             raise UsageError(f"partition parts must be positive: {tuple(parts)}")
@@ -496,7 +498,7 @@ def cmd_expand(args):
     if args.output == "json":
         out = {"command": "expand", "expr": args.expr, "basis": args.basis,
                "vars": args.vars or None, "value": rendered}
-        print(json.dumps(out, sort_keys=True, separators=(",", ":")))
+        _print_json(out)
     else:
         print(rendered)
     return 0
@@ -510,6 +512,7 @@ def cmd_cache(args):
     from . import cache as cachestore
     directory = args.cache_dir or cachestore.default_cache_dir()
     if args.action == "list":
+        import json
         for kind, params, basis, cap, ok in cachestore.list_entries(directory):
             state = "ok" if ok else "corrupt"
             print(f"{kind} params={json.dumps(params)} basis={basis} cap={cap} [{state}]")
@@ -518,6 +521,7 @@ def cmd_cache(args):
         print(f"removed {cachestore.clear(directory)} entries")
         return 0
     # warm
+    from .eulerian import q_symf
     cap = 6 if args.mode == "ci" else 8
     count = 0
     for n in range(1, cap + 1):
@@ -537,66 +541,98 @@ def cmd_cache(args):
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _parser():
-    top = argparse.ArgumentParser(
-        prog="eulerq",
-        description="Exact fixed-excedance quasisymmetric functions: "
-                    "statistics, expansions, and machine verification.")
-    sub = top.add_subparsers(dest="cmd", required=True)
+def _common(p):
+    p.add_argument("--output", choices=("text", "json"), default="text")
+    p.add_argument("--cache-dir", default="", help="cache directory "
+                   "(default: $EULERQ_CACHE_DIR or ~/.cache/eulerq)")
+    return p
 
-    def common(p):
-        p.add_argument("--output", choices=("text", "json"), default="text")
-        p.add_argument("--cache-dir", default="", help="cache directory "
-                       "(default: $EULERQ_CACHE_DIR or ~/.cache/eulerq)")
 
+def _add_stats(sub):
     p = sub.add_parser("stats", help="permutation statistics")
     p.add_argument("perm", nargs="?", help="one line word, e.g. 32541")
     p.add_argument("--n", type=int, help="tabulate all of S_n")
     p.add_argument("--table", help="comma list of statistics to tabulate")
-    common(p)
-    p.set_defaults(fn=cmd_stats)
+    _common(p).set_defaults(fn=cmd_stats)
 
+
+def _add_qfun(sub):
     p = sub.add_parser("qfun", help="render one Q function")
     p.add_argument("--n", type=int)
     p.add_argument("--j", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--lambda", dest="lam", help="cycle type, e.g. 4,2,1")
     p.add_argument("--basis", choices=("h", "e", "s", "p", "m"), default="h")
-    common(p)
-    p.set_defaults(fn=cmd_qfun)
+    _common(p).set_defaults(fn=cmd_qfun)
 
+
+def _add_verify(sub):
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suite", help="suite name or 'all'")
     p.add_argument("--n-max", type=int, default=0)
     p.add_argument("--mode", choices=("ci", "extended"), default="ci")
-    common(p)
-    p.set_defaults(fn=cmd_verify)
+    _common(p).set_defaults(fn=cmd_verify)
 
+
+def _add_chartable(sub):
     p = sub.add_parser("chartable", help="character table of single-cycle slices")
     p.add_argument("n", type=int)
-    common(p)
-    p.set_defaults(fn=cmd_chartable)
+    _common(p).set_defaults(fn=cmd_chartable)
 
+
+def _add_expand(sub):
     p = sub.add_parser("expand", help="evaluate an expression over Q and bases")
     p.add_argument("expr")
     p.add_argument("basis", nargs="?", default="m",
                    choices=("h", "e", "s", "p", "m"))
     p.add_argument("--vars", type=int, default=0,
                    help="restrict to x_1..x_N before rendering")
-    common(p)
-    p.set_defaults(fn=cmd_expand)
+    _common(p).set_defaults(fn=cmd_expand)
 
+
+def _add_cache(sub):
     p = sub.add_parser("cache", help="manage the table cache")
     p.add_argument("action", choices=("warm", "clear", "list"))
     p.add_argument("--mode", choices=("ci", "extended"), default="ci")
-    common(p)
-    p.set_defaults(fn=cmd_cache)
+    _common(p).set_defaults(fn=cmd_cache)
 
+
+# Each command and the function that adds its parser, in the order help lists them.
+COMMANDS = {
+    "stats": _add_stats,
+    "qfun": _add_qfun,
+    "verify": _add_verify,
+    "chartable": _add_chartable,
+    "expand": _add_expand,
+    "cache": _add_cache,
+}
+
+
+def _parser(only=None):
+    """The argument parser with every command's parser, or with only the
+    one named.  With one, the command metavar lists every command, so its
+    usage line reads as the full parser's; the full parser sets none, as
+    a metavar would also stand for "cmd" in its error messages."""
+    top = argparse.ArgumentParser(
+        prog="eulerq",
+        description="Exact fixed-excedance quasisymmetric functions: "
+                    "statistics, expansions, and machine verification.")
+    if only is None:
+        sub = top.add_subparsers(dest="cmd", required=True)
+        for add in COMMANDS.values():
+            add(sub)
+    else:
+        sub = top.add_subparsers(dest="cmd", required=True,
+                                 metavar="{" + ",".join(COMMANDS) + "}")
+        COMMANDS[only](sub)
     return top
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # help, a missing command and an unknown one need every command's parser
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    args = _parser(only).parse_args(argv)
     try:
         return args.fn(args)
     except UsageError as e:

@@ -525,24 +525,92 @@ def test_cache_dir_env_override(capsys, tmp_path, monkeypatch):
     assert len(list_entries(str(alt))) == 1
 
 
+# Loads eulerq.cli, runs the command in argv and writes the sorted module
+# names loaded after the import and after the command to stderr, so stdout
+# holds the command's output alone.
 STARTUP_PROBE = """
 import sys
 import eulerq.cli
-heavy = ("dataclasses", "inspect", "hashlib", "eulerq.cache")
-print([m for m in heavy if m in sys.modules])
-eulerq.cli.main(["expand", "m[2,1]", "h"])
-print("eulerq.cache" in sys.modules)
+print(sorted(sys.modules), file=sys.stderr)
+eulerq.cli.main(sys.argv[1:])
+print(sorted(sys.modules), file=sys.stderr)
 """
 
+# Each probed command, its stdout (None: not checked here), and what it may
+# not load: every command leaves the suites and the modules only they read
+# unloaded unless it verifies, and the table cache's module unless it reads
+# the store.
+STARTUP_COMMANDS = [
+    (["stats", "--n", "5"], None,
+     {"eulerq.symfunc", "eulerq.eulerian", "eulerq.suites", "eulerq.cache", "fractions"}),
+    (["expand", "m[2,1]", "h"], "-3*h[3] + 5*h[2,1] - 2*h[1,1,1]\n",
+     {"eulerq.suites", "eulerq.bijections", "eulerq.related", "eulerq.cache", "json"}),
+    (["qfun", "--n", "4", "--j", "1"], "h[4] + h[3,1] + h[2,2]\n",
+     {"eulerq.suites", "eulerq.bijections", "eulerq.related"}),
+]
 
-def test_startup_imports_stay_light():
-    """A fresh `import eulerq.cli` loads neither dataclasses, inspect nor
-    hashlib, and a command that does not use the table cache leaves its
-    module unloaded.  It counts modules rather than timing the import."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env, cwd=ROOT,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["[]", "-3*h[3] + 5*h[2,1] - 2*h[1,1,1]", "False"]
+
+def test_startup_imports_stay_light(tmp_path):
+    """A fresh `import eulerq.cli` loads no other package module, nor json,
+    fractions, dataclasses, inspect or hashlib, and each command loads only
+    what it reads.  It counts modules rather than timing the import."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), EULERQ_CACHE_DIR=str(tmp_path))
+    for argv, stdout, not_loaded in STARTUP_COMMANDS:
+        proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *argv], env=env, cwd=ROOT,
+                              capture_output=True, text=True, check=True)
+        imported, ran = (set(ast.literal_eval(line)) for line in proc.stderr.splitlines())
+        assert {m for m in imported if m.startswith("eulerq")} == {"eulerq", "eulerq.cli"}
+        assert {"json", "fractions", "dataclasses", "inspect", "hashlib"} & imported == set()
+        assert not_loaded & ran == set(), argv
+        if stdout is not None:
+            assert proc.stdout == stdout
+
+
+def test_one_command_parser_reads_as_the_full_one(capsys):
+    """main builds only the named command's parser: its help, and a usage
+    error the top parser reports, read as with every command's parser."""
+    def output(parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, capsys.readouterr()
+
+    for command in cli.COMMANDS:
+        argv = [command, "--help"]
+        assert output(cli.main, argv) == output(cli._parser().parse_args, argv)
+    argv = ["stats", "1", "2"]
+    assert output(cli.main, argv) == output(cli._parser().parse_args, argv)
+
+
+USAGE = "usage: eulerq [-h] {stats,qfun,verify,chartable,expand,cache} ...\n"
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", [
+    ([], 2, "", USAGE + "eulerq: error: the following arguments are required: cmd\n"),
+    (["--help"], 0, USAGE + """
+Exact fixed-excedance quasisymmetric functions: statistics, expansions, and
+machine verification.
+
+positional arguments:
+  {stats,qfun,verify,chartable,expand,cache}
+    stats               permutation statistics
+    qfun                render one Q function
+    verify              run verification suites
+    chartable           character table of single-cycle slices
+    expand              evaluate an expression over Q and bases
+    cache               manage the table cache
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    (["frobnicate"], 2, "", USAGE + "eulerq: error: argument cmd: invalid choice: "
+     "'frobnicate' (choose from 'stats', 'qfun', 'verify', 'chartable', 'expand', 'cache')\n"),
+], ids=["none", "help", "unknown"])
+def test_top_level_usage_is_unchanged(argv, code, stdout, stderr, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == code
+    assert capsys.readouterr() == (stdout, stderr)
 
 
 def test_argparse_rejects_unknown_command():

@@ -250,7 +250,9 @@ def _tree(module):
 
 def _imports(module):
     """{package module: names} of an eulerq module's relative imports, at
-    any depth ("from . import cache" lists cache with no names)."""
+    any depth ("from . import cache" lists cache with no names).  The
+    package's lazy name table, _EXPORTS in __init__, counts as imports of
+    its names from their modules."""
     out = {}
     for node in ast.walk(_tree(module)):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -259,6 +261,10 @@ def _imports(module):
                     out.setdefault(alias.name, set())
             else:
                 out.setdefault(node.module, set()).update(a.name for a in node.names)
+        elif (isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]):
+            for source, names in ast.literal_eval(node.value).items():
+                out.setdefault(source, set()).update(names)
     return out
 
 
