@@ -11,7 +11,7 @@ import itertools
 from collections import namedtuple
 
 from .permstats import CapacityError, DEFAULT_CAP, Partition, Permutation, statistics
-from .symfunc import MonExpansion
+from .symfunc import MonExpansion, _weakly_decreasing_sequences
 
 
 class Letter(namedtuple("Letter", "value barred", defaults=(False,))):
@@ -301,25 +301,11 @@ class CompatiblePair(namedtuple("CompatiblePair", "sigma s")):
 
 
 def compatible_sequences(sigma, max_value):
-    """All sigma-compatible sequences with values in 1..max_value."""
-    n = len(sigma.word)
+    """All sigma-compatible sequences with values in 1..max_value: the
+    monomials of F_{Exd(sigma)} in x_1..x_max_value, as weakly decreasing
+    index sequences in reverse lexicographic order."""
     exd = statistics(sigma).exd_set
-    out = []
-
-    def rec(i, bound, acc):
-        if i == n:
-            out.append(tuple(acc))
-            return
-        for v in range(bound, 0, -1):
-            acc.append(v)
-            nxt = v - 1 if (i + 1) in exd else v
-            rec(i + 1, nxt, acc)
-            acc.pop()
-
-    if n == 0:
-        return [()]
-    rec(0, max_value, [])
-    return out
+    return list(_weakly_decreasing_sequences(len(sigma.word), max_value, exd))
 
 
 def gr_phi(pair):
@@ -624,6 +610,26 @@ def letters_upto(max_value):
     return out
 
 
+def _linked_words(n, max_value):
+    """The words of length n >= 1 over 1..max_value, barred and unbarred, in
+    which each letter may follow the one before it (_pair_ok), in the
+    lexicographic order of letters_upto."""
+    alphabet = letters_upto(max_value)
+    word = []
+
+    def rec():
+        if len(word) == n:
+            yield tuple(word)
+            return
+        for a in alphabet:
+            if not word or _pair_ok(word[-1], a):
+                word.append(a)
+                yield from rec()
+                word.pop()
+
+    return rec()
+
+
 def enumerate_necklaces(size, max_value):
     """All necklaces of the given size over values 1..max_value."""
     if size > DEFAULT_CAP or max_value > DEFAULT_CAP + 2:
@@ -632,23 +638,12 @@ def enumerate_necklaces(size, max_value):
         return []
     if size == 1:
         return [Necklace([Letter(v, False)]) for v in range(1, max_value + 1)]
-    alphabet = letters_upto(max_value)
     found = set()
-
-    def rec(word):
-        if len(word) == size:
-            if _pair_ok(word[-1], word[0]):
-                rotations = [tuple(word[i:] + word[:i]) for i in range(size)]
-                if len(set(rotations)) == size:
-                    found.add(max(rotations, key=word_key))
-            return
-        for a in alphabet:
-            if not word or _pair_ok(word[-1], a):
-                word.append(a)
-                rec(word)
-                word.pop()
-
-    rec([])
+    for word in _linked_words(size, max_value):
+        if _pair_ok(word[-1], word[0]):
+            rotations = [word[i:] + word[:i] for i in range(size)]
+            if len(set(rotations)) == size:
+                found.add(max(rotations, key=word_key))
     return sorted((Necklace(w) for w in found))
 
 
@@ -674,22 +669,7 @@ def enumerate_banners(n, max_value):
         raise CapacityError("banner enumeration capped at %d" % DEFAULT_CAP)
     if n == 0:
         return [Banner(())]
-    alphabet = letters_upto(max_value)
-    out = []
-
-    def rec(word):
-        if len(word) == n:
-            if not word[-1].barred:
-                out.append(Banner(list(word)))
-            return
-        for a in alphabet:
-            if not word or _pair_ok(word[-1], a):
-                word.append(a)
-                rec(word)
-                word.pop()
-
-    rec([])
-    return out
+    return [Banner(w) for w in _linked_words(n, max_value) if not w[-1].barred]
 
 
 def enumerate_seamless_banners(n, max_value):

@@ -226,30 +226,11 @@ class Poly:
     # -- rendering ---------------------------------------------------------
     def render(self):
         """Canonical text form, terms in ascending graded-lex exponent order."""
-        if not self.terms:
-            return "0"
-        keys = sorted(self.terms, key=lambda e: (sum(e), e))
-        parts = []
-        for e in keys:
-            c = self.terms[e]
-            mono = "*".join(
-                f"{VARS[i]}^{e[i]}" if e[i] != 1 else VARS[i] for i in range(4) if e[i]
-            )
-            if not mono:
-                body = str(c)
-            elif c == 1:
-                body = mono
-            elif c == -1:
-                body = f"-{mono}"
-            else:
-                body = f"{c}*{mono}"
-            if not parts:
-                parts.append(body)
-            elif body.startswith("-"):
-                parts.append(f"- {body[1:]}")
-            else:
-                parts.append(f"+ {body}")
-        return " ".join(parts)
+        return _join_signed([
+            _term_body(self.terms[e], "*".join(
+                f"{VARS[i]}^{e[i]}" if e[i] != 1 else VARS[i] for i in range(4) if e[i]))
+            for e in sorted(self.terms, key=lambda e: (sum(e), e))
+        ])
 
     __str__ = render
 
@@ -271,21 +252,41 @@ T = Poly.var("t")
 R = Poly.var("r")
 
 
-def parse_poly(text):
-    """Inverse of Poly.render, for cache round trips."""
-    text = text.strip()
-    if text == "0":
-        return Poly()
-    text = text.replace("- ", "+ -").replace("+ ", "+")
-    out = Poly()
-    for chunk in text.split("+"):
+def _term_body(c, mono):
+    """The text of c times a monomial written mono ("" for 1)."""
+    if not mono:
+        return str(c)
+    if c == 1:
+        return mono
+    if c == -1:
+        return f"-{mono}"
+    return f"{c}*{mono}"
+
+
+def _join_signed(bodies):
+    """Term bodies (each with its own leading "-" if negative) joined as
+    `a + b - c`; "0" for no terms.  _signed_chunks reads it back."""
+    if not bodies:
+        return "0"
+    return " ".join([bodies[0], *(f"- {b[1:]}" if b.startswith("-") else f"+ {b}"
+                                  for b in bodies[1:])])
+
+
+def _signed_chunks(text):
+    """The (sign, body) pairs, sign 1 or -1, of a sum written as _join_signed
+    writes it ("0" reads as one zero term)."""
+    for chunk in text.replace("- ", "+ -").replace("+ ", "+").split("+"):
         chunk = chunk.strip()
-        if not chunk:
-            continue
-        sign = 1
         if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:]
+            yield -1, chunk[1:]
+        elif chunk:
+            yield 1, chunk
+
+
+def parse_poly(text):
+    """Inverse of Poly.render."""
+    out = Poly()
+    for sign, chunk in _signed_chunks(text):
         coeff = 1
         exps = [0, 0, 0, 0]
         for factor in chunk.split("*"):

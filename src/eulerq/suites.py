@@ -83,7 +83,9 @@ from .symfunc import (
 )
 
 # ---------------------------------------------------------------------------
-# helpers: t-geometric factors, cleared identities, symmetry, unimodality
+# helpers: t-geometric factors, cleared identities, and the shape records
+# (symmetry, unimodality, log-concavity, binomial basis), each read off one
+# dense t-list from _t_list
 # ---------------------------------------------------------------------------
 
 
@@ -120,47 +122,58 @@ def shift_exc_by_qinv(poly: Poly) -> Poly:
     return Poly({(a - c, b, c, d): v for (a, b, c, d), v in poly.terms.items()})
 
 
-def t_span(tcoeffs):
+def _t_list(tcoeffs, zero):
+    """The coefficients of a {power: coefficient} dict from its lowest to its
+    highest nonzero power, with zero filled in between, and the lowest power
+    (([], 0) when every coefficient is zero)."""
     keys = [j for j, c in tcoeffs.items() if not c.is_zero()]
-    return (min(keys), max(keys)) if keys else None
-
-
-def _get(tcoeffs, i, zero):
-    v = tcoeffs.get(i)
-    return zero if v is None else v
+    if not keys:
+        return [], 0
+    lo = min(keys)
+    return [tcoeffs.get(i, zero) for i in range(lo, max(keys) + 1)], lo
 
 
 def t_symmetric(tcoeffs, double_center, zero) -> bool:
     """Is the coefficient sequence palindromic about double_center / 2?"""
-    span = t_span(tcoeffs)
-    if span is None:
-        return True
-    r, s = span
-    if r + s != double_center:
-        return False
-    return all(
-        _get(tcoeffs, i, zero) == _get(tcoeffs, double_center - i, zero)
-        for i in range(r, s + 1)
-    )
+    cs, lo = _t_list(tcoeffs, zero)
+    return not cs or (2 * lo + len(cs) - 1 == double_center and cs == cs[::-1])
 
 
 def t_unimodal(tcoeffs, positive, zero) -> bool:
     """Do consecutive differences toward the middle lie in the cone tested by
     `positive`?  Both slopes are checked, so asymmetric input can fail."""
-    span = t_span(tcoeffs)
-    if span is None:
-        return True
-    r, s = span
-    mid = (r + s) // 2
-    for i in range(r, mid):
-        if not positive(_get(tcoeffs, i + 1, zero) - _get(tcoeffs, i, zero)):
-            return False
-    for i in range(mid + (r + s) % 2, s):
-        if not positive(_get(tcoeffs, i, zero) - _get(tcoeffs, i + 1, zero)):
-            return False
-    if (r + s) % 2 and _get(tcoeffs, mid, zero) != _get(tcoeffs, mid + 1, zero):
+    cs, _ = _t_list(tcoeffs, zero)
+    n = len(cs)
+    return (all(positive(cs[i + 1] - cs[i]) for i in range((n - 1) // 2))
+            and all(positive(cs[i] - cs[i + 1]) for i in range(n // 2, n - 1))
+            and (n % 2 == 1 or n == 0 or cs[n // 2 - 1] == cs[n // 2]))
+
+
+def _log_concave(tcoeffs, positive, zero) -> bool:
+    """Does c_i^2 - c_(i-1) c_(i+1) lie in the cone tested by `positive` at
+    every interior power?"""
+    cs, _ = _t_list(tcoeffs, zero)
+    return all(positive(b * b - a * c) for a, b, c in zip(cs, cs[1:], cs[2:]))
+
+
+def _gamma_positive(tcoeffs, m, positive, zero) -> bool:
+    """Is sum_j c_j t^j = sum_d g_d t^d (1 + t)^(m - 2d) with every g_d in the
+    cone tested by `positive`?  False when no such expansion exists, which
+    happens exactly when the input is not symmetric about m / 2."""
+    cs, lo = _t_list(tcoeffs, zero)
+    if lo < 0:
         return False
-    return True
+    # powers past m are never reduced, so they fail the remainder test
+    work = [zero] * lo + cs + [zero] * (m + 1 - lo - len(cs))
+    gammas = []
+    for d in range(m // 2 + 1):
+        g = work[d]
+        gammas.append(g)
+        if g.is_zero():
+            continue
+        for i in range(m - 2 * d + 1):
+            work[d + i] = work[d + i] - g * comb(m - 2 * d, i)
+    return all(c.is_zero() for c in work) and all(positive(g) for g in gammas)
 
 
 def _h_positive(f) -> bool:
@@ -179,48 +192,17 @@ def sympoly_t_coeffs(sp: SymPoly, r=0):
     return {a: f for (a, b), f in sp.terms.items() if b == r}
 
 
-def gamma_expansion(tcoeffs, m, zero):
-    """Rewrite sum_j c_j t^j as sum_d g_d t^d (1 + t)^(m - 2d).
-
-    Returns [g_0, .., g_floor(m/2)], or None when a nonzero remainder is left
-    (which happens exactly when the input is not symmetric about m / 2).
-    """
-    work = dict(tcoeffs)
-    gammas = []
-    for d in range(m // 2 + 1):
-        g = work.get(d, zero)
-        gammas.append(g)
-        if g.is_zero():
-            continue
-        for i in range(m - 2 * d + 1):
-            work[d + i] = _get(work, d + i, zero) - g * comb(m - 2 * d, i)
-    if any(not c.is_zero() for c in work.values()):
-        return None
-    return gammas
-
-
 def _int_unimodal(seq) -> bool:
-    seq = list(seq)
-    while seq and not seq[0]:
-        seq.pop(0)
-    while seq and not seq[-1]:
-        seq.pop()
-    rising = True
-    for a, b in zip(seq, seq[1:]):
-        if rising and b < a:
-            rising = False
-        elif not rising and b > a:
-            return False
-    return True
+    """Do the nonzero steps of a nonnegative integer sequence rise first and
+    then fall?"""
+    rises = [b > a for a, b in zip(seq, seq[1:]) if b != a]
+    return rises == sorted(rises, reverse=True)
 
 
 def _q_coeff_seq(f: Poly):
     """Integer coefficient sequence of a polynomial in q alone."""
-    cs = f.coefficients_in("q")
-    if not cs:
-        return []
-    lo, hi = min(cs), max(cs)
-    return [cs.get(i, Poly.zero()).constant_value() for i in range(lo, hi + 1)]
+    cs, _ = _t_list(f.coefficients_in("q"), Poly.zero())
+    return [c.constant_value() for c in cs]
 
 
 # ---------------------------------------------------------------------------
@@ -612,18 +594,15 @@ def verify_symmetry_unimodality(n_max=7) -> VerifyReport:
                        t_symmetric(coeffs, n - k, z))
             rep.record("t-unimodality of fixed-fix slice", {"n": n, "k": k},
                        t_unimodal(coeffs, _h_positive, z))
-            gk = gamma_expansion(coeffs, n - k, z)
             rep.record("binomial-basis coefficients Schur positive, fixed fix",
                        {"n": n, "k": k},
-                       gk is not None and all(_schur_positive(g) for g in gk))
+                       _gamma_positive(coeffs, n - k, _schur_positive, z))
         total = {j: q_symf_oracle(n, j) for j in range(n) if not q_symf_oracle(n, j).is_zero()}
         rep.record("t-symmetry of full slice", {"n": n}, t_symmetric(total, n - 1, z))
         rep.record("t-unimodality of full slice", {"n": n},
                    t_unimodal(total, _h_positive, z))
-        gammas = gamma_expansion(total, n - 1, z)
         rep.record("binomial-basis coefficients Schur positive, full slice",
-                   {"n": n},
-                   gammas is not None and all(_schur_positive(g) for g in gammas))
+                   {"n": n}, _gamma_positive(total, n - 1, _schur_positive, z))
     for n in range(1, n_max + 1):
         ok_sym = all(
             q_qsym_type(lam, j).is_symmetric()
@@ -651,23 +630,19 @@ def verify_symmetry_unimodality(n_max=7) -> VerifyReport:
             if k == 0:
                 rep.record("shifted derangement enumerator t-unimodal", {"n": n},
                            t_unimodal(shifted, _poly_nonneg, zero))
-                g0 = gamma_expansion(shifted, n, zero)
                 rep.record("binomial-basis q,p-nonnegativity, derangement case",
-                           {"n": n},
-                           g0 is not None and all(_poly_nonneg(g) for g in g0))
+                           {"n": n}, _gamma_positive(shifted, n, _poly_nonneg, zero))
             at1 = shift_exc_by_qinv(af.substitute(p=1)).coefficients_in("t")
             rep.record("shifted fixed-fix enumerator at p=1 symmetric unimodal",
                        {"n": n, "k": k},
                        t_symmetric(at1, n - k, zero) and t_unimodal(at1, _poly_nonneg, zero))
-            g1 = gamma_expansion(at1, n - k, zero)
             rep.record("binomial-basis q-nonnegativity at p=1", {"n": n, "k": k},
-                       g1 is not None and all(_poly_nonneg(g) for g in g1))
+                       _gamma_positive(at1, n - k, _poly_nonneg, zero))
         full = shift_exc_by_qinv(a_poly(n, ("maj", "exc"))).coefficients_in("t")
         rep.record("shifted full enumerator t-symmetric and t-unimodal", {"n": n},
                    t_symmetric(full, n - 1, zero) and t_unimodal(full, _poly_nonneg, zero))
-        gf = gamma_expansion(full, n - 1, zero)
         rep.record("binomial-basis q-nonnegativity, full enumerator", {"n": n},
-                   gf is not None and all(_poly_nonneg(g) for g in gf))
+                   _gamma_positive(full, n - 1, _poly_nonneg, zero))
     a4 = shift_exc_by_qinv(a_poly(4, ("maj", "des", "exc")))
     t1 = a4.coefficient("t", 1)
     rep.record("four-letter witness coefficient", {"n": 4, "t": 1},
@@ -765,15 +740,13 @@ def verify_positivity(n_max=7) -> VerifyReport:
                    {"n": n}, failures == expected,
                    witness="" if failures == expected else str(sorted(failures)))
     for n in range(1, n_max + 1):
-        ok = True
-        for k in range(n + 1):
-            cs = shift_exc_by_qinv(a_poly_fix(n, k)).coefficients_in("t")
-            if not _poly_log_concave(cs):
-                ok = False
+        ok = all(_log_concave(shift_exc_by_qinv(a_poly_fix(n, k)).coefficients_in("t"),
+                              _poly_nonneg, Poly.zero())
+                 for k in range(n + 1))
         rep.record("log-concavity of shifted fixed-fix enumerators", {"n": n}, ok)
         full = shift_exc_by_qinv(a_poly(n, ("maj", "exc"))).coefficients_in("t")
         rep.record("log-concavity of shifted full enumerator", {"n": n},
-                   _poly_log_concave(full))
+                   _log_concave(full, _poly_nonneg, Poly.zero()))
     return rep
 
 
@@ -787,18 +760,6 @@ def _cycle_type_lc_failures(n, slice_of):
     are not log-concave in j."""
     return {(tuple(lam), j) for lam in partitions(n) for j in range(n)
             if not _log_concave_at(lambda i: slice_of(lam, i), j)}
-
-
-def _poly_log_concave(cs) -> bool:
-    span = t_span(cs)
-    if span is None:
-        return True
-    lo, hi = span
-    for i in range(lo + 1, hi):
-        d = cs[i] * cs[i] - cs.get(i - 1, Poly.zero()) * cs.get(i + 1, Poly.zero())
-        if not _poly_nonneg(d):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,9 @@ from .permstats import Partition, partitions
 from .polyalg import (
     Poly,
     PolyFraction,
+    _join_signed,
+    _signed_chunks,
+    _term_body,
     qlist_add,
     qlist_binomial,
     qlist_mul,
@@ -279,18 +282,6 @@ def fundamental(S, n):
     return QSymF.fundamental(S, n)
 
 
-def _dropset(lam):
-    """Descent set of the unique weakly decreasing word with content lam."""
-    lam = Partition(lam)
-    ell = lam.length
-    drops = []
-    acc = 0
-    for v in range(ell, 1, -1):
-        acc += lam[v - 1]
-        drops.append(acc)
-    return frozenset(drops)
-
-
 def _rearrangements(vec):
     """The distinct rearrangements of vec, generated as multiset
     permutations, so (1^n) costs one, not n!."""
@@ -313,12 +304,18 @@ def _rearrangements(vec):
     return place(0)
 
 
+def _partial_sums(parts):
+    """The partial sums of parts short of the whole: the descent set of the
+    weakly decreasing word whose runs of equal letters, first to last, have
+    lengths parts."""
+    return frozenset(itertools.accumulate(parts[:-1]))
+
+
 def _descent_sets_of_rearrangements(lam):
     """Descent sets realizable by weakly decreasing words of every content
     that is a rearrangement of lam: the partial-sum sets of the distinct
     rearrangements of the parts."""
-    return frozenset(frozenset(itertools.accumulate(parts[:-1]))
-                     for parts in _rearrangements(tuple(lam)))
+    return frozenset(_partial_sums(parts) for parts in _rearrangements(tuple(lam)))
 
 
 def _mask(S):
@@ -332,9 +329,10 @@ def _mask(S):
 @lru_cache(maxsize=None)
 def _m_table(n):
     """For every partition lam of n, in partitions(n) order: (lam, mask of
-    _dropset(lam), masks of _descent_sets_of_rearrangements(lam)), the
-    subsets at which QSymF._m_coeffs reads degree n."""
-    return tuple((lam, _mask(_dropset(lam)),
+    the descent set of the weakly decreasing word with content lam, masks of
+    _descent_sets_of_rearrangements(lam)), the subsets at which
+    QSymF._m_coeffs reads degree n."""
+    return tuple((lam, _mask(_partial_sums(lam[::-1])),
                   tuple(_mask(T) for T in _descent_sets_of_rearrangements(lam)))
                  for lam in partitions(n))
 
@@ -772,6 +770,10 @@ class SymF:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if not isinstance(k, int):
+            raise TypeError("exponent must be an integer")
+        if k < 0:
+            raise ValueError("a symmetric function has no negative powers")
         out = SymF.one(self.basis)
         for _ in range(k):
             out = out * self
@@ -840,50 +842,20 @@ class SymF:
 
     # -- rendering ------------------------------------------------------------
     def render(self):
-        if not self.terms:
-            return "0"
         keys = sorted(self.terms, key=lambda lam: (lam.n, lam.length, tuple(-x for x in lam)))
-        bits = []
-        for lam in keys:
-            c = self.terms[lam]
-            if isinstance(c, Fraction) and c.denominator == 1:
-                c = c.numerator
-            body = f"{self.basis}[{','.join(map(str, lam))}]" if lam else "1"
-            if body == "1":
-                chunk = str(c)
-            elif c == 1:
-                chunk = body
-            elif c == -1:
-                chunk = f"-{body}"
-            else:
-                chunk = f"{c}*{body}"
-            if not bits:
-                bits.append(chunk)
-            elif chunk.startswith("-"):
-                bits.append(f"- {chunk[1:]}")
-            else:
-                bits.append(f"+ {chunk}")
-        return " ".join(bits)
+        return _join_signed([
+            _term_body(self.terms[lam], f"{self.basis}[{','.join(map(str, lam))}]" if lam else "")
+            for lam in keys
+        ])
 
     __str__ = render
 
 
 def parse_symf(text, basis=None):
     """Inverse of SymF.render."""
-    text = text.strip()
-    if text == "0":
-        return SymF(basis or "m")
-    text = text.replace("- ", "+ -").replace("+ ", "+")
     terms = {}
     seen_basis = basis
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:]
+    for sign, chunk in _signed_chunks(text):
         if "[" not in chunk:
             _addto(terms, Partition(), sign * _parse_rat(chunk))
             continue

@@ -1,5 +1,7 @@
 """Necklaces, ornaments, banners, and the maps between them."""
 
+import itertools
+
 import pytest
 
 from eulerq import (
@@ -11,6 +13,7 @@ from eulerq import (
     banner_to_ornament,
     compatible_sequences,
     enumerate_banners,
+    enumerate_necklaces,
     enumerate_ornaments,
     enumerate_permutations,
     gamma,
@@ -38,6 +41,7 @@ from eulerq.bijections import (
     ornament_weight_sum,
     parse_word,
     render_word,
+    word_key,
 )
 from eulerq.eulerian import q_symf_type
 
@@ -193,6 +197,14 @@ def test_record_classes_value_semantics():
             setattr(obj, field, None)
 
 
+def _is_compatible(sigma, s):
+    try:
+        CompatiblePair(sigma, s)
+    except ValueError:
+        return False
+    return True
+
+
 def test_compatible_sequence_counts():
     # sequences with values <= m are counted by a single binomial
     from math import comb
@@ -200,11 +212,44 @@ def test_compatible_sequence_counts():
         for sigma in enumerate_permutations(n):
             d = len(statistics(sigma).exd_set)
             for m in range(1, 6):
-                got = len(compatible_sequences(sigma, m))
+                seqs = compatible_sequences(sigma, m)
                 want = comb(m - d - 1 + n, n) if m >= d + 1 else 0
                 if n == 0:
                     want = 1
-                assert got == want
+                assert len(seqs) == want
+                # the list itself, in reverse lexicographic order, is every
+                # weakly decreasing sequence the validating constructor accepts
+                assert seqs == [s for s in itertools.product(range(m, 0, -1), repeat=n)
+                                if all(a >= b for a, b in zip(s, s[1:]))
+                                and _is_compatible(sigma, s)]
+
+
+# Counts at n <= 5 and max_value <= 3, keyed (size, max_value).
+NECKLACE_COUNTS = {
+    (1, 1): 1, (1, 2): 2, (1, 3): 3, (2, 1): 1, (2, 2): 3, (2, 3): 6,
+    (3, 1): 2, (3, 2): 8, (3, 3): 20, (4, 1): 3, (4, 2): 18, (4, 3): 60,
+    (5, 1): 6, (5, 2): 48, (5, 3): 204,
+}
+BANNER_COUNTS = {
+    (0, 1): 1, (0, 2): 1, (0, 3): 1, (1, 1): 1, (1, 2): 2, (1, 3): 3,
+    (2, 1): 2, (2, 2): 6, (2, 3): 12, (3, 1): 4, (3, 2): 18, (3, 3): 48,
+    (4, 1): 8, (4, 2): 54, (4, 3): 192, (5, 1): 16, (5, 2): 162, (5, 3): 768,
+}
+
+
+def test_necklace_and_banner_enumerations():
+    for (n, m), count in NECKLACE_COUNTS.items():
+        necks = enumerate_necklaces(n, m)
+        assert len(necks) == count == len(set(necks))
+        assert necks == sorted(necks)
+        assert all(Necklace(k.word) == k for k in necks)
+    for (n, m), count in BANNER_COUNTS.items():
+        banners = enumerate_banners(n, m)
+        assert len(banners) == count == len(set(banners))
+        # in the order 1 < 1' < 2 < 2' < .. of letters, read left to right
+        words = [b.word for b in banners]
+        assert words == sorted(words, key=word_key)
+    assert enumerate_necklaces(0, 3) == []
 
 
 def test_phi_reference():

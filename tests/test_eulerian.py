@@ -1,5 +1,8 @@
 """The Q family: fixed values, expansions, tables, and suite smoke runs."""
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +17,7 @@ from eulerq import (
     q_poly,
     q_symf,
     q_symf_type,
+    suites,
     sym_h,
 )
 from eulerq.eulerian import (
@@ -138,6 +142,106 @@ def test_four_statistic_witness():
     a4 = shift_exc_by_qinv(a_poly(4, ("maj", "des", "exc")))
     assert a4.coefficient("t", 1) == parse_poly(A4_T1_COEFF)
     assert not t_symmetric(a4.coefficients_in("t"), 3, Poly.zero())
+
+
+# The shape helpers as they stood before they read one dense t-list, kept as
+# references.  The log-concavity reference reads a missing interior power as
+# zero, where it once raised KeyError.
+
+def _ref_span(tcoeffs):
+    keys = [j for j, c in tcoeffs.items() if not c.is_zero()]
+    return (min(keys), max(keys)) if keys else None
+
+
+def _ref_symmetric(tcoeffs, double_center, zero):
+    span = _ref_span(tcoeffs)
+    if span is None:
+        return True
+    r, s = span
+    if r + s != double_center:
+        return False
+    return all(tcoeffs.get(i, zero) == tcoeffs.get(double_center - i, zero)
+               for i in range(r, s + 1))
+
+
+def _ref_unimodal(tcoeffs, positive, zero):
+    span = _ref_span(tcoeffs)
+    if span is None:
+        return True
+    r, s = span
+    mid = (r + s) // 2
+    for i in range(r, mid):
+        if not positive(tcoeffs.get(i + 1, zero) - tcoeffs.get(i, zero)):
+            return False
+    for i in range(mid + (r + s) % 2, s):
+        if not positive(tcoeffs.get(i, zero) - tcoeffs.get(i + 1, zero)):
+            return False
+    if (r + s) % 2 and tcoeffs.get(mid, zero) != tcoeffs.get(mid + 1, zero):
+        return False
+    return True
+
+
+def _ref_gamma_positive(tcoeffs, m, positive, zero):
+    work = dict(tcoeffs)
+    gammas = []
+    for d in range(m // 2 + 1):
+        g = work.get(d, zero)
+        gammas.append(g)
+        if g.is_zero():
+            continue
+        for i in range(m - 2 * d + 1):
+            work[d + i] = work.get(d + i, zero) - g * math.comb(m - 2 * d, i)
+    if any(not c.is_zero() for c in work.values()):
+        return False
+    return all(positive(g) for g in gammas)
+
+
+def _ref_int_unimodal(seq):
+    seq = list(seq)
+    while seq and not seq[0]:
+        seq.pop(0)
+    while seq and not seq[-1]:
+        seq.pop()
+    rising = True
+    for a, b in zip(seq, seq[1:]):
+        if rising and b < a:
+            rising = False
+        elif not rising and b > a:
+            return False
+    return True
+
+
+def _ref_log_concave(cs, zero):
+    span = _ref_span(cs)
+    if span is None:
+        return True
+    lo, hi = span
+    for i in range(lo + 1, hi):
+        d = cs.get(i, zero) * cs.get(i, zero) - cs.get(i - 1, zero) * cs.get(i + 1, zero)
+        if not suites._poly_nonneg(d):
+            return False
+    return True
+
+
+def test_shape_helpers_match_their_references():
+    zero, nonneg = Poly.zero(), suites._poly_nonneg
+    for length in range(6):
+        for seq in itertools.product(range(3), repeat=length):
+            for offset in range(3):
+                ints = [0] * offset + list(seq)
+                assert suites._int_unimodal(ints) == _ref_int_unimodal(ints), ints
+                sparse = {offset + i: Poly.const(c) for i, c in enumerate(seq) if c}
+                # one explicit zero entry: the first zero of seq, else one
+                # past its end
+                kept = seq.index(0) if 0 in seq else length
+                for tc in (sparse, {**sparse, offset + kept: Poly.const(0)}):
+                    assert suites.t_unimodal(tc, nonneg, zero) == _ref_unimodal(tc, nonneg, zero)
+                    assert suites._log_concave(tc, nonneg, zero) == _ref_log_concave(tc, zero)
+                    for center in range(9):
+                        assert (suites.t_symmetric(tc, center, zero)
+                                == _ref_symmetric(tc, center, zero)), (tc, center)
+                        assert (suites._gamma_positive(tc, center, nonneg, zero)
+                                == _ref_gamma_positive(tc, center, nonneg, zero)), (tc, center)
 
 
 def test_brute_force_enumerators():

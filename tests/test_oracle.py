@@ -77,6 +77,15 @@ def test_cycle_type_log_concavity_exceptions_from_the_formulas(n):
             == suites._CYCLE_TYPE_LC_EXCEPTIONS[n])
 
 
+def test_positivity_records_a_t_gap_as_a_failure(monkeypatch):
+    """An enumerator with a missing interior t-power fails log-concavity
+    (0^2 < c_1 c_3) instead of stopping the suite."""
+    gap = polyalg.Poly.term(1, q=1, t=1) + polyalg.Poly.term(1, q=3, t=3)
+    monkeypatch.setattr(suites, "a_poly_fix", lambda n, k: gap)
+    failing = {c.identity for c in verify_positivity(3).failures()}
+    assert failing == {"log-concavity of shifted fixed-fix enumerators"}
+
+
 def test_positivity_refuses_sizes_without_a_known_exception_set():
     with pytest.raises(ValueError, match="n_max=12"):
         verify_positivity(12)

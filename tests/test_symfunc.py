@@ -266,6 +266,17 @@ def test_render_parse():
     assert SymF.zero().render() == "0"
 
 
+def test_power_takes_nonnegative_integers_only():
+    f = sym_h([2])
+    assert f ** 0 == SymF.one("h")
+    assert f ** 2 == f * f
+    with pytest.raises(ValueError):
+        f ** -1
+    for k in (1.0, Fraction(2), "2"):
+        with pytest.raises(TypeError):
+            f ** k
+
+
 @given(st.sampled_from(small_partitions(4)), st.sampled_from(small_partitions(4)))
 @settings(max_examples=40, deadline=None)
 def test_product_degree_and_commutativity(lam, mu):
