@@ -9,11 +9,9 @@ trusting a bad file.  Writers hold a per-key lock and land the file with an
 atomic replace, which keeps concurrent readers safe without read locks.
 """
 
-import fcntl
 import hashlib
 import json
 import os
-import tempfile
 
 FORMAT_TAG = "eulerq-cache-1"
 ENV_VAR = "EULERQ_CACHE_DIR"
@@ -68,6 +66,9 @@ def entry_key(kind, params, basis=None, cap=None):
 
 def store(directory, entry):
     """Write an entry atomically under a per-key exclusive lock."""
+    # only a writer needs these, so a read loads neither
+    import fcntl
+    import tempfile
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, entry.filename())
     text = json.dumps(entry.to_jsonable(), sort_keys=True, indent=1) + "\n"
@@ -110,12 +111,16 @@ def load(directory, kind, params, basis=None, cap=None):
 
 
 def fetch(directory, kind, params, basis, cap, compute):
-    """Cached payload if valid, else compute(), store, and return fresh."""
+    """Cached payload if valid, else compute(), store, and return fresh.  A
+    store that cannot be written still returns the fresh payload."""
     hit = load(directory, kind, params, basis, cap)
     if hit is not None:
         return hit, True
     payload = compute()
-    store(directory, CacheEntry(kind, params, basis, cap, payload))
+    try:
+        store(directory, CacheEntry(kind, params, basis, cap, payload))
+    except OSError:
+        pass
     return payload, False
 
 

@@ -8,7 +8,8 @@ inputs produce byte-identical bytes.
 
 At module level this imports only the standard library, and `import eulerq`
 loads no package module, so a launch loads what its command reads: stats
-the census (`permstats`); qfun and chartable the formulas (`eulerian`);
+the census (`permstats`); qfun and text chartable the formulas
+(`eulerian`) only on a table-cache miss, and JSON chartable always;
 expand the bases (`symfunc`), and `eulerian` only for a Q[..] atom; verify
 the suites, and every layer under them; and the table cache's module only
 qfun, text chartable and cache.  `json` loads only where JSON is written or
@@ -157,6 +158,11 @@ def cmd_verify(args):
 
 _STAT_NAMES = ("des", "exc", "maj", "comaj", "inv", "fix")
 
+# The census projections stats --n reads its column sums from: exc and fix
+# need no last letter, des and maj share it, and inv would multiply the rows
+# of either pair.
+_STAT_PROJECTIONS = (("exc", "fix"), ("des", "maj"), ("inv",))
+
 
 def _parse_word(text):
     from .permstats import Permutation
@@ -225,17 +231,26 @@ def cmd_stats(args):
         bad = [s for s in names if s not in _STAT_NAMES]
         if bad:
             raise UsageError(f"unknown statistics {bad}; choose from {_STAT_NAMES}")
+        repeated = sorted({s for s in names if names.count(s) > 1})
+        if repeated:
+            raise UsageError(f"repeated statistics {repeated}; name each once")
         if factorial(n) > _MAX_TABLE_ROWS:
             raise UsageError(f"--table lists {factorial(n)} rows at n={n}, "
                              f"past the limit {_MAX_TABLE_ROWS}")
-    # each column sum reads the census projected to that one statistic
+    # each column sum reads the one projection that holds its field, cut to
+    # the fields the columns ask for
+    wanted = {stat_field(s) for s in names}
     sums = {}
     try:
-        for s in names:
-            field = (stat_field(s),)
-            counts = census(n, field)
-            read = row_stat(s, n, field)
-            sums[s] = sum(read(row) * c for row, c in counts.items())
+        for projection in _STAT_PROJECTIONS:
+            fields = tuple(f for f in projection if f in wanted)
+            if not fields:
+                continue
+            counts = census(n, fields)
+            for s in names:
+                if stat_field(s) in fields:
+                    read = row_stat(s, n, fields)
+                    sums[s] = sum(read(row) * c for row, c in counts.items())
     except CapacityError as e:
         raise UsageError(str(e))
     total = sum(counts.values())
@@ -287,7 +302,6 @@ def _parse_partition(text):
 
 
 def cmd_qfun(args):
-    from .eulerian import q_symf, q_symf_type
     if args.j is None or args.j < 0:
         raise UsageError("--j is required and must be nonnegative")
     if (args.lam is None) == (args.n is None):
@@ -298,7 +312,7 @@ def cmd_qfun(args):
         lam = _parse_partition(args.lam)
         _check_degree(lam.n)
         params = ["lam", list(lam), "j", args.j]
-        compute = lambda: q_symf_type(lam, args.j).to_basis(args.basis).render()
+        build = lambda eulerian: eulerian.q_symf_type(lam, args.j)
     else:
         if args.n < 0:
             raise UsageError("--n must be nonnegative")
@@ -306,7 +320,13 @@ def cmd_qfun(args):
         if args.k is not None and args.k < 0:
             raise UsageError("--k must be nonnegative")
         params = ["n", args.n, "j", args.j, "k", args.k]
-        compute = lambda: q_symf(args.n, args.j, args.k).to_basis(args.basis).render()
+        build = lambda eulerian: eulerian.q_symf(args.n, args.j, args.k)
+
+    def compute():
+        # called on a store miss only, so a hit loads none of the formulas
+        from . import eulerian
+        return build(eulerian).to_basis(args.basis).render()
+
     from . import cache as cachestore
     directory = args.cache_dir or cachestore.default_cache_dir()
     payload, _ = cachestore.fetch(directory, "qfun", params, args.basis, None, compute)
@@ -524,15 +544,18 @@ def cmd_cache(args):
     from .eulerian import q_symf
     cap = 6 if args.mode == "ci" else 8
     count = 0
-    for n in range(1, cap + 1):
-        cachestore.store(directory, cachestore.CacheEntry(
-            "chartable", ["n", n], None, None, _chartable_text(n)))
-        count += 1
-        for j in range(max(n, 1)):
-            payload = q_symf(n, j).to_basis("h").render()
+    try:
+        for n in range(1, cap + 1):
             cachestore.store(directory, cachestore.CacheEntry(
-                "qfun", ["n", n, "j", j, "k", None], "h", None, payload))
+                "chartable", ["n", n], None, None, _chartable_text(n)))
             count += 1
+            for j in range(max(n, 1)):
+                payload = q_symf(n, j).to_basis("h").render()
+                cachestore.store(directory, cachestore.CacheEntry(
+                    "qfun", ["n", n, "j", j, "k", None], "h", None, payload))
+                count += 1
+    except OSError as e:
+        raise UsageError(f"cannot write the cache: {e}")
     print(f"warmed {count} entries into {directory}")
     return 0
 

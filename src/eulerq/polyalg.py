@@ -10,9 +10,22 @@ specializations use.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from numbers import Rational
+
+# The exact scalars, int first so that the common case passes a plain type
+# check before the ABC's: bool, Fraction and every other numbers.Rational
+# pass, float, Decimal and str do not.
+_SCALARS = (int, Rational)
+
+
+def _fraction(*args):
+    """Fraction(*args).  `fractions` (and the `decimal` it loads) is imported
+    here on first use, so a launch that stays in the integers loads neither."""
+    from fractions import Fraction
+    return Fraction(*args)
+
 
 VARS = ("q", "p", "t", "r")
 _VIDX = {v: i for i, v in enumerate(VARS)}
@@ -76,13 +89,14 @@ class Poly:
         return self.terms.get(_ZERO4, 0)
 
     def has_integer_coeffs(self):
-        return all(isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1) for c in self.terms.values())
+        return all(isinstance(c, _SCALARS) and c.denominator == 1 for c in self.terms.values())
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
-        if not isinstance(other, (Poly, int, Fraction)):
-            return NotImplemented
-        other = _coerce(other)
+        if not isinstance(other, Poly):
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            other = Poly.const(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e, 0) + c
@@ -98,7 +112,7 @@ class Poly:
         return Poly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, (Poly, int, Fraction)):
+        if not isinstance(other, Poly) and not isinstance(other, _SCALARS):
             return NotImplemented
         return self + (-_coerce(other))
 
@@ -106,10 +120,10 @@ class Poly:
         return _coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly({e: c * other for e, c in self.terms.items()}) if other else Poly()
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            return Poly({e: c * other for e, c in self.terms.items()}) if other else Poly()
         out = {}
         get = out.get
         right = list(other.terms.items())
@@ -143,13 +157,13 @@ class Poly:
         if c in (1, -1):
             inv_c = c
         else:
-            inv_c = Fraction(1, 1) / c
+            inv_c = _fraction(1) / c
         return Poly({tuple(-x for x in e): inv_c})
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        return isinstance(other, Poly) and self.terms == other.terms
+        if isinstance(other, Poly):
+            return self.terms == other.terms
+        return isinstance(other, _SCALARS) and self.terms == Poly.const(other).terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -212,7 +226,7 @@ class Poly:
                 elif not mc:
                     raise ValueError(f"cannot substitute 0 for {VARS[i]}^{k}")
                 else:
-                    c = c * (mc**-k if mc in (1, -1) else Fraction(1, 1) / mc**-k)
+                    c = c * (mc**-k if mc in (1, -1) else _fraction(1) / mc**-k)
                 exps = [x + k * y for x, y in zip(exps, mono)]
             if c:
                 key = tuple(exps)
@@ -241,7 +255,7 @@ class Poly:
 def _coerce(x):
     if isinstance(x, Poly):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, _SCALARS):
         return Poly.const(x)
     raise TypeError(f"cannot coerce {x!r} to Poly")
 
@@ -294,7 +308,7 @@ def parse_poly(text):
             if not factor:
                 continue
             if factor[0].isdigit() or factor[0] == "-":
-                coeff = int(factor) if "/" not in factor else Fraction(factor)
+                coeff = int(factor) if "/" not in factor else _fraction(factor)
             else:
                 name, _, e = factor.partition("^")
                 exps[_VIDX[name]] += int(e) if e else 1
@@ -534,7 +548,7 @@ class PolyFraction:
 def _coerce_frac(x):
     if isinstance(x, PolyFraction):
         return x
-    if isinstance(x, (int, Fraction, Poly)):
+    if isinstance(x, Poly) or isinstance(x, _SCALARS):
         return PolyFraction(_coerce(x))
     raise TypeError(f"cannot coerce {x!r} to PolyFraction")
 
@@ -600,7 +614,7 @@ class TruncSeries:
         return TruncSeries(self.var, self.order, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, Poly) or isinstance(other, _SCALARS):
             return TruncSeries(self.var, self.order, [c * other for c in self.coeffs])
         other, order = self._align(other)
         out = [Poly.zero() for _ in range(order + 1)]
@@ -689,7 +703,7 @@ class QExpSeries:
         return QExpSeries([a - b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, Poly) or isinstance(other, _SCALARS):
             return QExpSeries([c * other for c in self.coeffs])
         n = min(self.order, other.order)
         out = []

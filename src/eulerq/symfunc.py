@@ -29,7 +29,6 @@ induction with integer weights and p_k[-] rescales the classes.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
 
@@ -37,6 +36,8 @@ from .permstats import Partition, partitions
 from .polyalg import (
     Poly,
     PolyFraction,
+    _SCALARS,
+    _fraction,
     _join_signed,
     _signed_chunks,
     _term_body,
@@ -101,7 +102,7 @@ class QSymF:
         return self + (-1) * other
 
     def __mul__(self, c):
-        if not isinstance(c, (int, Fraction)):
+        if not isinstance(c, _SCALARS):
             return NotImplemented
         return QSymF({k: v * c for k, v in self.terms.items()})
 
@@ -275,7 +276,7 @@ class QSymF:
         f = self if scale == 1 else QSymF({key: int(c * scale) for key, c in self.terms.items()})
         w = f.ps_norm(m).bit_length() + 1
         a = qlist_unpack(f.ps_packed(m, w)[m], w)
-        return qlist_to_poly(a if scale == 1 else [Fraction(c, scale) for c in a])
+        return qlist_to_poly(a if scale == 1 else [_fraction(c, scale) for c in a])
 
 
 def fundamental(S, n):
@@ -402,7 +403,7 @@ class MonExpansion:
         return self + (-1) * other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _SCALARS):
             return MonExpansion(self.N, {e: c * other for e, c in self.terms.items()})
         self._chk(other)
         out = {}
@@ -583,7 +584,7 @@ def _by_degree(terms):
 
 def _exact(c, d):
     """c / d: an int when d divides the int c, else a Fraction."""
-    return c // d if type(c) is int and c % d == 0 else Fraction(c, d)
+    return c // d if type(c) is int and c % d == 0 else _fraction(c, d)
 
 
 def _column_dots(strips, n, vec):
@@ -735,10 +736,10 @@ class SymF:
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SymF(self.basis, {Partition(): other})
         if not isinstance(other, SymF):
-            return NotImplemented
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            other = SymF(self.basis, {Partition(): other})
         if other.basis != self.basis:
             other = other.to_basis(self.basis)
         out = dict(self.terms)
@@ -752,15 +753,15 @@ class SymF:
         return -1 * self
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, SymF) and isinstance(other, _SCALARS):
             other = SymF(self.basis, {Partition(): other})
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SymF(self.basis, {lam: c * other for lam, c in self.terms.items()})
         if not isinstance(other, SymF):
-            return NotImplemented
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            return SymF(self.basis, {lam: c * other for lam, c in self.terms.items()})
         if self.basis == other.basis and self.basis in ("h", "e", "p"):
             return SymF(self.basis, _pdict_mul(self.terms, other.terms))
         a = self.to_basis("h")
@@ -780,10 +781,10 @@ class SymF:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SymF(self.basis, {Partition(): other})
         if not isinstance(other, SymF):
-            return NotImplemented
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            other = SymF(self.basis, {Partition(): other})
         if self.basis == other.basis:
             return self.terms == other.terms
         return self.to_basis("m").terms == other.to_basis("m").terms
@@ -879,7 +880,7 @@ def parse_symf(text, basis=None):
 
 def _parse_rat(s):
     s = s.strip()
-    return Fraction(s) if "/" in s else int(s)
+    return _fraction(s) if "/" in s else int(s)
 
 
 def sym_h(lam, coeff=1):
@@ -959,7 +960,7 @@ class SymPoly:
         return SymPoly({(a + t, b + r): f for (a, b), f in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
         if isinstance(other, SymF):
             other = SymPoly.wrap(other)

@@ -63,6 +63,14 @@ def test_stats_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_stats_table_refuses_a_repeated_statistic(capsys):
+    # each column has one sum and one cross-check, so a name may appear once
+    assert cli.main(["stats", "--n", "3", "--table", "des,exc,des", "--output", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: repeated statistics ['des']; name each once\n"
+
+
 @pytest.mark.parametrize("argv", [["stats"], ["stats", "321", "--n", "3"]])
 def test_stats_needs_exactly_one_of_word_or_n(capsys, argv):
     assert cli.main(argv) == 2
@@ -517,6 +525,22 @@ def test_cache_warm_list_clear(capsys, tmp_path):
     assert list_entries(d) == []
 
 
+def test_unwritable_store_still_answers(capsys, tmp_path):
+    # a store directory under a regular file can be neither read nor written
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    d = str(blocked / "store")
+    rc, out = run(capsys, "qfun", "--n", "4", "--j", "1", "--cache-dir", d)
+    assert (rc, out) == (0, "h[4] + h[3,1] + h[2,2]\n")
+    rc, out = run(capsys, "chartable", "4", "--cache-dir", d)
+    assert (rc, out) == (0, cli._chartable_text(4) + "\n")
+    assert cli.main(["cache", "warm", "--cache-dir", d]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write the cache: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cache_dir_env_override(capsys, tmp_path, monkeypatch):
     alt = tmp_path / "envcache"
     monkeypatch.setenv("EULERQ_CACHE_DIR", str(alt))
@@ -539,14 +563,25 @@ print(sorted(sys.modules), file=sys.stderr)
 # Each probed command, its stdout (None: not checked here), and what it may
 # not load: every command leaves the suites and the modules only they read
 # unloaded unless it verifies, and the table cache's module unless it reads
-# the store.
+# the store; a command with integer coefficients loads no `fractions` or the
+# `decimal` it imports; and a store hit loads no formula.  The commands run
+# in this order against one store, so the second qfun reads what the first
+# wrote.
 STARTUP_COMMANDS = [
     (["stats", "--n", "5"], None,
      {"eulerq.symfunc", "eulerq.eulerian", "eulerq.suites", "eulerq.cache", "fractions"}),
     (["expand", "m[2,1]", "h"], "-3*h[3] + 5*h[2,1] - 2*h[1,1,1]\n",
-     {"eulerq.suites", "eulerq.bijections", "eulerq.related", "eulerq.cache", "json"}),
+     {"eulerq.suites", "eulerq.bijections", "eulerq.related", "eulerq.cache", "json",
+      "fractions", "decimal"}),
     (["qfun", "--n", "4", "--j", "1"], "h[4] + h[3,1] + h[2,2]\n",
+     {"eulerq.suites", "eulerq.bijections", "eulerq.related", "fractions", "decimal"}),
+    (["qfun", "--n", "4", "--j", "1"], "h[4] + h[3,1] + h[2,2]\n",
+     {"eulerq.eulerian", "eulerq.symfunc", "eulerq.polyalg", "fractions", "decimal"}),
+    (["qfun", "--n", "4", "--j", "1", "--basis", "p"],
+     "1/4*p[4] + 2/3*p[3,1] + 3/8*p[2,2] + 5/4*p[2,1,1] + 11/24*p[1,1,1,1]\n",
      {"eulerq.suites", "eulerq.bijections", "eulerq.related"}),
+    (["verify", "series", "--mode", "ci"], None, {"fractions", "decimal"}),
+    (["verify", "all", "--mode", "ci"], None, {"fractions", "decimal"}),
 ]
 
 

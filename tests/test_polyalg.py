@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, q-analogs, and truncated series."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,27 @@ def test_trunc_series_inverse_needs_unit_constant_term():
         s.inverse()
     neg = TruncSeries("z", 4, [Poly.const(-1), t])
     assert neg * neg.inverse() == TruncSeries.one("z", 4)
+
+
+@pytest.mark.parametrize("scalar", [3, True, Fraction(-2, 3)])
+def test_exact_scalars_act_as_constants(scalar):
+    q, c = Poly.var("q"), Poly.const(scalar)
+    assert q * scalar == scalar * q == q * c
+    assert q + scalar == scalar + q == q + c
+    assert q - scalar == q - c and scalar - q == c - q
+    assert c == scalar
+    assert PolyFraction(scalar) == PolyFraction(c)
+    assert QExpSeries([q]) * scalar == QExpSeries([q * c])
+
+
+@pytest.mark.parametrize("scalar", [0.5, Decimal("0.5"), "2"])
+def test_inexact_scalars_are_refused(scalar):
+    q = Poly.var("q")
+    for op in (lambda: q * scalar, lambda: scalar * q, lambda: q + scalar,
+               lambda: q - scalar, lambda: scalar - q, lambda: PolyFraction(scalar)):
+        with pytest.raises(TypeError):
+            op()
+    assert Poly.one() != scalar
 
 
 def test_trunc_series_holds_polys_only():

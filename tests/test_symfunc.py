@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -264,6 +265,28 @@ def test_render_parse():
     assert parse_symf(f.render()) == f
     assert parse_symf("1", basis="h") == SymF.one("h")
     assert SymF.zero().render() == "0"
+
+
+@pytest.mark.parametrize("scalar", [3, True, Fraction(-2, 3)])
+def test_exact_scalars_act_as_constants(scalar):
+    f, c = sym_h([2]), SymF("h", {(): scalar})
+    assert f * scalar == scalar * f == f * c
+    assert f + scalar == scalar + f == f + c
+    assert f - scalar == f - c
+    assert c == scalar
+    g = QSymF.fundamental([1], 2)
+    assert (g * scalar).terms == {(2, frozenset([1])): scalar}
+    assert SymPoly.wrap(f) * scalar == SymPoly.wrap(f * c)
+
+
+@pytest.mark.parametrize("scalar", [0.5, Decimal("0.5"), "2"])
+def test_inexact_scalars_are_refused(scalar):
+    f, g = sym_h([2]), QSymF.fundamental([1], 2)
+    for op in (lambda: f * scalar, lambda: scalar * f, lambda: f + scalar,
+               lambda: f - scalar, lambda: g * scalar):
+        with pytest.raises(TypeError):
+            op()
+    assert f != scalar
 
 
 def test_power_takes_nonnegative_integers_only():
