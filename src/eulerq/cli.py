@@ -13,17 +13,20 @@ the census (`permstats`); qfun and text chartable the formulas
 expand the bases (`symfunc`), and `eulerian` only for a Q[..] atom; verify
 the suites, and every layer under them; and the table cache's module only
 qfun, text chartable and cache.  `json` loads only where JSON is written or
-the cache is read.  `main` builds the argument parser of the one command
-it is given, and every command's parser for help and usage errors.
+the cache is read.  `main` reads a plain command line (a command, its
+positionals, then `--flag value` pairs) from the grammar table `COMMANDS`
+itself.  It loads `argparse` only for help, usage errors and the rarer
+valid forms, and builds from the same table the parser of the command
+named, or of every command when none is.
 """
 
-import argparse
 import itertools
 import os
 import re
 import sys
 from collections import namedtuple
 from math import factorial, perm, prod
+from types import SimpleNamespace
 
 
 class UsageError(Exception):
@@ -312,7 +315,7 @@ def cmd_qfun(args):
         lam = _parse_partition(args.lam)
         _check_degree(lam.n)
         params = ["lam", list(lam), "j", args.j]
-        build = lambda eulerian: eulerian.q_symf_type(lam, args.j)
+        build = lambda eulerian: eulerian.q_symf_type(lam, args.j, args.basis)
     else:
         if args.n < 0:
             raise UsageError("--n must be nonnegative")
@@ -564,98 +567,133 @@ def cmd_cache(args):
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _common(p):
-    p.add_argument("--output", choices=("text", "json"), default="text")
-    p.add_argument("--cache-dir", default="", help="cache directory "
-                   "(default: $EULERQ_CACHE_DIR or ~/.cache/eulerq)")
-    return p
+# One argument of a command: a flag ("--n") or a positional name ("perm"),
+# the attribute it sets, and the rest of what argparse's add_argument takes.
+Arg = namedtuple("Arg", "name dest type choices default nargs help",
+                 defaults=(None,) * 5)
 
+# A command's handler, by name, so a tracer or a test that rebinds cmd_* sees
+# the call; its help line; and its arguments, positionals first.
+Command = namedtuple("Command", "handler help args")
 
-def _add_stats(sub):
-    p = sub.add_parser("stats", help="permutation statistics")
-    p.add_argument("perm", nargs="?", help="one line word, e.g. 32541")
-    p.add_argument("--n", type=int, help="tabulate all of S_n")
-    p.add_argument("--table", help="comma list of statistics to tabulate")
-    _common(p).set_defaults(fn=cmd_stats)
+_BASES = ("h", "e", "s", "p", "m")
+_MODES = ("ci", "extended")
 
+# The options every command takes, after its own.
+_COMMON = (
+    Arg("--output", "output", choices=("text", "json"), default="text"),
+    Arg("--cache-dir", "cache_dir", default="",
+        help="cache directory (default: $EULERQ_CACHE_DIR or ~/.cache/eulerq)"),
+)
 
-def _add_qfun(sub):
-    p = sub.add_parser("qfun", help="render one Q function")
-    p.add_argument("--n", type=int)
-    p.add_argument("--j", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--lambda", dest="lam", help="cycle type, e.g. 4,2,1")
-    p.add_argument("--basis", choices=("h", "e", "s", "p", "m"), default="h")
-    _common(p).set_defaults(fn=cmd_qfun)
-
-
-def _add_verify(sub):
-    p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("suite", help="suite name or 'all'")
-    p.add_argument("--n-max", type=int, default=0)
-    p.add_argument("--mode", choices=("ci", "extended"), default="ci")
-    _common(p).set_defaults(fn=cmd_verify)
-
-
-def _add_chartable(sub):
-    p = sub.add_parser("chartable", help="character table of single-cycle slices")
-    p.add_argument("n", type=int)
-    _common(p).set_defaults(fn=cmd_chartable)
-
-
-def _add_expand(sub):
-    p = sub.add_parser("expand", help="evaluate an expression over Q and bases")
-    p.add_argument("expr")
-    p.add_argument("basis", nargs="?", default="m",
-                   choices=("h", "e", "s", "p", "m"))
-    p.add_argument("--vars", type=int, default=0,
-                   help="restrict to x_1..x_N before rendering")
-    _common(p).set_defaults(fn=cmd_expand)
-
-
-def _add_cache(sub):
-    p = sub.add_parser("cache", help="manage the table cache")
-    p.add_argument("action", choices=("warm", "clear", "list"))
-    p.add_argument("--mode", choices=("ci", "extended"), default="ci")
-    _common(p).set_defaults(fn=cmd_cache)
-
-
-# Each command and the function that adds its parser, in the order help lists them.
+# The grammar: each command, in the order help lists them.
 COMMANDS = {
-    "stats": _add_stats,
-    "qfun": _add_qfun,
-    "verify": _add_verify,
-    "chartable": _add_chartable,
-    "expand": _add_expand,
-    "cache": _add_cache,
+    "stats": Command("cmd_stats", "permutation statistics", (
+        Arg("perm", "perm", nargs="?", help="one line word, e.g. 32541"),
+        Arg("--n", "n", type=int, help="tabulate all of S_n"),
+        Arg("--table", "table", help="comma list of statistics to tabulate"),
+    )),
+    "qfun": Command("cmd_qfun", "render one Q function", (
+        Arg("--n", "n", type=int),
+        Arg("--j", "j", type=int),
+        Arg("--k", "k", type=int),
+        Arg("--lambda", "lam", help="cycle type, e.g. 4,2,1"),
+        Arg("--basis", "basis", choices=_BASES, default="h"),
+    )),
+    "verify": Command("cmd_verify", "run verification suites", (
+        Arg("suite", "suite", help="suite name or 'all'"),
+        Arg("--n-max", "n_max", type=int, default=0),
+        Arg("--mode", "mode", choices=_MODES, default="ci"),
+    )),
+    "chartable": Command("cmd_chartable", "character table of single-cycle slices", (
+        Arg("n", "n", type=int),
+    )),
+    "expand": Command("cmd_expand", "evaluate an expression over Q and bases", (
+        Arg("expr", "expr"),
+        Arg("basis", "basis", nargs="?", default="m", choices=_BASES),
+        Arg("--vars", "vars", type=int, default=0,
+            help="restrict to x_1..x_N before rendering"),
+    )),
+    "cache": Command("cmd_cache", "manage the table cache", (
+        Arg("action", "action", choices=("warm", "clear", "list")),
+        Arg("--mode", "mode", choices=_MODES, default="ci"),
+    )),
 }
+
+
+def _parse(argv):
+    """The namespace argparse returns for argv in the plain form: a command,
+    its positionals, then --flag value pairs with exact flag names, each
+    value converted by its type and checked against its choices.  None for
+    every other argv: help, a usage error, or a valid form argparse alone
+    reads (--flag=value, an abbreviation, --, a value starting with -, or a
+    positional after an option)."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command = COMMANDS[argv[0]]
+    args = command.args + _COMMON
+    values = {arg.dest: arg.default for arg in args}
+    positionals = [arg for arg in args if not arg.name.startswith("-")]
+    options = {arg.name: arg for arg in args if arg.name.startswith("-")}
+    rest = argv[1:]
+    given = next((i for i, tok in enumerate(rest) if tok.startswith("-")), len(rest))
+    required = sum(arg.nargs is None for arg in positionals)
+    if not required <= given <= len(positionals):
+        return None
+    pairs = list(zip(positionals, rest[:given]))
+    flags = rest[given:]
+    if len(flags) % 2:
+        return None
+    for flag, tok in zip(flags[::2], flags[1::2]):
+        if flag not in options or tok.startswith("-"):
+            return None
+        pairs.append((options[flag], tok))
+    for arg, tok in pairs:
+        try:
+            value = tok if arg.type is None else arg.type(tok)
+        except ValueError:
+            return None
+        if arg.choices is not None and value not in arg.choices:
+            return None
+        values[arg.dest] = value
+    return SimpleNamespace(cmd=argv[0], fn=globals()[command.handler], **values)
 
 
 def _parser(only=None):
     """The argument parser with every command's parser, or with only the
-    one named.  With one, the command metavar lists every command, so its
-    usage line reads as the full parser's; the full parser sets none, as
-    a metavar would also stand for "cmd" in its error messages."""
+    one named, built from COMMANDS.  With one, the command metavar lists
+    every command, so its usage line reads as the full parser's; the full
+    parser sets none, as a metavar would also stand for "cmd" in its error
+    messages."""
+    import argparse
     top = argparse.ArgumentParser(
         prog="eulerq",
         description="Exact fixed-excedance quasisymmetric functions: "
                     "statistics, expansions, and machine verification.")
     if only is None:
         sub = top.add_subparsers(dest="cmd", required=True)
-        for add in COMMANDS.values():
-            add(sub)
     else:
         sub = top.add_subparsers(dest="cmd", required=True,
                                  metavar="{" + ",".join(COMMANDS) + "}")
-        COMMANDS[only](sub)
+    for name in COMMANDS if only is None else (only,):
+        command = COMMANDS[name]
+        p = sub.add_parser(name, help=command.help)
+        for arg in command.args + _COMMON:
+            # argparse takes the dest of a positional from its name only
+            dest = {"dest": arg.dest} if arg.name.startswith("-") else {}
+            p.add_argument(arg.name, type=arg.type, choices=arg.choices,
+                           default=arg.default, nargs=arg.nargs, help=arg.help, **dest)
+        p.set_defaults(fn=globals()[command.handler])
     return top
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    # help, a missing command and an unknown one need every command's parser
-    only = argv[0] if argv and argv[0] in COMMANDS else None
-    args = _parser(only).parse_args(argv)
+    args = _parse(argv)
+    if args is None:
+        # help, a missing command and an unknown one need every command's parser
+        only = argv[0] if argv and argv[0] in COMMANDS else None
+        args = _parser(only).parse_args(argv)
     try:
         return args.fn(args)
     except UsageError as e:

@@ -256,10 +256,11 @@ def q_type_poly(lam) -> SymPoly:
 
 
 @lru_cache(maxsize=None)
-def q_symf_type(lam, j) -> SymF:
-    """Q(lam, j) in the p basis: the class values of the t^j slice of
-    _type_classes(lam), each divided by z_mu."""
-    return from_class_values(_type_classes(Partition(lam)).get((j, 0), {}), "p")
+def q_symf_type(lam, j, basis="p") -> SymF:
+    """Q(lam, j) in basis, from the class values of the t^j slice of
+    _type_classes(lam): in p each divided by z_mu, in h, e, s and m through
+    s with integer coefficients, so no Fraction is built."""
+    return from_class_values(_type_classes(Partition(lam)).get((j, 0), {}), basis)
 
 
 def character_value(n, j, mu) -> int:

@@ -908,14 +908,19 @@ def sym_m(lam, coeff=1):
 # ---------------------------------------------------------------------------
 
 class SymPoly:
-    """A polynomial in t and r whose coefficients are symmetric functions."""
+    """A polynomial in t and r whose coefficients are symmetric functions:
+    the constructor refuses any coefficient that is not a SymF.  In +, -
+    and * a SymF operand stands at t^0 r^0, and * also takes a rational
+    scalar; any other operand is refused."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = {}
         for (a, b), f in (terms or {}).items():
-            if isinstance(f, SymF) and not f.is_zero():
+            if not isinstance(f, SymF):
+                raise TypeError(f"coefficient of t^{a} r^{b} is not a SymF: {f!r}")
+            if not f.is_zero():
                 self.terms[(a, b)] = f
 
     @classmethod
@@ -936,7 +941,19 @@ class SymPoly:
     def t_support(self):
         return sorted({a for (a, _) in self.terms})
 
+    @staticmethod
+    def _operand(other):
+        """other as a SymPoly, a SymF at t^0 r^0; None for any other type."""
+        if isinstance(other, SymPoly):
+            return other
+        if isinstance(other, SymF):
+            return SymPoly.wrap(other)
+        return None
+
     def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         out = dict(self.terms)
         for k, f in other.terms.items():
             if k in out:
@@ -950,6 +967,9 @@ class SymPoly:
         return SymPoly(out)
 
     def __sub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return self + other.scale(-1)
 
     def scale(self, c):
@@ -962,8 +982,9 @@ class SymPoly:
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             return self.scale(other)
-        if isinstance(other, SymF):
-            other = SymPoly.wrap(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         out = {}
         for (a1, b1), f1 in self.terms.items():
             for (a2, b2), f2 in other.terms.items():

@@ -1,8 +1,10 @@
 """Command line interface: outputs, exit codes, determinism, caching."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 import itertools
 import json
 import os
@@ -12,12 +14,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from eulerq import cli, enumerate_permutations, eulerian, statistics, suites
 from eulerq.cache import CacheEntry, list_entries, load, store
 from eulerq.permstats import DEFAULT_CAP
 from eulerq.report import VerifyReport
 from fixtures_tables import CHAR_TABLES
+from fixtures_usage import USAGE_OUTPUTS
+from test_digests import WORKLOADS
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -550,14 +555,16 @@ def test_cache_dir_env_override(capsys, tmp_path, monkeypatch):
 
 
 # Loads eulerq.cli, runs the command in argv and writes the sorted module
-# names loaded after the import and after the command to stderr, so stdout
-# holds the command's output alone.
+# names loaded after the import and after the command to stderr, as its
+# first and last lines, so stdout holds the command's output alone.
 STARTUP_PROBE = """
 import sys
 import eulerq.cli
 print(sorted(sys.modules), file=sys.stderr)
-eulerq.cli.main(sys.argv[1:])
-print(sorted(sys.modules), file=sys.stderr)
+try:
+    eulerq.cli.main(sys.argv[1:])
+finally:
+    print(sorted(sys.modules), file=sys.stderr)
 """
 
 # Each probed command, its stdout (None: not checked here), and what it may
@@ -580,25 +587,44 @@ STARTUP_COMMANDS = [
     (["qfun", "--n", "4", "--j", "1", "--basis", "p"],
      "1/4*p[4] + 2/3*p[3,1] + 3/8*p[2,2] + 5/4*p[2,1,1] + 11/24*p[1,1,1,1]\n",
      {"eulerq.suites", "eulerq.bijections", "eulerq.related"}),
+    (["qfun", "--lambda", "3,1", "--j", "1"], "h[3,1]\n",
+     {"eulerq.suites", "eulerq.bijections", "eulerq.related", "fractions", "decimal"}),
     (["verify", "series", "--mode", "ci"], None, {"fractions", "decimal"}),
     (["verify", "all", "--mode", "ci"], None, {"fractions", "decimal"}),
 ]
 
 
+# argparse and what it loads to translate its messages: only help and usage
+# errors load them.
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
 def test_startup_imports_stay_light(tmp_path):
     """A fresh `import eulerq.cli` loads no other package module, nor json,
-    fractions, dataclasses, inspect or hashlib, and each command loads only
-    what it reads.  It counts modules rather than timing the import."""
+    fractions, dataclasses, inspect, hashlib or argparse, and each command
+    loads only what it reads; a usage error loads argparse and exits 2.  It
+    counts modules rather than timing the import."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), EULERQ_CACHE_DIR=str(tmp_path))
-    for argv, stdout, not_loaded in STARTUP_COMMANDS:
+
+    def probe(argv):
         proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *argv], env=env, cwd=ROOT,
-                              capture_output=True, text=True, check=True)
-        imported, ran = (set(ast.literal_eval(line)) for line in proc.stderr.splitlines())
+                              capture_output=True, text=True)
+        lines = proc.stderr.splitlines()
+        imported, ran = set(ast.literal_eval(lines[0])), set(ast.literal_eval(lines[-1]))
         assert {m for m in imported if m.startswith("eulerq")} == {"eulerq", "eulerq.cli"}
         assert {"json", "fractions", "dataclasses", "inspect", "hashlib"} & imported == set()
-        assert not_loaded & ran == set(), argv
+        assert ARGPARSE & imported == set()
+        return proc, ran
+
+    for argv, stdout, not_loaded in STARTUP_COMMANDS:
+        proc, ran = probe(argv)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert (not_loaded | ARGPARSE) & ran == set(), argv
         if stdout is not None:
             assert proc.stdout == stdout
+    proc, ran = probe(["stats", "--n", "x"])
+    assert proc.returncode == 2
+    assert "argparse" in ran
 
 
 def test_one_command_parser_reads_as_the_full_one(capsys):
@@ -614,6 +640,90 @@ def test_one_command_parser_reads_as_the_full_one(capsys):
         assert output(cli.main, argv) == output(cli._parser().parse_args, argv)
     argv = ["stats", "1", "2"]
     assert output(cli.main, argv) == output(cli._parser().parse_args, argv)
+
+
+@pytest.mark.parametrize("command", sorted(USAGE_OUTPUTS))
+def test_help_and_usage_errors_print_the_recorded_bytes(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = cli.main(command.split())
+    except SystemExit as exc:
+        code = exc.code
+    assert (code, *capsys.readouterr()) == USAGE_OUTPUTS[command]
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            only = argv[0] if argv and argv[0] in cli.COMMANDS else None
+            return vars(cli._parser(only).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def test_every_benchmark_command_takes_the_plain_reader():
+    for workload in WORKLOADS.WORKLOADS:
+        for argv in WORKLOADS.domain(workload):
+            args = cli._parse(argv)
+            assert args is not None, argv
+            assert vars(args) == _argparse_vars(argv), argv
+
+
+def _values(arg):
+    """Values for arg, each valid or not: its choices and one more, or
+    integers, negative and bad numbers among them, or strings."""
+    if arg.choices:
+        return st.sampled_from([*arg.choices, "q"])
+    if arg.type is int:
+        return st.sampled_from(["0", "3", "8", "-2", "x", "1.5"])
+    return st.sampled_from(["all", "series", "m[2,1]", "4,2,1", "123", "", "-x"])
+
+
+@st.composite
+def command_lines(draw):
+    """argv of one command from its grammar: some or all of its positionals
+    and perhaps one extra, then options, each plain, =-joined or
+    abbreviated, with positionals perhaps moved after them, and perhaps --,
+    help or an unknown flag."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    args = cli.COMMANDS[name].args + cli._COMMON
+    positionals = [draw(_values(arg)) for arg in args if not arg.name.startswith("-")]
+    positionals = positionals[:draw(st.integers(0, len(positionals)))]
+    positionals += draw(st.lists(st.just("7"), max_size=1))
+    options = []
+    for arg in draw(st.lists(st.sampled_from([a for a in args if a.name.startswith("-")]),
+                             max_size=4)):
+        value = draw(_values(arg))
+        form = draw(st.sampled_from(["plain", "plain", "joined", "abbreviated"]))
+        if form == "joined":
+            options.append(f"{arg.name}={value}")
+        else:
+            cut = len(arg.name) if form == "plain" else max(3, len(arg.name) - 2)
+            options += [arg.name[:cut], value]
+    moved = draw(st.integers(0, len(positionals)))
+    argv = [name, *positionals[:moved], *options, *positionals[moved:]]
+    odd = draw(st.sampled_from([None, None, "--", "-h", "--help", "--bogus"]))
+    if odd is not None:
+        argv.insert(draw(st.integers(1, len(argv))), odd)
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+@example(["stats", "--table", "-x"])
+@example(["stats", "--n", "-2"])
+@example(["stats", "--n", "8", "123"])
+@example(["expand", "m[2]", "--vars", "3", "h"])
+@example(["verify", "--", "all"])
+@example(["qfun", "--n=4", "--j", "1"])
+@example(["qfun", "--n", "4", "--j", "1", "--out", "json"])
+def test_plain_reader_agrees_with_argparse(argv):
+    """_parse returns argparse's namespace or None, and None wherever
+    argparse exits."""
+    args, expected = cli._parse(argv), _argparse_vars(argv)
+    assert args is None or vars(args) == expected, argv
+    assert expected is not None or args is None, argv
 
 
 USAGE = "usage: eulerq [-h] {stats,qfun,verify,chartable,expand,cache} ...\n"

@@ -95,6 +95,17 @@ def test_slice_decompositions():
             assert by_type == whole
 
 
+def test_q_symf_type_in_each_basis_is_its_p_form_converted():
+    for n in range(7):
+        for lam in partitions(n):
+            for j in range(n + 1):
+                for basis in ("h", "e", "s", "m"):
+                    f = q_symf_type(lam, j, basis)
+                    assert f.basis == basis
+                    assert f.render() == q_symf_type(lam, j).to_basis(basis).render(), \
+                        (tuple(lam), j, basis)
+
+
 def test_single_cycle_reference_expansion():
     f = q_symf_type((6,), 3)
     assert f == (sym_h([5, 1]) + 2 * sym_h([4, 2]) - sym_h([4, 1, 1])

@@ -282,11 +282,38 @@ def test_exact_scalars_act_as_constants(scalar):
 @pytest.mark.parametrize("scalar", [0.5, Decimal("0.5"), "2"])
 def test_inexact_scalars_are_refused(scalar):
     f, g = sym_h([2]), QSymF.fundamental([1], 2)
+    x = SymPoly.wrap(f, t=1)
     for op in (lambda: f * scalar, lambda: scalar * f, lambda: f + scalar,
-               lambda: f - scalar, lambda: g * scalar):
+               lambda: f - scalar, lambda: g * scalar,
+               lambda: x * scalar, lambda: scalar * x, lambda: x + scalar,
+               lambda: scalar + x, lambda: x - scalar):
         with pytest.raises(TypeError):
             op()
     assert f != scalar
+    assert x != scalar
+
+
+def test_sympoly_sum_with_a_symf():
+    """A SymF is the coefficient of t^0 r^0 in a sum or a difference, as in
+    a product, and a constant is not a SymPoly."""
+    x = SymPoly.wrap(sym_h([2]))
+    assert x + sym_h([2, 1]) == SymPoly.wrap(sym_h([2]) + sym_h([2, 1]))
+    assert x - sym_h([3]) == SymPoly.wrap(sym_h([2]) - sym_h([3]))
+    assert SymPoly.wrap(sym_h([1]), t=2) + sym_h([1]) == SymPoly(
+        {(2, 0): sym_h([1]), (0, 0): sym_h([1])})
+    assert x - sym_h([2]) == SymPoly.zero()
+    for constant in (1, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            x + constant
+        with pytest.raises(TypeError):
+            x - constant
+
+
+def test_sympoly_coefficients_are_symfs():
+    assert SymPoly({(1, 0): SymF.zero()}) == SymPoly.zero()
+    for coefficient in (3, Fraction(1, 2), None):
+        with pytest.raises(TypeError):
+            SymPoly({(0, 0): coefficient})
 
 
 def test_power_takes_nonnegative_integers_only():
