@@ -1,5 +1,5 @@
 """Command line front end: statistics, Q functions (`eulerian`), verify
-suites (`suites`), character tables, expression expansion, and the table cache.
+suites (`suites`), character tables and expression expansion.
 
 Exit codes are stable for scripting: 0 success, 1 a verification check
 failed, 2 usage or parse error.  JSON output is key-sorted and compact, and
@@ -8,16 +8,14 @@ inputs produce byte-identical bytes.
 
 At module level this imports only the standard library, and `import eulerq`
 loads no package module, so a launch loads what its command reads: stats
-the census (`permstats`); qfun and text chartable the formulas
-(`eulerian`) only on a table-cache miss, and JSON chartable always;
+the census (`permstats`); qfun and chartable the formulas (`eulerian`);
 expand the bases (`symfunc`), and `eulerian` only for a Q[..] atom; verify
-the suites, and every layer under them; and the table cache's module only
-qfun, text chartable and cache.  `json` loads only where JSON is written or
-the cache is read.  `main` reads a plain command line (a command, its
-positionals, then `--flag value` pairs) from the grammar table `COMMANDS`
-itself.  It loads `argparse` only for help, usage errors and the rarer
-valid forms, and builds from the same table the parser of the command
-named, or of every command when none is.
+the suites, and every layer under them.  `json` loads only where JSON is
+written.  `main` reads a plain command line (a command, its positionals,
+then `--flag value` pairs) from the grammar table `COMMANDS` itself.  It
+loads `argparse` only for help, usage errors and the rarer valid forms, and
+builds from the same table the parser of the command named, or of every
+command when none is.
 """
 
 import itertools
@@ -324,52 +322,34 @@ def cmd_qfun(args):
             raise UsageError("--k must be nonnegative")
         params = ["n", args.n, "j", args.j, "k", args.k]
         build = lambda eulerian: eulerian.q_symf(args.n, args.j, args.k)
-
-    def compute():
-        # called on a store miss only, so a hit loads none of the formulas
-        from . import eulerian
-        return build(eulerian).to_basis(args.basis).render()
-
-    from . import cache as cachestore
-    directory = args.cache_dir or cachestore.default_cache_dir()
-    payload, _ = cachestore.fetch(directory, "qfun", params, args.basis, None, compute)
+    from . import eulerian
+    rendered = build(eulerian).to_basis(args.basis).render()
     if args.output == "json":
         out = {"command": "qfun", "params": params, "basis": args.basis,
-               "value": payload}
+               "value": rendered}
         _print_json(out)
     else:
-        print(payload)
+        print(rendered)
     return 0
-
-
-def _chartable_text(n):
-    from .eulerian import char_table
-    js, rows = char_table(n)
-    head = ["lambda"] + [f"({n},{j})" for j in js]
-    body = [[",".join(map(str, mu))] + [str(v) for v in vals] for mu, vals in rows]
-    widths = [max(len(line[i]) for line in [head] + body) for i in range(len(head))]
-    lines = ["  ".join(cell.rjust(w) for cell, w in zip(line, widths))
-             for line in [head] + body]
-    return "\n".join(lines)
 
 
 def cmd_chartable(args):
     if args.n < 1:
         raise UsageError("n must be positive")
     _check_degree(args.n)
+    from .eulerian import char_table
+    js, rows = char_table(args.n)
     if args.output == "json":
-        from .eulerian import char_table
-        js, rows = char_table(args.n)
         out = {"command": "chartable", "n": args.n,
                "columns": [[args.n, j] for j in js],
                "rows": [{"lam": list(mu), "values": vals} for mu, vals in rows]}
         _print_json(out)
         return 0
-    from . import cache as cachestore
-    directory = args.cache_dir or cachestore.default_cache_dir()
-    payload, _ = cachestore.fetch(directory, "chartable", ["n", args.n], None,
-                                  None, lambda: _chartable_text(args.n))
-    print(payload)
+    head = ["lambda"] + [f"({args.n},{j})" for j in js]
+    body = [[",".join(map(str, mu))] + [str(v) for v in vals] for mu, vals in rows]
+    widths = [max(len(line[i]) for line in [head] + body) for i in range(len(head))]
+    print("\n".join("  ".join(cell.rjust(w) for cell, w in zip(line, widths))
+                    for line in [head] + body))
     return 0
 
 
@@ -528,42 +508,6 @@ def cmd_expand(args):
 
 
 # ---------------------------------------------------------------------------
-# cache management
-# ---------------------------------------------------------------------------
-
-def cmd_cache(args):
-    from . import cache as cachestore
-    directory = args.cache_dir or cachestore.default_cache_dir()
-    if args.action == "list":
-        import json
-        for kind, params, basis, cap, ok in cachestore.list_entries(directory):
-            state = "ok" if ok else "corrupt"
-            print(f"{kind} params={json.dumps(params)} basis={basis} cap={cap} [{state}]")
-        return 0
-    if args.action == "clear":
-        print(f"removed {cachestore.clear(directory)} entries")
-        return 0
-    # warm
-    from .eulerian import q_symf
-    cap = 6 if args.mode == "ci" else 8
-    count = 0
-    try:
-        for n in range(1, cap + 1):
-            cachestore.store(directory, cachestore.CacheEntry(
-                "chartable", ["n", n], None, None, _chartable_text(n)))
-            count += 1
-            for j in range(max(n, 1)):
-                payload = q_symf(n, j).to_basis("h").render()
-                cachestore.store(directory, cachestore.CacheEntry(
-                    "qfun", ["n", n, "j", j, "k", None], "h", None, payload))
-                count += 1
-    except OSError as e:
-        raise UsageError(f"cannot write the cache: {e}")
-    print(f"warmed {count} entries into {directory}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # argument wiring
 # ---------------------------------------------------------------------------
 
@@ -577,13 +521,10 @@ Arg = namedtuple("Arg", "name dest type choices default nargs help",
 Command = namedtuple("Command", "handler help args")
 
 _BASES = ("h", "e", "s", "p", "m")
-_MODES = ("ci", "extended")
 
 # The options every command takes, after its own.
 _COMMON = (
     Arg("--output", "output", choices=("text", "json"), default="text"),
-    Arg("--cache-dir", "cache_dir", default="",
-        help="cache directory (default: $EULERQ_CACHE_DIR or ~/.cache/eulerq)"),
 )
 
 # The grammar: each command, in the order help lists them.
@@ -603,7 +544,7 @@ COMMANDS = {
     "verify": Command("cmd_verify", "run verification suites", (
         Arg("suite", "suite", help="suite name or 'all'"),
         Arg("--n-max", "n_max", type=int, default=0),
-        Arg("--mode", "mode", choices=_MODES, default="ci"),
+        Arg("--mode", "mode", choices=("ci", "extended"), default="ci"),
     )),
     "chartable": Command("cmd_chartable", "character table of single-cycle slices", (
         Arg("n", "n", type=int),
@@ -613,10 +554,6 @@ COMMANDS = {
         Arg("basis", "basis", nargs="?", default="m", choices=_BASES),
         Arg("--vars", "vars", type=int, default=0,
             help="restrict to x_1..x_N before rendering"),
-    )),
-    "cache": Command("cmd_cache", "manage the table cache", (
-        Arg("action", "action", choices=("warm", "clear", "list")),
-        Arg("--mode", "mode", choices=_MODES, default="ci"),
     )),
 }
 

@@ -410,15 +410,15 @@ def _cycle_type(w):
 @lru_cache(maxsize=None)
 def _class_censuses(n):
     """{cycle type: read-only Counter of census rows} over S_n, in one pass
-    over its words.  Each word is keyed by a plain tuple; the Partition is
-    built once per class."""
-    counts = Counter((_cycle_type(w), _row(w)) for w in itertools.permutations(range(1, n + 1)))
+    over its words.  Each word's row goes straight into the Counter of its
+    cycle type, a plain tuple; the Partition is built once per class."""
     classes = {}
-    for (lam, row), c in counts.items():
+    for w in itertools.permutations(range(1, n + 1)):
+        lam = _cycle_type(w)
         rows = classes.get(lam)
         if rows is None:
             rows = classes[lam] = Counter()
-        rows[row] = c
+        rows[_row(w)] += 1
     return {Partition(lam): MappingProxyType(rows) for lam, rows in classes.items()}
 
 

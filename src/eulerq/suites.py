@@ -210,7 +210,7 @@ def _q_coeff_seq(f: Poly):
 # ---------------------------------------------------------------------------
 
 
-def verify_main_generating_function(n_max=6) -> VerifyReport:
+def verify_main_generating_function(n_max) -> VerifyReport:
     """Cleared form of the master generating function for sum Q_n(t, r) z^n:
     per degree n,
 
@@ -226,7 +226,7 @@ def verify_main_generating_function(n_max=6) -> VerifyReport:
     return rep
 
 
-def verify_recurrences(n_max=7) -> VerifyReport:
+def verify_recurrences(n_max) -> VerifyReport:
     """Recurrences and closed formulas that pin down the Q and A families."""
     rep = VerifyReport("recurrences")
     for n in range(2, n_max + 1):
@@ -265,7 +265,7 @@ def verify_recurrences(n_max=7) -> VerifyReport:
     return rep
 
 
-def verify_qexp_generating_function(n_max=6) -> VerifyReport:
+def verify_qexp_generating_function(n_max) -> VerifyReport:
     """q-exponential identity for the maj/exc/fix enumerators: in the
     divided-power encoding z^n / [n]_q! the cleared identity reads
 
@@ -285,7 +285,7 @@ def verify_qexp_generating_function(n_max=6) -> VerifyReport:
     return rep
 
 
-def verify_four_stat_series(z_max=4) -> VerifyReport:
+def verify_four_stat_series(z_max) -> VerifyReport:
     """Four-statistic generating series compared per (z, p) coefficient, both
     up to order z_max.
 
@@ -489,7 +489,7 @@ def finite_specialization_check(lam, k_max, rep=None) -> VerifyReport:
     return rep
 
 
-def verify_finite_specialization(total_max=5) -> VerifyReport:
+def verify_finite_specialization(total_max) -> VerifyReport:
     """The finite-variable specialization identity over all classes
     (lam, 1^k) with bounded |lam| + k, plus its exc/fix consequence at n = 4
 
@@ -518,7 +518,7 @@ def verify_finite_specialization(total_max=5) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def verify_derangement_identities(n_max=6) -> VerifyReport:
+def verify_derangement_identities(n_max) -> VerifyReport:
     """Fixed-point reductions and inclusion-exclusion for maj/exc, their
     comajor-index mirrors, and the comaj q-exponential identity."""
     rep = VerifyReport("derangements")
@@ -573,7 +573,7 @@ def _geom_upper(u, order):
 A4_T1_COEFF = "3*p + 2*p*q + p*q^2 + 2*p^2*q^2 + 2*p^2*q^3 + p^2*q^4"
 
 
-def verify_symmetry_unimodality(n_max=7) -> VerifyReport:
+def verify_symmetry_unimodality(n_max) -> VerifyReport:
     """Palindromicity and unimodality of every slice of the Q and A families,
     including the size-4 witness showing where four-statistic symmetry dies,
     and the expansions in the binomial basis t^d (1+t)^(span-2d)."""
@@ -695,7 +695,7 @@ _CYCLE_TYPE_LC_EXCEPTIONS = {
 }
 
 
-def verify_positivity(n_max=7) -> VerifyReport:
+def verify_positivity(n_max) -> VerifyReport:
     """Positivity statements confirmed at desk scale: Schur positivity of the
     cycle-type slices and their consecutive differences, unimodality of the
     shifted enumerators, and log-concavity of each family of slices.  All are
@@ -767,7 +767,7 @@ def _cycle_type_lc_failures(n, slice_of):
 # ---------------------------------------------------------------------------
 
 
-def verify_character_formula(n_max=7) -> VerifyReport:
+def verify_character_formula(n_max) -> VerifyReport:
     """Character values of the single-cycle slices from the gcd-erasure
     polynomial against the census, plus the power-sum expansion of the full
     slices (which also holds at size 1, where the single-cycle formula does
@@ -816,12 +816,11 @@ def verify_character_formula(n_max=7) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def verify_structure_identities(n_max=6, restrict_max=6, dims_max=None) -> VerifyReport:
+def verify_structure_identities(n_max, restrict_max, dims_max) -> VerifyReport:
     """Multiplicative structure of the family: plethystic product over cycle
     sizes, the disjoint-type product rule, the doubled-part evaluation,
     dimensions, and restriction to one fewer letter."""
     rep = VerifyReport("structure")
-    dims_max = n_max if dims_max is None else dims_max
     for n in range(1, n_max + 1):
         for lam in partitions(n):
             oracle = {(j, 0): v for j in range(n) if (v := _type_class_oracle(lam, j))}
@@ -934,7 +933,7 @@ def _summed_terms(slices):
     return {key: c for key, c in out.items() if c}
 
 
-def verify_specializations(n_max=6) -> VerifyReport:
+def verify_specializations(n_max) -> VerifyReport:
     """Stable and finite principal specializations against brute force, plus
     the partition-of-unity decompositions of the full EXD sum.  The stable
     identities [t^j] A = q^j (q;q)_n ps(Q) are checked with (q;q)_n cleared
@@ -1039,7 +1038,7 @@ def _q_sympoly(n):
 DERANGEMENT_COUNTS = [1, 0, 1, 2, 9, 44, 265, 1854]
 
 
-def verify_related(n_words=5, n_gessel=4) -> VerifyReport:
+def verify_related(n_words, n_gessel) -> VerifyReport:
     """Check the companion models against the Q family and their own
     generating identities."""
     rep = VerifyReport("related")

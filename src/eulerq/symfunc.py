@@ -966,11 +966,26 @@ class SymPoly:
                 out[k] = f
         return SymPoly(out)
 
+    def __radd__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return other + self
+
     def __sub__(self, other):
         other = self._operand(other)
         if other is None:
             return NotImplemented
         return self + other.scale(-1)
+
+    def __rsub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __neg__(self):
+        return self.scale(-1)
 
     def scale(self, c):
         return SymPoly({k: f * c for k, f in self.terms.items()})

@@ -202,10 +202,9 @@ def test_projected_census_is_read_only_and_capped(fields):
         census(11, fields)
 
 
-def test_stats_and_chartable_list_no_words(monkeypatch, tmp_path, capsys):
+def test_stats_and_chartable_list_no_words(monkeypatch, capsys):
     """`stats --n 8` and `chartable 8 --output json` read census
     projections only: no _row call, so no word of S_n is listed."""
-    monkeypatch.setenv("EULERQ_CACHE_DIR", str(tmp_path))
     calls = []
     original = permstats._row
 

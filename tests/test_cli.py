@@ -1,4 +1,4 @@
-"""Command line interface: outputs, exit codes, determinism, caching."""
+"""Command line interface: outputs, exit codes, determinism, start-up imports."""
 
 import ast
 import contextlib
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eulerq import cli, enumerate_permutations, eulerian, statistics, suites
-from eulerq.cache import CacheEntry, list_entries, load, store
 from eulerq.permstats import DEFAULT_CAP
 from eulerq.report import VerifyReport
 from fixtures_tables import CHAR_TABLES
@@ -163,12 +162,11 @@ OVER = cli._MAX_DEGREE + 1
     ["expand", f"(h[2] + h[{OVER - 3}]) * (m[2,1] - 1)"],
 ], ids=["qfun-n", "qfun-lambda", "chartable", "Q-n", "Q-lambda", "atom", "atom-in-sum",
         "product", "nested-product"])
-def test_degree_past_the_limit_is_usage_error(capsys, tmp_path, argv):
-    assert cli.main([*argv, "--cache-dir", str(tmp_path)]) == 2
+def test_degree_past_the_limit_is_usage_error(capsys, argv):
+    assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: degree {OVER} exceeds the limit {OVER - 1}\n"
-    assert os.listdir(tmp_path) == []
 
 
 def test_product_at_the_limit_is_accepted(capsys):
@@ -177,9 +175,8 @@ def test_product_at_the_limit_is_accepted(capsys):
     assert out.strip() == f"h[{OVER - 2},1]"
 
 
-def test_qfun_past_the_old_cap_renders_the_oracle(capsys, tmp_path):
-    rc, out = run(capsys, "qfun", "--n", "10", "--j", "4", "--k", "2", "--basis", "s",
-                  "--cache-dir", str(tmp_path))
+def test_qfun_past_the_old_cap_renders_the_oracle(capsys):
+    rc, out = run(capsys, "qfun", "--n", "10", "--j", "4", "--k", "2", "--basis", "s")
     assert rc == 0
     assert out.strip() == eulerian.q_symf_oracle(10, 4, 2).to_basis("s").render()
 
@@ -190,26 +187,13 @@ def test_readme_states_the_size_limits():
     assert re.search(r"the census limit is (\d+)", text).group(1) == str(DEFAULT_CAP)
 
 
-def test_qfun_text(capsys, tmp_path):
-    rc, out = run(capsys, "qfun", "--n", "2", "--j", "1",
-                  "--cache-dir", str(tmp_path))
+def test_qfun_text(capsys):
+    rc, out = run(capsys, "qfun", "--n", "2", "--j", "1")
     assert rc == 0
     assert out.strip() == "h[2]"
-    rc, out = run(capsys, "qfun", "--lambda", "6", "--j", "3", "--basis", "s",
-                  "--cache-dir", str(tmp_path))
+    rc, out = run(capsys, "qfun", "--lambda", "6", "--j", "3", "--basis", "s")
     assert rc == 0
     assert out.strip() == "3*s[6] + 3*s[5,1] + 3*s[4,2] + s[3,3] + s[3,2,1]"
-
-
-def test_qfun_uses_cache(capsys, tmp_path):
-    d = str(tmp_path)
-    run(capsys, "qfun", "--n", "4", "--j", "2", "--cache-dir", d)
-    rows = list_entries(d)
-    assert len(rows) == 1
-    # second run hits the stored entry and prints the identical text
-    rc1, out1 = run(capsys, "qfun", "--n", "4", "--j", "2", "--cache-dir", d)
-    assert rc1 == 0
-    assert load(d, "qfun", ["n", 4, "j", 2, "k", None], "h", None) == out1.strip()
 
 
 def test_qfun_usage_errors(capsys):
@@ -225,8 +209,8 @@ def test_qfun_usage_errors(capsys):
     (["--j", "-1"], "error: --j is required and must be nonnegative"),
     (["--j", "1", "--k", "-1"], "error: --k must be nonnegative"),
 ])
-def test_qfun_negative_j_or_k_is_usage_error(capsys, tmp_path, argv, message):
-    assert cli.main(["qfun", "--n", "3", *argv, "--cache-dir", str(tmp_path)]) == 2
+def test_qfun_negative_j_or_k_is_usage_error(capsys, argv, message):
+    assert cli.main(["qfun", "--n", "3", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message + "\n"
@@ -239,7 +223,7 @@ def test_expand_negative_vars_is_usage_error(capsys):
     assert captured.err == "error: --vars must be nonnegative\n"
 
 
-def test_chartable_json_matches_reference(capsys, tmp_path):
+def test_chartable_json_matches_reference(capsys):
     rc, out = run(capsys, "chartable", "5", "--output", "json")
     assert rc == 0
     payload = json.loads(out)
@@ -248,29 +232,13 @@ def test_chartable_json_matches_reference(capsys, tmp_path):
         assert tuple(row["values"]) == CHAR_TABLES[5][tuple(row["lam"])]
 
 
-def test_chartable_text_cached(capsys, tmp_path):
-    d = str(tmp_path)
-    rc, out = run(capsys, "chartable", "4", "--cache-dir", d)
+def test_chartable_text_cached(capsys):
+    rc, out = run(capsys, "chartable", "4")
     assert rc == 0
     assert out.splitlines()[0].split() == ["lambda", "(4,1)", "(4,2)"]
-    assert load(d, "chartable", ["n", 4]) is not None
     assert cli.main(["chartable", str(OVER)]) == 2
     assert cli.main(["chartable", "0"]) == 2
     capsys.readouterr()
-
-
-def test_chartable_heals_corrupt_cache(capsys, tmp_path):
-    d = str(tmp_path)
-    entry = CacheEntry("chartable", ["n", 4], None, None, "stale nonsense")
-    store(d, entry)
-    import os
-    path = os.path.join(d, entry.filename())
-    with open(path, "w") as f:
-        f.write("garbage")
-    rc, out = run(capsys, "chartable", "4", "--cache-dir", d)
-    assert rc == 0
-    assert "lambda" in out
-    assert load(d, "chartable", ["n", 4]) == out.rstrip("\n")
 
 
 def test_expand_reference(capsys):
@@ -508,52 +476,6 @@ def test_verify_json_deterministic_across_runs(capsys):
     assert len(payload["suites"]) == 12
 
 
-def test_cache_warm_list_clear(capsys, tmp_path):
-    d = str(tmp_path)
-    rc, out = run(capsys, "cache", "warm", "--cache-dir", d)
-    assert rc == 0
-    warmed = int(out.split()[1])
-    assert warmed == 27  # 6 tables + 21 slice renders
-    rc, out = run(capsys, "cache", "list", "--cache-dir", d)
-    assert rc == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == warmed
-    assert all("[ok]" in line for line in lines)
-    # sample entries must equal a fresh computation
-    from eulerq import q_symf
-    for n, j in ((3, 1), (6, 2), (5, 0)):
-        cached = load(d, "qfun", ["n", n, "j", j, "k", None], "h", None)
-        assert cached == q_symf(n, j).to_basis("h").render()
-    rc, out = run(capsys, "cache", "clear", "--cache-dir", d)
-    assert rc == 0
-    assert f"removed {warmed} entries" in out
-    assert list_entries(d) == []
-
-
-def test_unwritable_store_still_answers(capsys, tmp_path):
-    # a store directory under a regular file can be neither read nor written
-    blocked = tmp_path / "file"
-    blocked.write_text("")
-    d = str(blocked / "store")
-    rc, out = run(capsys, "qfun", "--n", "4", "--j", "1", "--cache-dir", d)
-    assert (rc, out) == (0, "h[4] + h[3,1] + h[2,2]\n")
-    rc, out = run(capsys, "chartable", "4", "--cache-dir", d)
-    assert (rc, out) == (0, cli._chartable_text(4) + "\n")
-    assert cli.main(["cache", "warm", "--cache-dir", d]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: cannot write the cache: ")
-    assert captured.err.count("\n") == 1
-
-
-def test_cache_dir_env_override(capsys, tmp_path, monkeypatch):
-    alt = tmp_path / "envcache"
-    monkeypatch.setenv("EULERQ_CACHE_DIR", str(alt))
-    rc, _ = run(capsys, "qfun", "--n", "3", "--j", "1")
-    assert rc == 0
-    assert len(list_entries(str(alt))) == 1
-
-
 # Loads eulerq.cli, runs the command in argv and writes the sorted module
 # names loaded after the import and after the command to stderr, as its
 # first and last lines, so stdout holds the command's output alone.
@@ -568,29 +490,31 @@ finally:
 """
 
 # Each probed command, its stdout (None: not checked here), and what it may
-# not load: every command leaves the suites and the modules only they read
-# unloaded unless it verifies, and the table cache's module unless it reads
-# the store; a command with integer coefficients loads no `fractions` or the
-# `decimal` it imports; and a store hit loads no formula.  The commands run
-# in this order against one store, so the second qfun reads what the first
-# wrote.
+# not load: no command loads the empty `eulerq.cache` module; every command
+# leaves the suites and the modules only they read unloaded unless it
+# verifies; a command with integer coefficients loads no `fractions` or the
+# `decimal` it imports; and text output from qfun and chartable loads
+# neither `json` nor `hashlib`.
+NO_STORE = {"eulerq.cache", "json", "hashlib"}
+NOT_VERIFY = {"eulerq.suites", "eulerq.bijections", "eulerq.related"}
 STARTUP_COMMANDS = [
     (["stats", "--n", "5"], None,
      {"eulerq.symfunc", "eulerq.eulerian", "eulerq.suites", "eulerq.cache", "fractions"}),
     (["expand", "m[2,1]", "h"], "-3*h[3] + 5*h[2,1] - 2*h[1,1,1]\n",
-     {"eulerq.suites", "eulerq.bijections", "eulerq.related", "eulerq.cache", "json",
-      "fractions", "decimal"}),
+     NOT_VERIFY | {"eulerq.cache", "json", "fractions", "decimal"}),
     (["qfun", "--n", "4", "--j", "1"], "h[4] + h[3,1] + h[2,2]\n",
-     {"eulerq.suites", "eulerq.bijections", "eulerq.related", "fractions", "decimal"}),
-    (["qfun", "--n", "4", "--j", "1"], "h[4] + h[3,1] + h[2,2]\n",
-     {"eulerq.eulerian", "eulerq.symfunc", "eulerq.polyalg", "fractions", "decimal"}),
+     NOT_VERIFY | NO_STORE | {"fractions", "decimal"}),
     (["qfun", "--n", "4", "--j", "1", "--basis", "p"],
      "1/4*p[4] + 2/3*p[3,1] + 3/8*p[2,2] + 5/4*p[2,1,1] + 11/24*p[1,1,1,1]\n",
-     {"eulerq.suites", "eulerq.bijections", "eulerq.related"}),
+     NOT_VERIFY | NO_STORE),
     (["qfun", "--lambda", "3,1", "--j", "1"], "h[3,1]\n",
-     {"eulerq.suites", "eulerq.bijections", "eulerq.related", "fractions", "decimal"}),
-    (["verify", "series", "--mode", "ci"], None, {"fractions", "decimal"}),
-    (["verify", "all", "--mode", "ci"], None, {"fractions", "decimal"}),
+     NOT_VERIFY | NO_STORE | {"fractions", "decimal"}),
+    (["chartable", "4"],
+     " lambda  (4,1)  (4,2)\n      4      1      0\n    3,1      1      1\n"
+     "    2,2      1      0\n  2,1,1      1      2\n1,1,1,1      1      4\n",
+     NOT_VERIFY | NO_STORE | {"fractions", "decimal"}),
+    (["verify", "series", "--mode", "ci"], None, {"eulerq.cache", "fractions", "decimal"}),
+    (["verify", "all", "--mode", "ci"], None, {"eulerq.cache", "fractions", "decimal"}),
 ]
 
 
@@ -599,12 +523,12 @@ STARTUP_COMMANDS = [
 ARGPARSE = {"argparse", "gettext", "locale"}
 
 
-def test_startup_imports_stay_light(tmp_path):
+def test_startup_imports_stay_light():
     """A fresh `import eulerq.cli` loads no other package module, nor json,
     fractions, dataclasses, inspect, hashlib or argparse, and each command
     loads only what it reads; a usage error loads argparse and exits 2.  It
     counts modules rather than timing the import."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), EULERQ_CACHE_DIR=str(tmp_path))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
     def probe(argv):
         proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *argv], env=env, cwd=ROOT,
@@ -726,7 +650,7 @@ def test_plain_reader_agrees_with_argparse(argv):
     assert expected is not None or args is None, argv
 
 
-USAGE = "usage: eulerq [-h] {stats,qfun,verify,chartable,expand,cache} ...\n"
+USAGE = "usage: eulerq [-h] {stats,qfun,verify,chartable,expand} ...\n"
 
 
 @pytest.mark.parametrize("argv, code, stdout, stderr", [
@@ -736,19 +660,18 @@ Exact fixed-excedance quasisymmetric functions: statistics, expansions, and
 machine verification.
 
 positional arguments:
-  {stats,qfun,verify,chartable,expand,cache}
+  {stats,qfun,verify,chartable,expand}
     stats               permutation statistics
     qfun                render one Q function
     verify              run verification suites
     chartable           character table of single-cycle slices
     expand              evaluate an expression over Q and bases
-    cache               manage the table cache
 
 options:
   -h, --help            show this help message and exit
 """, ""),
     (["frobnicate"], 2, "", USAGE + "eulerq: error: argument cmd: invalid choice: "
-     "'frobnicate' (choose from 'stats', 'qfun', 'verify', 'chartable', 'expand', 'cache')\n"),
+     "'frobnicate' (choose from 'stats', 'qfun', 'verify', 'chartable', 'expand')\n"),
 ], ids=["none", "help", "unknown"])
 def test_top_level_usage_is_unchanged(argv, code, stdout, stderr, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")

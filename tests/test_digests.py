@@ -44,8 +44,7 @@ def _digest(argv):
 
 
 @pytest.mark.parametrize("workload", ["cli-algebra", "cli-census"])
-def test_commands_print_recorded_bytes(workload, tmp_path, monkeypatch):
-    monkeypatch.setenv("EULERQ_CACHE_DIR", str(tmp_path / "store"))
+def test_commands_print_recorded_bytes(workload):
     commands = [argv for argv in WORKLOADS.domain(workload) if not WORKLOADS.is_verify(argv)]
     assert commands
     differ = [WORKLOADS.key(argv) for argv in commands

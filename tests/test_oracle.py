@@ -259,7 +259,7 @@ def _tree(module):
 
 def _imports(module):
     """{package module: names} of an eulerq module's relative imports, at
-    any depth ("from . import cache" lists cache with no names).  The
+    any depth ("from . import suites" lists suites with no names).  The
     package's lazy name table, _EXPORTS in __init__, counts as imports of
     its names from their modules."""
     out = {}
@@ -280,6 +280,12 @@ def _imports(module):
 def test_only_the_front_ends_import_the_suites():
     importers = {path.stem for path in SRC.glob("*.py") if "suites" in _imports(path.stem)}
     assert importers == {"cli", "__init__"}
+
+
+def test_no_module_imports_the_cache_placeholder():
+    """eulerq keeps no on-disk store: cache.py stays empty, for the
+    benchmark's tracer only, and nothing in the package reads it."""
+    assert {path.stem for path in SRC.glob("*.py") if "cache" in _imports(path.stem)} == set()
 
 
 def test_the_models_import_nothing_from_the_formulas():

@@ -309,6 +309,23 @@ def test_sympoly_sum_with_a_symf():
             x - constant
 
 
+def test_sympoly_reflected_operators():
+    """A SymF on the left of + or - stands at t^0 r^0, as on the right, and
+    keeps its basis there; a constant on the left is refused."""
+    x = SymPoly.wrap(sym_h([2]), t=1) + sym_e([2])
+    f = sym_s([2, 1])
+    assert f + x == SymPoly.wrap(f) + x
+    assert f - x == SymPoly.wrap(f) - x
+    assert (f + x).coefficient().basis == "s"
+    assert -x == SymPoly({(1, 0): -sym_h([2]), (0, 0): -sym_e([2])})
+    assert -x + x == SymPoly.zero()
+    for constant in (1, Fraction(1, 2), 0.5, "2"):
+        with pytest.raises(TypeError):
+            constant + x
+        with pytest.raises(TypeError):
+            constant - x
+
+
 def test_sympoly_coefficients_are_symfs():
     assert SymPoly({(1, 0): SymF.zero()}) == SymPoly.zero()
     for coefficient in (3, Fraction(1, 2), None):
