@@ -1,6 +1,8 @@
 """Companion combinatorial models for the fixed-excedance families.
 
-Three models are implemented, each with a monomial enumerator in x_1..x_N:
+Three models are implemented, each counted by content: the coefficient of
+m_lam in its enumerator counts the objects whose letters are lam_1 ones,
+lam_2 twos, and so on.
 
   * multiset derangements: 2 x n arrays with weakly increasing top row,
     rearranged bottom row, and no repeated column; graded by excedance
@@ -12,16 +14,23 @@ Three models are implemented, each with a monomial enumerator in x_1..x_N:
     the start either), weighted by t^des (1+t)^(n-1-2 des); their generating
     function reproduces sum_j Q(n, j) t^j without any omega twist.
 
-The models are enumerated directly and read nothing of the Q family; the
-related suite in `suites` checks them against it.
+Each model is counted by a memoised recursion over the remaining content,
+the letter the next one is compared with (the last letter written, or for
+the arrays the top entry of the next column) and, for the no-double-descent
+words, whether the last step fell.  One cache serves every content, and the
+recursion returns {grade: count} at any composition; `_table` reads it at
+each partition of n.  The models read nothing of the Q family; the related
+suite in `suites` checks them against it, and `multiset_derangements` lists
+the arrays themselves, apart from the count.
 """
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement
 from math import comb
 from types import MappingProxyType
 
-from .symfunc import MonExpansion, _rearrangements
+from .permstats import partitions
+from .symfunc import MonExpansion, SymF, _rearrangements
 
 
 # ---------------------------------------------------------------------------
@@ -131,167 +140,132 @@ def _word_ok(word, constraint):
     return True
 
 
-@lru_cache(maxsize=None)
-def _table(tdict, *args):
-    """tdict(*args), one of the graded enumerators below ({grade:
-    MonExpansion}), built once per enumerator and arguments and shared
-    read-only: every grade is read from it."""
-    return MappingProxyType(tdict(*args))
-
-
-# ---------------------------------------------------------------------------
-# multiset derangements
-# ---------------------------------------------------------------------------
-
-def _profile_rearrangements(profile):
-    """Yield bottom rows (values 0..k-1) over a sorted top row with the given
-    multiplicity profile, every column distinct."""
-    top = tuple(v for v, m in enumerate(profile) for _ in range(m))
-    n = len(top)
-    rem = list(profile)
-    cur = [0] * n
-
-    def rec(s):
-        if s == n:
-            yield tuple(cur)
-            return
-        for v in range(len(profile)):
-            if rem[v] and v != top[s]:
-                rem[v] -= 1
-                cur[s] = v
-                yield from rec(s + 1)
-                rem[v] += 1
-
-    yield from rec(0)
-
-
-@lru_cache(maxsize=None)
-def _rearrangement_exc_counts(profile):
-    """Excedance distribution of column-distinct rearrangements; only the
-    multiplicity profile of the top row matters, not the letter values."""
-    top = tuple(v for v, m in enumerate(profile) for _ in range(m))
-    out = {}
-    for bottom in _profile_rearrangements(profile):
-        j = sum(1 for s, v in enumerate(bottom) if v > top[s])
-        out[j] = out.get(j, 0) + 1
-    return out
-
-
-def _content_profile(content):
-    return tuple(len(list(g)) for _, g in groupby(content))
-
-
 def multiset_derangements(n, N):
     """All multiset derangements of order n with entries at most N, listed
-    apart from the counting kernel _profile_rearrangements."""
+    apart from the count by content."""
     for content in combinations_with_replacement(range(1, N + 1), n):
         for bottom in _rearrangements(content):
             if all(a != b for a, b in zip(content, bottom)):
                 yield MultisetDerangement(content, bottom)
 
 
-def derangements_tdict(n, N):
-    """Excedance-graded enumerator of multiset derangements of order n with
-    entries at most N: a dict {exc: MonExpansion}, from one walk over the
-    contents."""
-    if n == 0:
-        return {0: MonExpansion.one(N)}
+# ---------------------------------------------------------------------------
+# counting by content
+# ---------------------------------------------------------------------------
+#
+# A content is a composition: content[i] copies of the letter i (0-based
+# here, letter i + 1 of the models).  The memoised recursions return cached
+# dicts; the entry points hand out copies.
+
+def _take(rem, c):
+    """The remaining content rem with one letter c used."""
+    return rem[:c] + (rem[c] - 1,) + rem[c + 1:]
+
+
+def _shift_into(out, counts, d):
+    """Add the grade distribution counts, every grade raised by d, into out."""
+    for j, v in counts.items():
+        out[j + d] = out.get(j + d, 0) + v
+
+
+@lru_cache(maxsize=None)
+def _bottom_rows(top, rem):
+    """{exc: count} of the bottom rows of content rem under the weakly
+    increasing top row top with no column equal: the column under top[0]
+    takes any other letter left, an excedance if it is the larger."""
+    if not top:
+        return {0: 1}
+    a = top[0]
     out = {}
-    for content in combinations_with_replacement(range(1, N + 1), n):
-        e = [0] * N
-        for v in content:
-            e[v - 1] += 1
-        e = tuple(e)
-        for j, c in _rearrangement_exc_counts(_content_profile(content)).items():
-            out.setdefault(j, {})[e] = c
-    return {j: MonExpansion(N, terms) for j, terms in sorted(out.items())}
+    for c, r in enumerate(rem):
+        if r and c != a:
+            _shift_into(out, _bottom_rows(top[1:], _take(rem, c)), c > a)
+    return out
+
+
+def derangement_counts(content):
+    """{exc: count} of the multiset derangements whose top row has the given
+    content, at any composition."""
+    top = tuple(c for c, r in enumerate(content) for _ in range(r))
+    return dict(_bottom_rows(top, tuple(content)))
+
+
+@lru_cache(maxsize=None)
+def _no_repeat_words(rem, last):
+    """{des: count} of the words of content rem with no equal neighbours
+    that may follow the letter last (-1 before the first letter)."""
+    if not any(rem):
+        return {0: 1}
+    out = {}
+    for c, r in enumerate(rem):
+        if r and c != last:
+            _shift_into(out, _no_repeat_words(_take(rem, c), c), c < last)
+    return out
+
+
+def no_repeat_counts(content):
+    """{des: count} of the words of the given content with no equal
+    neighbours."""
+    return dict(_no_repeat_words(tuple(content), -1))
+
+
+@lru_cache(maxsize=None)
+def _no_double_descent_words(rem, last, fell):
+    """{des: count} of the words of content rem that may follow the letter
+    last with no double descent and no final descent, where fell says that
+    the step into last was a descent."""
+    if not any(rem):
+        return {} if fell else {0: 1}
+    out = {}
+    for c, r in enumerate(rem):
+        if r and not (fell and c < last):
+            _shift_into(out, _no_double_descent_words(_take(rem, c), c, c < last), c < last)
+    return out
+
+
+def no_double_descent_counts(content, guard_first=False):
+    """The t-weighted count of the words of the given content with no double
+    descents and no final descent, as {t-power: count}.
+
+    Each word contributes t^des (1+t)^(n-1-2 des), binomially expanded.
+    With guard_first the words follow a letter above all of theirs, so the
+    first step must not descend, and that extra descent tightens the weight
+    to t^(des+1) (1+t)^(n-2-2 des).  Length 0 contributes 1; with
+    guard_first length 1 contributes nothing (the tightened weight has no
+    room).
+    """
+    n = sum(content)
+    if not n:
+        return {0: 1}
+    out = {}
+    start = len(content) if guard_first else -1
+    for d, v in _no_double_descent_words(tuple(content), start, False).items():
+        span = n - 1 - 2 * d + guard_first
+        for i in range(span + 1):
+            out[d + i] = out.get(d + i, 0) + v * comb(span, i)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _table(counts, n, *args):
+    """The m coefficients of a model at order n, {grade: {lam: count}}, read
+    from counts(lam, *args) at each partition lam of n: built once per
+    model, order and arguments, and shared read-only."""
+    out = {}
+    for lam in partitions(n):
+        for j, c in counts(lam, *args).items():
+            out.setdefault(j, {})[lam] = c
+    return MappingProxyType({j: MappingProxyType(m) for j, m in sorted(out.items())})
 
 
 def d_poly(n, j, N) -> MonExpansion:
     """Enumerator of multiset derangements of order n with j excedances and
     entries at most N, as a monomial expansion in x_1..x_N: grade j of the
-    table that one walk over the contents builds per (n, N)."""
-    return _table(derangements_tdict, n, N).get(j, MonExpansion.zero(N))
-
-
-# ---------------------------------------------------------------------------
-# words with no adjacent repeats
-# ---------------------------------------------------------------------------
-
-def words_no_repeat_tdict(n, N):
-    """Descent-graded enumerator of length-n words over 1..N with no equal
-    adjacent letters: a dict {des: MonExpansion}."""
-    if n == 0:
-        return {0: MonExpansion.one(N)}
-    out = {}
-    evec = [0] * N
-
-    def rec(s, prev, des):
-        if s == n:
-            grade = out.setdefault(des, {})
-            key = tuple(evec)
-            grade[key] = grade.get(key, 0) + 1
-            return
-        for c in range(1, N + 1):
-            if c == prev:
-                continue
-            evec[c - 1] += 1
-            rec(s + 1, c, des + (1 if prev is not None and prev > c else 0))
-            evec[c - 1] -= 1
-
-    rec(0, None, 0)
-    return {j: MonExpansion(N, terms) for j, terms in out.items()}
+    derangement table at n."""
+    return SymF("m", _table(derangement_counts, n).get(j, {})).to_monomial(N)
 
 
 def y_poly(n, j, N) -> MonExpansion:
     """Enumerator of no-adjacent-repeat words of length n with j descents and
-    letters at most N: grade j of the word table, which one enumeration
-    builds per (n, N)."""
-    return _table(words_no_repeat_tdict, n, N).get(j, MonExpansion.zero(N))
-
-
-# ---------------------------------------------------------------------------
-# words with no double descents
-# ---------------------------------------------------------------------------
-
-def no_double_descent_tdict(n, N, guard_first=False):
-    """The t-weighted enumerator of length-n words over 1..N with no double
-    descents and no final descent, as {t-power: MonExpansion}.
-
-    Each word contributes t^des (1+t)^(n-1-2 des), binomially expanded; with
-    guard_first the first descent is banned too and the weight tightens to
-    t^(des+1) (1+t)^(n-2-2 des).  Length 0 contributes 1; with guard_first
-    length 1 contributes nothing (the tightened weight has no room).
-    """
-    if n == 0:
-        return {0: MonExpansion.one(N)}
-    if guard_first and n == 1:
-        return {}
-    out = {}
-    evec = [0] * N
-
-    def emit(des):
-        span = n - 1 - 2 * des - (1 if guard_first else 0)
-        lead = des + (1 if guard_first else 0)
-        key = tuple(evec)
-        for i in range(span + 1):
-            grade = out.setdefault(lead + i, {})
-            grade[key] = grade.get(key, 0) + comb(span, i)
-
-    def rec(s, prev, prev_desc, des):
-        if s == n:
-            if not prev_desc:
-                emit(des)
-            return
-        for c in range(1, N + 1):
-            desc = prev is not None and prev > c
-            if desc and prev_desc:
-                continue
-            if desc and guard_first and s == 1:
-                continue
-            evec[c - 1] += 1
-            rec(s + 1, c, desc, des + (1 if desc else 0))
-            evec[c - 1] -= 1
-
-    rec(0, None, False, 0)
-    return {j: MonExpansion(N, terms) for j, terms in out.items()}
+    letters at most N: grade j of the word table at n."""
+    return SymF("m", _table(no_repeat_counts, n).get(j, {})).to_monomial(N)

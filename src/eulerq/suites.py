@@ -60,13 +60,12 @@ from .polyalg import (
     qlist_pack,
 )
 from .related import (
-    _rearrangement_exc_counts,
     _table,
     d_poly,
-    derangements_tdict,
+    derangement_counts,
     multiset_derangements,
-    no_double_descent_tdict,
-    words_no_repeat_tdict,
+    no_double_descent_counts,
+    no_repeat_counts,
     y_poly,
 )
 from .report import VerifyReport
@@ -75,9 +74,12 @@ from .symfunc import (
     QSymF,
     SymF,
     SymPoly,
+    _distinct_permutation_count,
+    _rearrangements,
     class_values,
     plethysm_h,
     restrict_frobenius,
+    schur_of_products,
     sym_e,
     sym_h,
 )
@@ -101,9 +103,7 @@ def times_t_geometric(sp: SymPoly, k) -> SymPoly:
 
 def cleared_lhs(polys, n, sym):
     """[z^n] of (B(tz) - t B(z)) sum_i polys[i] z^i, B = sum_k sym([k]) z^k:
-    the left side of a cleared identity.  None if a polys[i <= n] is None."""
-    if any(p is None for p in polys[:n + 1]):
-        return None
+    the left side of a cleared identity."""
     out = SymPoly.zero()
     for k in range(n + 1):
         piece = polys[n - k] * sym([k] if k else [])
@@ -181,7 +181,7 @@ def _h_positive(f) -> bool:
 
 
 def _schur_positive(f) -> bool:
-    return f.to_basis("s").is_positive()
+    return all(c >= 0 for d in f.degrees() for c in schur_of_products(d, [(1, f, None)]))
 
 
 def _poly_nonneg(f) -> bool:
@@ -727,11 +727,12 @@ def verify_positivity(n_max) -> VerifyReport:
                        {"lam": tuple(lam)}, ok)
     # The oracles are in h, where a product is a concatenation of integer
     # terms, and each is the zero function for j < 0 or j >= n; Schur
-    # positivity of a difference of products is then a Kostka conversion.
+    # positivity of a difference of products is then one pass over the
+    # Kostka columns, by position (schur_of_products).
     for n in range(1, n_max + 1):
-        ok = all(_log_concave_at(lambda i: q_symf_oracle(n, i), j) for j in range(n))
+        ok = all(_log_concave_at(lambda i: q_symf_oracle(n, i), j, n) for j in range(n))
         rep.record("log-concavity of full slices", {"n": n}, ok)
-        ok = all(_log_concave_at(lambda i: q_symf_oracle(n, i, k), j)
+        ok = all(_log_concave_at(lambda i: q_symf_oracle(n, i, k), j, n)
                  for k in range(n + 1) for j in range(n))
         rep.record("log-concavity of fixed-fix slices", {"n": n}, ok)
         failures = _cycle_type_lc_failures(n, q_symf_type_oracle)
@@ -750,16 +751,18 @@ def verify_positivity(n_max) -> VerifyReport:
     return rep
 
 
-def _log_concave_at(f, j) -> bool:
-    """Is f(j)^2 - f(j + 1) f(j - 1) Schur positive?"""
-    return _schur_positive(f(j) * f(j) - f(j + 1) * f(j - 1))
+def _log_concave_at(f, j, n) -> bool:
+    """Is f(j)^2 - f(j + 1) f(j - 1) Schur positive, for slices f(i) of
+    degree n?"""
+    fj = f(j)
+    return all(c >= 0 for c in schur_of_products(2 * n, [(1, fj, fj), (-1, f(j + 1), f(j - 1))]))
 
 
 def _cycle_type_lc_failures(n, slice_of):
     """The (lam, j) with lam a partition of n where the slices slice_of(lam, j)
     are not log-concave in j."""
     return {(tuple(lam), j) for lam in partitions(n) for j in range(n)
-            if not _log_concave_at(lambda i: slice_of(lam, i), j)}
+            if not _log_concave_at(lambda i: slice_of(lam, i), j, n)}
 
 
 # ---------------------------------------------------------------------------
@@ -1001,29 +1004,27 @@ def verify_specializations(n_max) -> VerifyReport:
 # the companion models against the Q family
 # ---------------------------------------------------------------------------
 
-def _lift(tdict, basis):
-    """Lift {t-power: MonExpansion} to a SymPoly with coefficients in basis,
-    or None if a grade fails to be symmetric in its variables."""
-    out = SymPoly.zero()
-    for j, mon in tdict.items():
-        if mon.is_zero():
-            continue
-        if not mon.is_symmetric():
-            return None
-        out = out + SymPoly.wrap(mon.to_symf().to_basis(basis), t=j)
-    return out
+# Each model is read from its table of m coefficients into the basis its
+# identities are stated in (e for the derangements and no-repeat words, h for
+# the no-double-descent words), so that their products are concatenations
+# and their comparisons dict comparisons.
+
+def _model_sympoly(counts, n, basis, *args):
+    """The table of a model at order n as a SymPoly in t, each grade in basis."""
+    return SymPoly({(j, 0): SymF("m", m).to_basis(basis)
+                    for j, m in _table(counts, n, *args).items()})
 
 
-# Each model is lifted into the basis its identities are stated in (e for the
-# derangement and no-repeat words, h for the no-double-descent words), so
-# their products are concatenations and their comparisons dict comparisons.
-
-def _d_sympoly(n):
-    return _lift(_table(derangements_tdict, n, max(n, 1)), "e")
+def _grades_at(table, lam):
+    """{grade: count} of a model table at the content lam."""
+    return {j: m[lam] for j, m in table.items() if lam in m}
 
 
-def _y_sympoly(n):
-    return _lift(_table(words_no_repeat_tdict, n, max(n, 1)), "e")
+def _monomial_total(mterms, n):
+    """The sum of the coefficients of an m-expansion in n variables: m_lam
+    has one monomial per rearrangement of lam padded to n parts."""
+    return sum(c * _distinct_permutation_count(lam + (0,) * (n - len(lam)))
+               for lam, c in mterms.items())
 
 
 def _q_sympoly(n):
@@ -1055,7 +1056,7 @@ def verify_related(n_words, n_gessel) -> VerifyReport:
     rep.record("two-letter words split by the descent", {"n": 2},
                y_poly(2, 0, 2) == one2 and y_poly(2, 1, 2) == one2)
 
-    # the object-level enumeration agrees with the memoized counting kernel
+    # the object-level enumeration agrees with the count by content
     for n in range(5):
         N = max(n, 1)
         seen = {}
@@ -1069,37 +1070,34 @@ def verify_related(n_words, n_gessel) -> VerifyReport:
         rep.record("array enumeration matches counting kernel", {"n": n},
                    seen == built)
 
-    # bridges: omega images of the fixed-excedance slices
+    # bridges: omega images of the fixed-excedance slices, compared in m
     for n in range(1, n_words + 1):
-        okd = all(
-            d_poly(n, j, n) == q_symf_oracle(n, j, 0).omega().to_monomial(n)
-            for j in range(n)
-        )
+        tables = [_table(derangement_counts, n), _table(no_repeat_counts, n)]
         rep.record("derangement enumerator is the omega image of the "
-                   "fixed-point-free slice", {"n": n}, okd)
-        oky = all(
-            y_poly(n, j, n) == q_symf_oracle(n, j).omega().to_monomial(n)
-            for j in range(n)
-        )
+                   "fixed-point-free slice", {"n": n},
+                   all(tables[0].get(j, {}) == q_symf_oracle(n, j, 0).omega().to_basis("m").terms
+                       for j in range(n)))
         rep.record("no-repeat word enumerator is the omega image of the "
-                   "excedance slice", {"n": n}, oky)
+                   "excedance slice", {"n": n},
+                   all(tables[1].get(j, {}) == q_symf_oracle(n, j).omega().to_basis("m").terms
+                       for j in range(n)))
         rep.record("model enumerators are symmetric", {"n": n},
-                   all(d_poly(n, j, n).is_symmetric()
-                       and y_poly(n, j, n).is_symmetric() for j in range(n)))
+                   all(counts(alpha) == _grades_at(table, lam)
+                       for counts, table in zip((derangement_counts, no_repeat_counts), tables)
+                       for lam in partitions(n)
+                       for alpha in _rearrangements(lam) if alpha != lam))
 
     # derangement recurrence cleared from 1 / (1 - sum t [i-1]_t e_i z^i)
-    dpolys = [_d_sympoly(n) for n in range(n_words + 1)]
+    dpolys = [_model_sympoly(derangement_counts, n, "e") for n in range(n_words + 1)]
     for n in range(1, n_words + 1):
         rhs = SymPoly.zero()
         for i in range(2, n + 1):
             rhs = rhs + times_t_geometric(dpolys[n - i] * sym_e([i]), i)
-        rep.record("derangement enumerator recurrence", {"n": n},
-                   dpolys[n] is not None and dpolys[n] == rhs)
+        rep.record("derangement enumerator recurrence", {"n": n}, dpolys[n] == rhs)
 
     # no-repeat word series, total and descent-graded
-    ypolys = [_y_sympoly(n) for n in range(n_words + 1)]
-    ytotal = [SymF.zero("e") if yp is None else
-              sum((yp.coefficient(t=j) for j in yp.t_support()), SymF.zero("e"))
+    ypolys = [_model_sympoly(no_repeat_counts, n, "e") for n in range(n_words + 1)]
+    ytotal = [sum((yp.coefficient(t=j) for j in yp.t_support()), SymF.zero("e"))
               for yp in ypolys]
     for n in range(1, n_words + 1):
         rhs = sym_e([n])
@@ -1107,15 +1105,13 @@ def verify_related(n_words, n_gessel) -> VerifyReport:
             rhs = rhs + (i - 1) * (sym_e([i]) * ytotal[n - i])
         rep.record("no-repeat word series recurrence", {"n": n},
                    ytotal[n] == rhs)
-        lhs = cleared_lhs(ypolys, n, sym_e)
         target = SymPoly.wrap(sym_e([n])) - SymPoly.wrap(sym_e([n]), t=1)
         rep.record("descent-graded no-repeat word identity", {"n": n},
-                   lhs is not None and lhs == target)
+                   cleared_lhs(ypolys, n, sym_e) == target)
 
     # no-double-descent identities and their bridge to the excedance family
-    gfirst = [_lift(_table(no_double_descent_tdict, n, max(n, 1)), "h")
-              for n in range(n_gessel + 1)]
-    gboth = [_lift(_table(no_double_descent_tdict, n, max(n, 1), True), "h")
+    gfirst = [_model_sympoly(no_double_descent_counts, n, "h") for n in range(n_gessel + 1)]
+    gboth = [_model_sympoly(no_double_descent_counts, n, "h", True)
              for n in range(n_gessel + 1)]
     qpolys = [_q_sympoly(n) for n in range(n_gessel + 1)]
     rep.record("length-one words reduce to the complete homogeneous slice",
@@ -1123,33 +1119,27 @@ def verify_related(n_words, n_gessel) -> VerifyReport:
     rep.record("tightened two-letter enumerator", {"n": 2},
                n_gessel < 2 or gboth[2] == SymPoly.wrap(sym_h([2]), t=1))
     for n in range(1, n_gessel + 1):
-        lhs = cleared_lhs(gfirst, n, sym_h)
         target = SymPoly.wrap(sym_h([n])) - SymPoly.wrap(sym_h([n]), t=1)
         rep.record("weighted no-double-descent identity", {"n": n},
-                   lhs is not None and lhs == target)
+                   cleared_lhs(gfirst, n, sym_h) == target)
         rep.record("weighted enumerator matches the excedance polynomial",
                    {"n": n}, gfirst[n] == qpolys[n])
-        rhs = SymPoly.zero()
-        for k in range(n + 1):
-            if gboth[n - k] is not None:
-                rhs = rhs + gboth[n - k] * sym_h([k] if k else [])
+        rhs = sum((gboth[n - k] * sym_h([k] if k else []) for k in range(n + 1)),
+                  SymPoly.zero())
         rep.record("tightened variant rebuilds the excedance polynomial",
-                   {"n": n},
-                   all(g is not None for g in gboth[:n + 1]) and rhs == qpolys[n])
+                   {"n": n}, rhs == qpolys[n])
 
     # distinct top rows are classical derangements
     for n in range(7):
-        total = sum(_rearrangement_exc_counts((1,) * n).values())
+        total = sum(m.get((1,) * n, 0) for m in _table(derangement_counts, n).values())
         rep.record("distinct-entry arrays reduce to derangement counts",
                    {"n": n}, total == DERANGEMENT_COUNTS[n])
 
     # numeric weight check at t = 1: each word counts 2^(n-1-2 des)
     for n in range(1, n_words + 1):
-        lhs = 0
-        for mon in _table(no_double_descent_tdict, n, n).values():
-            lhs += sum(mon.terms.values())
+        lhs = sum(_monomial_total(m, n) for m in _table(no_double_descent_counts, n).values())
         qn = sum((q_symf_oracle(n, j) for j in range(n)), SymF.zero("h"))
-        rhs = sum(qn.to_monomial(n).terms.values())
-        rep.record("doubling weight totals match", {"n": n}, lhs == rhs)
+        rep.record("doubling weight totals match", {"n": n},
+                   lhs == _monomial_total(qn.to_basis("m").terms, n))
 
     return rep

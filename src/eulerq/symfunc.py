@@ -638,10 +638,58 @@ def _to_s(basis, terms):
             continue
         # h_mu is column mu of K, e_mu the same with conjugated shapes
         target = _conjugates(n) if basis == "e" else range(len(plist))
-        for j, c in vec.items():
-            for i, k in _column(_horizontal_strips, plist[j]).items():
-                _addto(out, plist[target[i]], c * k)
+        for i, c in enumerate(_kostka_sum(n, vec)):
+            if c:
+                out[plist[target[i]]] = c
     return out
+
+
+def _kostka_sum(d, hvec):
+    """The Schur coefficients of sum_mu hvec[mu] h_mu, for hvec a dict from
+    position in partitions(d) to coefficient, as a list by position: h_mu is
+    Kostka column mu."""
+    plist = partitions(d)
+    out = [0] * len(plist)
+    for m, c in hvec.items():
+        if c:
+            for i, k in _column(_horizontal_strips, plist[m]).items():
+                out[i] += c * k
+    return out
+
+
+@lru_cache(maxsize=None)
+def _concat_positions(a, b):
+    """Rows [i][j]: the position in partitions(a + b) of the concatenation of
+    the partitions at position i in partitions(a) and j in partitions(b)."""
+    index = _index(a + b)
+    return tuple(tuple(index[la.concat(lb)] for lb in partitions(b)) for la in partitions(a))
+
+
+def schur_of_products(d, products):
+    """The Schur coefficients at degree d of sum c f g over products (c, f, g),
+    as a list by position in partitions(d); g is None for 1.
+
+    f and g are read in h, converted from any other basis: there the product
+    of h_lam and h_mu is h of their concatenation, which _concat_positions
+    places, and the h-vector of the sum goes through the Kostka columns once.
+    """
+    hvec = {}
+    for c, f, g in products:
+        gd = {0: {0: 1}} if g is None else _h_positions(g)
+        for a, fv in _h_positions(f).items():
+            gv = gd.get(d - a)
+            if gv:
+                cat = _concat_positions(a, d - a)
+                for i, x in fv.items():
+                    row = cat[i]
+                    for j, y in gv.items():
+                        hvec[row[j]] = hvec.get(row[j], 0) + c * x * y
+    return _kostka_sum(d, hvec)
+
+
+def _h_positions(f):
+    """{n: {position in partitions(n): coefficient}} of f in h."""
+    return _by_degree((f if f.basis == "h" else f.to_basis("h")).terms)
 
 
 def _from_s(sterms, basis):

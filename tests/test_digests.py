@@ -2,8 +2,7 @@
 
 perfbench/digests.json holds the sha256 of the stdout of every command that
 perfbench/workloads.py can draw.  This replays those commands in this
-process, the rendering commands against an empty table store, and compares
-digests.  It reads both files and writes neither.
+process and compares digests.  It reads both files and writes neither.
 """
 
 import contextlib

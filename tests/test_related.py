@@ -1,6 +1,8 @@
 """Multiset derangements and word enumerators tied to the Q family."""
 
 from collections import Counter
+from itertools import permutations
+from math import comb
 
 import pytest
 
@@ -8,14 +10,22 @@ from eulerq import (
     ConstrainedWord,
     MonExpansion,
     MultisetDerangement,
+    Partition,
+    SymF,
     d_poly,
     multiset_derangements,
+    partitions,
     q_symf,
     verify_related,
     y_poly,
 )
 from eulerq import cli, related, suites
-from eulerq.related import WORD_CONSTRAINTS, derangements_tdict, words_no_repeat_tdict
+from eulerq.related import (
+    WORD_CONSTRAINTS,
+    derangement_counts,
+    no_double_descent_counts,
+    no_repeat_counts,
+)
 from eulerq.suites import DERANGEMENT_COUNTS
 
 
@@ -96,12 +106,75 @@ def test_omega_bridges():
 
 def test_no_repeat_words_des_distribution():
     # over two letters the only length-3 words are 121 and 212
-    td = words_no_repeat_tdict(3, 2)
-    assert sorted(td) == [1]
-    assert td[1] == MonExpansion(2, {(2, 1): 1, (1, 2): 1})
+    assert [j for j in range(4) if not y_poly(3, j, 2).is_zero()] == [1]
+    assert y_poly(3, 1, 2) == MonExpansion(2, {(2, 1): 1, (1, 2): 1})
     # length-2 words over three letters: all ordered pairs of distinct values
-    total = sum(words_no_repeat_tdict(2, 3).values(), MonExpansion.zero(3))
+    total = sum((y_poly(2, j, 3) for j in range(3)), MonExpansion.zero(3))
     assert total == MonExpansion(3, {(1, 1, 0): 2, (1, 0, 1): 2, (0, 1, 1): 2})
+
+
+# ---------------------------------------------------------------------------
+# brute-force references: every word or array of a content, listed
+# ---------------------------------------------------------------------------
+
+def compositions(n):
+    """Every composition of n, as a tuple of positive parts."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
+def words_of(content):
+    """Every word with content[i] copies of the letter i."""
+    return set(permutations([c for c, r in enumerate(content) for _ in range(r)]))
+
+
+def descents(w):
+    return [a > b for a, b in zip(w, w[1:])]
+
+
+def listed_derangements(content):
+    top = sorted(c for c, r in enumerate(content) for _ in range(r))
+    return Counter(sum(b > a for a, b in zip(top, w)) for w in words_of(content)
+                   if all(a != b for a, b in zip(top, w)))
+
+
+def listed_no_repeat_words(content):
+    return Counter(sum(descents(w)) for w in words_of(content)
+                   if all(a != b for a, b in zip(w, w[1:])))
+
+
+def listed_no_double_descent_words(content, guard_first):
+    n = sum(content)
+    if n == 0:
+        return Counter({0: 1})
+    out = Counter()
+    for w in words_of(content):
+        steps = descents(w)
+        if (any(a and b for a, b in zip(steps, steps[1:])) or (steps and steps[-1])
+                or (guard_first and (n == 1 or steps[0]))):
+            continue
+        des = sum(steps)
+        span = n - 1 - 2 * des - guard_first
+        for i in range(span + 1):
+            out[des + guard_first + i] += comb(span, i)
+    return out
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_counts_by_content_match_the_listed_objects(n):
+    """At every composition of n, each count by content gives, grade by
+    grade, what listing the arrays or words of that content gives."""
+    for content in compositions(n):
+        assert derangement_counts(content) == dict(listed_derangements(content)), content
+        assert no_repeat_counts(content) == dict(listed_no_repeat_words(content)), content
+        for guard_first in (False, True):
+            assert (no_double_descent_counts(content, guard_first)
+                    == dict(listed_no_double_descent_words(content, guard_first))), \
+                (content, guard_first)
 
 
 def test_verify_related_small():
@@ -115,61 +188,85 @@ def test_related_registry():
     assert [name for name, _ in cli.selected_entries("related", "ci", 0)] == ["related"]
 
 
-BUILDERS = ("words_no_repeat_tdict", "derangements_tdict", "no_double_descent_tdict")
+COUNTS = ("derangement_counts", "no_repeat_counts", "no_double_descent_counts")
+KERNELS = ("_table", "_bottom_rows", "_no_repeat_words", "_no_double_descent_words")
 
 
 @pytest.fixture
 def cold_tables():
-    related._table.cache_clear()
-    related._rearrangement_exc_counts.cache_clear()
+    for name in KERNELS:
+        getattr(related, name).cache_clear()
     yield
-    related._table.cache_clear()
-    related._rearrangement_exc_counts.cache_clear()
+    for name in KERNELS:
+        getattr(related, name).cache_clear()
 
 
 def test_each_model_table_is_built_once(cold_tables, monkeypatch):
-    """verify_related reads every grade of a model from one table per
-    argument tuple: each enumeration runs once, not once per grade."""
+    """verify_related reads every grade of a model from one table per order
+    and arguments: each content is counted once, not once per grade."""
     calls = {}
-    for builder in BUILDERS:
-        original = getattr(related, builder)
-        counter = calls[builder] = Counter()
+    for name in COUNTS:
+        original = getattr(related, name)
+        counter = calls[name] = Counter()
 
-        def counted(*args, original=original, counter=counter):
-            counter[args] += 1
-            return original(*args)
+        def counted(content, *args, original=original, counter=counter):
+            counter[(tuple(content),) + args] += 1
+            return original(content, *args)
 
         for module in (related, suites):
-            monkeypatch.setattr(module, builder, counted)
+            monkeypatch.setattr(module, name, counted)
     assert verify_related(5, 4).ok
-    for builder, counter in calls.items():
-        assert counter and max(counter.values()) == 1, (builder, counter)
-    assert {(n, n) for n in range(1, 6)} <= set(calls["words_no_repeat_tdict"])
-    assert {(n, n) for n in range(1, 6)} <= set(calls["derangements_tdict"])
+    for name, counter in calls.items():
+        assert counter and max(counter.values()) == 1, (name, counter)
+    every = {(tuple(lam),) for n in range(1, 6) for lam in partitions(n)}
+    assert every <= set(calls["derangement_counts"])
+    assert every <= set(calls["no_repeat_counts"])
+    assert every <= set(calls["no_double_descent_counts"])
+    assert ({(tuple(lam), True) for n in range(1, 5) for lam in partitions(n)}
+            <= set(calls["no_double_descent_counts"]))
 
 
 def test_array_enumeration_is_checked_apart_from_the_counting_kernel(cold_tables, monkeypatch):
-    """A counting kernel that drops every bottom row starting with the
-    largest letter fails the record that compares it with the listed
-    arrays, at each order where such a row exists."""
-    original = related._profile_rearrangements
+    """A count that drops every bottom row starting with the largest letter
+    fails the record that compares it with the listed arrays, at each order
+    where such a row exists."""
+    original = related._bottom_rows
+    first_column = []
 
-    def dropping(profile):
-        return (b for b in original(profile) if not b or b[0] != len(profile) - 1)
+    def dropping(top, rem):
+        if first_column or not top:
+            return original(top, rem)
+        # the outermost call fills the first column: every letter left but
+        # the largest, len(rem) - 1, as the count itself would
+        first_column.append(top[0])
+        try:
+            out = Counter()
+            for c in range(len(rem) - 1):
+                if rem[c] and c != top[0]:
+                    for j, v in original(top[1:], related._take(rem, c)).items():
+                        out[j + (c > top[0])] += v
+            return dict(out)
+        finally:
+            first_column.pop()
 
-    monkeypatch.setattr(related, "_profile_rearrangements", dropping)
+    monkeypatch.setattr(related, "_bottom_rows", dropping)
     failing = {c.params["n"] for c in verify_related(4, 3).failures()
                if c.identity == "array enumeration matches counting kernel"}
     assert failing == {2, 3, 4}
 
 
 def test_model_tables_are_read_only(cold_tables):
-    table = related._table(words_no_repeat_tdict, 3, 2)
+    table = related._table(no_repeat_counts, 3)
     with pytest.raises(TypeError):
-        table[0] = MonExpansion.zero(2)
-    assert table == words_no_repeat_tdict(3, 2)
-    assert related._table(derangements_tdict, 4, 4) == derangements_tdict(4, 4)
-    assert dict(related._table(derangements_tdict, 0, 3)) == {0: MonExpansion.one(3)}
+        table[0] = {}
+    with pytest.raises(TypeError):
+        table[1][Partition([2, 1])] = 0
+    for counts, args in [(no_repeat_counts, ()), (derangement_counts, ()),
+                         (no_double_descent_counts, ()), (no_double_descent_counts, (True,))]:
+        for n in range(6):
+            assert related._table(counts, n, *args) == related._table.__wrapped__(counts, n, *args)
+    assert related._table(derangement_counts, 0) == {0: {(): 1}}
+    assert related._table(no_double_descent_counts, 1, True) == {}
     for j in range(5):
-        assert y_poly(4, j, 4) == words_no_repeat_tdict(4, 4).get(j, MonExpansion.zero(4))
-        assert d_poly(4, j, 4) == derangements_tdict(4, 4).get(j, MonExpansion.zero(4))
+        assert y_poly(4, j, 4) == SymF("m", related._table(no_repeat_counts, 4).get(j, {})).to_monomial(4)
+        assert d_poly(4, j, 4) == SymF("m", related._table(derangement_counts, 4).get(j, {})).to_monomial(4)

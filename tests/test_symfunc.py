@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -22,6 +23,7 @@ from eulerq import (
     partitions,
     plethysm_h,
     q_binomial,
+    q_symf_type,
     restrict_frobenius,
     sym_e,
     sym_h,
@@ -37,6 +39,7 @@ from eulerq.symfunc import (
     class_mul,
     class_values,
     from_class_values,
+    schur_of_products,
 )
 
 BASES = "hespm"
@@ -801,3 +804,63 @@ def test_class_to_s_keeps_a_fraction_where_the_answer_is_not_integral():
     got = from_class_values({Partition([2]): 1}, "s").terms
     assert got == {Partition([2]): Fraction(1, 2), Partition([1, 1]): Fraction(-1, 2)}
     assert class_values(sym_p([1], Fraction(1, 2))) == {Partition([1]): Fraction(1, 2)}
+
+
+# ---------------------------------------------------------------------------
+# Schur coefficients of signed sums of products, by position
+# ---------------------------------------------------------------------------
+
+def random_h(rng, n, terms=3):
+    """A random h-expansion of degree n with small signed integer coefficients."""
+    plist = partitions(n)
+    return SymF("h", {rng.choice(plist): rng.randint(-5, 5) for _ in range(terms)})
+
+
+def by_partition(d, vec):
+    plist = partitions(d)
+    return {plist[i]: c for i, c in enumerate(vec) if c}
+
+
+@pytest.mark.parametrize("d", range(13))
+def test_schur_of_products_matches_the_product_in_s(d):
+    """On random h-expansions at every split of degree d, the Schur vector
+    of a signed sum of products is the sum taken as SymF and converted to s;
+    g = None stands for 1, and f and g in e, m, p or s give the same."""
+    rng = random.Random(d)
+    for _ in range(4):
+        products = []
+        for _ in range(rng.randint(1, 3)):
+            a = rng.randint(0, d)
+            f = random_h(rng, a)
+            g = None if a == d and rng.random() < 0.5 else random_h(rng, d - a)
+            products.append((rng.randint(-3, 3), f, g))
+        want = sum((c * f * (1 if g is None else g) for c, f, g in products), SymF.zero("h"))
+        got = schur_of_products(d, products)
+        assert by_partition(d, got) == want.to_basis("s").terms
+        for basis in "emps":
+            converted = [(c, f.to_basis(basis), None if g is None else g.to_basis(basis))
+                         for c, f, g in products]
+            assert schur_of_products(d, converted) == got, basis
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_schur_of_products_takes_a_slice_in_p_as_in_h(n):
+    """A cycle-type slice from the formulas (in p) and from the census oracle
+    (in h) give the same Schur vectors, alone and in the log-concavity
+    products; the p coefficients read as if they were h give another."""
+    for lam in partitions(n):
+        for j in range(n):
+            in_p = [q_symf_type(lam, i) for i in (j - 1, j, j + 1)]
+            in_h = [q_symf_type_oracle(lam, i) for i in (j - 1, j, j + 1)]
+            assert in_p[0].basis == "p" and in_h[0].basis == "h"
+            for f, g in zip(in_p, in_h):
+                assert schur_of_products(n, [(1, f, None)]) == schur_of_products(n, [(1, g, None)])
+            products_p = [(1, in_p[1], in_p[1]), (-1, in_p[2], in_p[0])]
+            products_h = [(1, in_h[1], in_h[1]), (-1, in_h[2], in_h[0])]
+            got = schur_of_products(2 * n, products_p)
+            assert got == schur_of_products(2 * n, products_h), (tuple(lam), j)
+            want = in_h[1] * in_h[1] - in_h[2] * in_h[0]
+            assert by_partition(2 * n, got) == want.to_basis("s").terms
+    f = q_symf_type(Partition([n]), 1)
+    misread = SymF("h", f.terms)
+    assert schur_of_products(n, [(1, misread, None)]) != schur_of_products(n, [(1, f, None)])
