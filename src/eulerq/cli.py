@@ -23,7 +23,7 @@ import os
 import re
 import sys
 from collections import namedtuple
-from math import factorial, perm, prod
+from math import factorial
 from types import SimpleNamespace
 
 
@@ -35,13 +35,6 @@ class UsageError(Exception):
 # takes at most 10 s CPU on one core, and at 24 one does not (BENCH_21.json).
 # The census behind stats --n has its own limit, permstats.DEFAULT_CAP.
 _MAX_DEGREE = 23
-
-
-# The most exponent-vector entries (vectors times N) expand --vars N lists:
-# listing them and reading them back costs 0.3-0.5 us and 12-14 bytes each
-# on one core, so at the limit a launch takes under 1 s and 45 MB
-# (BENCH_16.json).
-_MAX_VAR_ENTRIES = 2_000_000
 
 
 # The most rows stats --n N --table lists, one per word of S_N: at about 11 us
@@ -59,17 +52,6 @@ def _print_json(payload):
 def _check_degree(degree):
     if degree > _MAX_DEGREE:
         raise UsageError(f"degree {degree} exceeds the limit {_MAX_DEGREE}")
-
-
-def _check_vars(mm, N):
-    """Refuse --vars N when the m-expansion mm lists too many exponent
-    vectors in N variables: each m_lam with l(lam) <= N lists the
-    N! / ((N - l)! prod_i m_i!) rearrangements of lam padded with zeros."""
-    vectors = sum(perm(N, lam.length) // prod(map(factorial, lam.multiplicities().values()))
-                  for lam in mm.terms if lam.length <= N)
-    if vectors * N > _MAX_VAR_ENTRIES:
-        raise UsageError(f"--vars {N} lists {vectors} exponent vectors of length {N}, "
-                         f"{vectors * N} entries past the limit {_MAX_VAR_ENTRIES}")
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +450,14 @@ class _ExprParser:
         return int(tok)
 
     def int_list(self, closer):
+        """Integers up to closer, one comma between each two and none after
+        the last."""
         out = []
-        while self.peek() != closer:
+        if self.peek() != closer:
             out.append(self.integer())
-            if self.peek() == ",":
+            while self.peek() == ",":
                 self.take()
+                out.append(self.integer())
         self.take(closer)
         return out
 
@@ -490,13 +475,16 @@ def cmd_expand(args):
         raise UsageError("--vars must be nonnegative")
     value = _ExprParser(args.expr).parse()
     if args.vars:
-        value = value.to_basis("m")
-        _check_vars(value, args.vars)
-        mon = value.to_monomial(args.vars)
-        try:
-            value = mon.to_symf()
-        except ValueError as e:
-            raise UsageError(f"--vars {args.vars} cannot carry this expression: {e}")
+        # every value is symmetric: in x_1..x_N, m_lam vanishes exactly when
+        # l(lam) > N and the others stay independent, but a kept term of
+        # degree past N does not determine the function it came from
+        from .symfunc import SymF
+        kept = {lam: c for lam, c in value.to_basis("m").terms.items()
+                if lam.length <= args.vars}
+        if any(lam.n > args.vars for lam in kept):
+            raise UsageError(f"--vars {args.vars} cannot carry this expression: "
+                             "degree exceeds N; truncation is not faithful")
+        value = SymF("m", kept)
     rendered = value.to_basis(args.basis).render()
     if args.output == "json":
         out = {"command": "expand", "expr": args.expr, "basis": args.basis,

@@ -305,13 +305,6 @@ def _census_poly(rows, n, stats, fields=CENSUS_FIELDS) -> Poly:
     return Poly(dict(acc))
 
 
-def _fix_poly(n, k, stats) -> Poly:
-    """_census_poly over the permutations of S_n with k fixed points."""
-    rows, fields = _oracle_census(n, stats)
-    fix = row_stat("fix", n, fields)
-    return _census_poly({row: c for row, c in rows.items() if fix(row) == k}, n, stats, fields)
-
-
 @lru_cache(maxsize=None)
 def a_poly(n, stats=("maj", "exc", "fix")) -> Poly:
     rows, fields = _oracle_census(n, stats)
@@ -320,7 +313,10 @@ def a_poly(n, stats=("maj", "exc", "fix")) -> Poly:
 
 @lru_cache(maxsize=None)
 def a_poly_fix(n, k, stats=("maj", "des", "exc")) -> Poly:
-    return _fix_poly(n, k, stats)
+    """_census_poly over the permutations of S_n with k fixed points."""
+    rows, fields = _oracle_census(n, stats)
+    fix = row_stat("fix", n, fields)
+    return _census_poly({row: c for row, c in rows.items() if fix(row) == k}, n, stats, fields)
 
 
 @lru_cache(maxsize=None)
@@ -329,6 +325,5 @@ def a_poly_type(lam, stats=("maj", "des", "exc")) -> Poly:
     return _census_poly(class_census(lam), lam.n, stats)
 
 
-@lru_cache(maxsize=None)
 def a_poly_derangements(n, stats=("maj", "exc")) -> Poly:
-    return _fix_poly(n, 0, stats)
+    return a_poly_fix(n, 0, stats)

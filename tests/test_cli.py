@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from eulerq import cli, enumerate_permutations, eulerian, statistics, suites
 from eulerq.permstats import DEFAULT_CAP
 from eulerq.report import VerifyReport
+from eulerq.symfunc import MonExpansion
 from fixtures_tables import CHAR_TABLES
 from fixtures_usage import USAGE_OUTPUTS
 from test_digests import WORKLOADS
@@ -185,6 +186,8 @@ def test_readme_states_the_size_limits():
     text = " ".join((ROOT / "README.md").read_text().split())
     assert re.search(r"The degree limit is (\d+):", text).group(1) == str(cli._MAX_DEGREE)
     assert re.search(r"the census limit is (\d+)", text).group(1) == str(DEFAULT_CAP)
+    rows = re.search(r"lists at most ([\d,]+) rows", text).group(1)
+    assert rows.replace(",", "") == str(cli._MAX_TABLE_ROWS)
 
 
 def test_qfun_text(capsys):
@@ -266,28 +269,48 @@ def test_expand_usage_errors(capsys):
     capsys.readouterr()
 
 
-def test_expand_vars_limit(capsys):
-    # m[1^6] lists C(N, 6) vectors of length N: 74613 * 22 = 1641486 entries
-    # are under the limit, 100947 * 23 = 2321781 past it
-    assert cli._MAX_VAR_ENTRIES == 2_000_000
-    rc, out = run(capsys, "expand", "m[1,1,1,1,1,1]", "m", "--vars", "22")
+# (expression, basis) pairs restricted to x_1..x_N for every N <= 8: each
+# basis atom, Q in all three forms, omega, products, sums and constants
+VARS_GRID = [
+    ("h[3]", "m"), ("e[2,1]", "s"), ("s[3,2,1]", "m"), ("p[4]", "h"), ("m[2,1,1]", "e"),
+    ("m[1,1,1,1,1,1]", "m"), ("Q[4,1]", "m"), ("Q[5,2,0]", "s"), ("Q[(3,2),1]", "p"),
+    ("omega(Q[4,2])", "m"), ("h[2]*e[2] - 3*m[1,1]", "h"), ("2 + p[2,1]", "m"), ("3", "e"),
+]
+
+
+@pytest.mark.parametrize("expr, basis", VARS_GRID, ids=[e for e, _ in VARS_GRID])
+def test_expand_vars_matches_the_monomial_round_trip(capsys, expr, basis):
+    # the restriction in m gives what listing every exponent vector in N
+    # variables and reading the vectors back gives, error included
+    value = cli._ExprParser(expr).parse()
+    for N in range(1, 9):
+        rc = cli.main(["expand", expr, basis, "--vars", str(N)])
+        captured = capsys.readouterr()
+        try:
+            want = value.to_monomial(N).to_symf().to_basis(basis).render()
+        except ValueError as e:
+            assert (rc, captured.out) == (2, ""), N
+            assert captured.err == f"error: --vars {N} cannot carry this expression: {e}\n", N
+        else:
+            assert (rc, captured.out) == (0, want + "\n"), N
+
+
+def test_expand_vars_lists_no_exponent_vectors(capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("expand --vars built a MonExpansion")
+    monkeypatch.setattr(MonExpansion, "__init__", refuse)
+    rc, out = run(capsys, "expand", "omega(Q[5,2,0])", "m", "--vars", "5")
+    assert rc == 0 and out == "2*m[2,2,1] + 6*m[2,1,1,1] + 21*m[1,1,1,1,1]\n"
+    # once refused by a limit on the number of exponent vectors
+    rc, out = run(capsys, "expand", "h[11]", "m", "--vars", "11")
+    assert rc == 0 and out == cli._ExprParser("h[11]").parse().to_basis("m").render() + "\n"
+    assert out.count("m[") == 56  # every partition of 11
+    rc, out = run(capsys, "expand", "m[1,1,1,1,1,1]", "m", "--vars", "23")
     assert rc == 0 and out == "m[1,1,1,1,1,1]\n"
-    assert cli.main(["expand", "m[1,1,1,1,1,1]", "m", "--vars", "23"]) == 2
+    assert cli.main(["expand", "h[2]", "m", "--vars", "1"]) == 2
     assert capsys.readouterr().err == (
-        "error: --vars 23 lists 100947 exponent vectors of length 23, "
-        "2321781 entries past the limit 2000000\n")
-
-
-@pytest.mark.parametrize("expr, N", [("m[1,1,1,1,1,1]", 8), ("m[3,2,1] + 2*m[2,2]", 5),
-                                     ("h[3]", 4), ("e[2,1]", 2), ("Q[4,1]", 3), ("3", 2)])
-def test_expand_vars_count_is_exact(expr, N, monkeypatch):
-    # the count the limit reads is the number of vectors to_monomial lists
-    mm = cli._ExprParser(expr).parse().to_basis("m")
-    listed = len(mm.to_monomial(N).terms)
-    cli._check_vars(mm, N)
-    monkeypatch.setattr(cli, "_MAX_VAR_ENTRIES", listed * N - 1)
-    with pytest.raises(cli.UsageError, match=f"lists {listed} exponent vectors"):
-        cli._check_vars(mm, N)
+        "error: --vars 1 cannot carry this expression: degree exceeds N; "
+        "truncation is not faithful\n")
 
 
 @pytest.mark.parametrize("expr, message", [
@@ -295,6 +318,11 @@ def test_expand_vars_count_is_exact(expr, N, monkeypatch):
     ("h[1,0]", "error: partition parts must be positive: (1, 0)"),
     ("Q[(2,0),1]", "error: partition parts must be positive: (2, 0)"),
     ("Q[(2,1),x]", "error: expected integer, found 'x'"),
+    # integer lists take exactly one comma between entries and none after the last
+    ("Q[4 1]", "error: expected ], found '1'"),
+    ("Q[(4 4),2]", "error: expected ), found '4'"),
+    ("h[2,1,]", "error: expected integer, found ']'"),
+    ("Q[4,1,]", "error: expected integer, found ']'"),
 ])
 def test_expand_bad_atoms_are_usage_errors(capsys, expr, message):
     assert cli.main(["expand", expr, "h"]) == 2
