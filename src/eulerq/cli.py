@@ -277,11 +277,13 @@ def cmd_stats(args):
 # ---------------------------------------------------------------------------
 
 def _parse_partition(text):
-    from .permstats import Partition
-    try:
-        return Partition(int(x) for x in text.split(",") if x.strip())
-    except ValueError as e:
-        raise UsageError(str(e))
+    """--lambda: the parts of an atom of expand (_ExprParser.int_list), with
+    the end of the text for the closing bracket; "" is the empty partition."""
+    parser = _ExprParser(text)
+    lam = parser.partition(None)
+    if parser.peek() is not None:
+        raise UsageError(f"trailing input at {parser.peek()!r}")
+    return lam
 
 
 def cmd_qfun(args):
@@ -293,7 +295,6 @@ def cmd_qfun(args):
         if args.k is not None:
             raise UsageError("--k applies only with --n")
         lam = _parse_partition(args.lam)
-        _check_degree(lam.n)
         params = ["lam", list(lam), "j", args.j]
         build = lambda eulerian: eulerian.q_symf_type(lam, args.j, args.basis)
     else:
@@ -343,6 +344,9 @@ _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_]+|[\[\](),+*-])")
 
 
 def _tokenize(text):
+    # each token takes the whitespace before it, so trailing whitespace is
+    # dropped here
+    text = text.rstrip()
     out, pos = [], 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -450,15 +454,16 @@ class _ExprParser:
         return int(tok)
 
     def int_list(self, closer):
-        """Integers up to closer, one comma between each two and none after
-        the last."""
+        """Integers up to closer, or up to the end of the input when closer
+        is None, one comma between each two and none after the last."""
         out = []
         if self.peek() != closer:
             out.append(self.integer())
             while self.peek() == ",":
                 self.take()
                 out.append(self.integer())
-        self.take(closer)
+        if closer is not None:
+            self.take(closer)
         return out
 
     def partition(self, closer):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import factorial, gcd, prod
+from math import comb, factorial, gcd, prod
 
 from .permstats import (
     CENSUS_FIELDS,
@@ -283,46 +283,88 @@ def char_table(n):
 # the A family: brute-force statistic polynomials
 # ---------------------------------------------------------------------------
 
+# The A family is read off the census once per n, and once per class, into
+# a table {(fix, des, exc): q list}: the distribution of maj (or of inv) over
+# the permutations with those fix, des and exc, as a dense coefficient list
+# with no trailing zeros.  comaj is maj read from binomial(n, 2) down.  The
+# suites compare these lists, and a_poly and its relatives are Poly views of
+# them.
+
 _VAR_OF = {"maj": "q", "comaj": "q", "inv": "q", "des": "p", "exc": "t", "fix": "r"}
-_SLOT_OF = {"q": 0, "p": 1, "t": 2, "r": 3}
 
 
-def _census_poly(rows, n, stats, fields=CENSUS_FIELDS) -> Poly:
-    """Joint distribution of the listed statistics over a Counter of census
-    rows of S_n with the given fields (maj/comaj/inv tracked by q, des by p,
-    exc by t, fix by r)."""
+def _a_lists(rows, fields, qstat):
+    """The A table of a Counter of census rows with the given fields, its q
+    lists holding qstat ("maj" or "inv")."""
+    fix, des, exc, q = map(fields.index, ("fix", "des", "exc", qstat))
+    out = {}
+    for row, count in rows.items():
+        a = out.setdefault((row[fix], row[des], row[exc]), [])
+        i = row[q]
+        if len(a) <= i:
+            a.extend([0] * (i + 1 - len(a)))
+        a[i] += count
+    return {key: tuple(a) for key, a in out.items()}
+
+
+@lru_cache(maxsize=None)
+def _a_table(n, qstat="maj"):
+    """{(fix, des, exc): qstat q list} over S_n, qstat "maj" or "inv"."""
+    rows, fields = _oracle_census(n, (qstat,))
+    return _a_lists(rows, fields, qstat)
+
+
+@lru_cache(maxsize=None)
+def _a_type_table(lam, qstat="maj"):
+    """{(fix, des, exc): qstat q list} over the class of type lam."""
+    lam = Partition(lam)
+    return _a_lists(class_census(lam), CENSUS_FIELDS, qstat)
+
+
+def _table_for(table, key, stats):
+    """table(key), or table(key, "inv") when stats lists inv; the maj table
+    is always asked for in the one form, so that it is cached once."""
+    return table(key, "inv") if "inv" in stats else table(key)
+
+
+def _a_view(table, n, stats, fix=None) -> Poly:
+    """The joint distribution of the listed statistics (maj/comaj/inv tracked
+    by q, des by p, exc by t, fix by r) over the rows of an A table of S_n,
+    or over its rows with fix fixed points."""
     names = tuple(stats)
     vars_ = [_VAR_OF[s] for s in names]
     if len(set(vars_)) != len(vars_):
         raise ValueError(f"statistics {names} collide on a variable")
-    reads = [(_SLOT_OF[v], row_stat(s, n, fields)) for s, v in zip(names, vars_)]
-    acc = Counter()
-    for row, count in rows.items():
-        e = [0, 0, 0, 0]
-        for slot, read in reads:
-            e[slot] = read(row)
-        acc[tuple(e)] += count
-    return Poly(dict(acc))
+    # the q exponent of q list index i is sign i + top
+    sign, top = (-1, comb(n, 2)) if "comaj" in names else (int("q" in vars_), 0)
+    use = [s in names for s in ("des", "exc", "fix")]
+    acc = {}
+    for (f, d, e), a in table.items():
+        if fix is not None and f != fix:
+            continue
+        rest = (d * use[0], e * use[1], f * use[2])
+        for i, c in enumerate(a):
+            if c:
+                key = (sign * i + top,) + rest
+                acc[key] = acc.get(key, 0) + c
+    return Poly(acc)
 
 
 @lru_cache(maxsize=None)
 def a_poly(n, stats=("maj", "exc", "fix")) -> Poly:
-    rows, fields = _oracle_census(n, stats)
-    return _census_poly(rows, n, stats, fields)
+    return _a_view(_table_for(_a_table, n, stats), n, stats)
 
 
 @lru_cache(maxsize=None)
 def a_poly_fix(n, k, stats=("maj", "des", "exc")) -> Poly:
-    """_census_poly over the permutations of S_n with k fixed points."""
-    rows, fields = _oracle_census(n, stats)
-    fix = row_stat("fix", n, fields)
-    return _census_poly({row: c for row, c in rows.items() if fix(row) == k}, n, stats, fields)
+    """a_poly over the permutations of S_n with k fixed points."""
+    return _a_view(_table_for(_a_table, n, stats), n, stats, fix=k)
 
 
 @lru_cache(maxsize=None)
 def a_poly_type(lam, stats=("maj", "des", "exc")) -> Poly:
     lam = Partition(lam)
-    return _census_poly(class_census(lam), lam.n, stats)
+    return _a_view(_table_for(_a_type_table, lam, stats), lam.n, stats)
 
 
 def a_poly_derangements(n, stats=("maj", "exc")) -> Poly:

@@ -329,12 +329,10 @@ def q_int(n):
 
 @lru_cache(maxsize=None)
 def q_factorial(n):
-    """[n]_q! with [0]_q! = 1."""
+    """[n]_q! with [0]_q! = 1 (see qlist_factorial)."""
     if n < 0:
         raise ValueError("q_factorial needs n >= 0")
-    if n == 0:
-        return Poly.one()
-    return q_factorial(n - 1) * q_int(n)
+    return qlist_to_poly(qlist_factorial(n))
 
 
 @lru_cache(maxsize=None)
@@ -456,6 +454,14 @@ def qlist_binomial(n, k):
     if k == 0 or k == n:
         return (1,)
     return tuple(qlist_add(list(qlist_binomial(n - 1, k - 1)), qlist_binomial(n - 1, k), k))
+
+
+@lru_cache(maxsize=None)
+def qlist_factorial(n):
+    """[n]_q! = [1]_q [2]_q .. [n]_q, with [0]_q! = 1."""
+    if n <= 0:
+        return (1,)
+    return tuple(qlist_mul(qlist_factorial(n - 1), (1,) * n))
 
 
 @lru_cache(maxsize=None)

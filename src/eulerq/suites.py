@@ -17,18 +17,17 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .eulerian import (
     _a_poly_closed,
+    _a_table,
+    _a_type_table,
     _exc_fix_data,
     _oracle_census,
     _type_class_oracle,
     _type_classes,
     a_poly,
-    a_poly_derangements,
-    a_poly_fix,
-    a_poly_type,
     character_value,
     character_value_oracle,
     q_poly,
@@ -48,13 +47,10 @@ from .permstats import (
 )
 from .polyalg import (
     Poly,
-    QExpSeries,
     parse_poly,
-    q_binomial,
-    q_factorial,
     qlist_add,
     qlist_binomial,
-    qlist_from_poly,
+    qlist_factorial,
     qlist_norm,
     qlist_p_pochhammer,
     qlist_pack,
@@ -91,11 +87,6 @@ from .symfunc import (
 # ---------------------------------------------------------------------------
 
 
-def _tq_geometric(k):
-    """tq [k - 1]_{tq} = tq + (tq)^2 + .. + (tq)^(k-1)."""
-    return Poly({(i, 0, i, 0): 1 for i in range(1, k)})
-
-
 def times_t_geometric(sp: SymPoly, k) -> SymPoly:
     """sp times t [k - 1]_t = t + t^2 + .. + t^(k-1)."""
     return sum((sp.shift(t=a) for a in range(1, k)), SymPoly.zero())
@@ -111,11 +102,6 @@ def cleared_lhs(polys, n, sym):
     return out
 
 
-def a_coeff(lam, j) -> Poly:
-    """maj/des enumerator of the type-lam class at exc = j."""
-    return a_poly_type(Partition(lam), ("maj", "des", "exc")).coefficient("t", j)
-
-
 def shift_exc_by_qinv(poly: Poly) -> Poly:
     """Substitute t -> t/q: divide each term by q to the power of its
     t-exponent (the shift that centers the excedance variable)."""
@@ -126,7 +112,7 @@ def _t_list(tcoeffs, zero):
     """The coefficients of a {power: coefficient} dict from its lowest to its
     highest nonzero power, with zero filled in between, and the lowest power
     (([], 0) when every coefficient is zero)."""
-    keys = [j for j, c in tcoeffs.items() if not c.is_zero()]
+    keys = [j for j, c in tcoeffs.items() if c != zero]
     if not keys:
         return [], 0
     lo = min(keys)
@@ -169,11 +155,11 @@ def _gamma_positive(tcoeffs, m, positive, zero) -> bool:
     for d in range(m // 2 + 1):
         g = work[d]
         gammas.append(g)
-        if g.is_zero():
+        if g == zero:
             continue
         for i in range(m - 2 * d + 1):
             work[d + i] = work[d + i] - g * comb(m - 2 * d, i)
-    return all(c.is_zero() for c in work) and all(positive(g) for g in gammas)
+    return all(c == zero for c in work) and all(positive(g) for g in gammas)
 
 
 def _h_positive(f) -> bool:
@@ -182,10 +168,6 @@ def _h_positive(f) -> bool:
 
 def _schur_positive(f) -> bool:
     return all(c >= 0 for d in f.degrees() for c in schur_of_products(d, [(1, f, None)]))
-
-
-def _poly_nonneg(f) -> bool:
-    return all(c >= 0 for c in f.terms.values())
 
 
 def sympoly_t_coeffs(sp: SymPoly, r=0):
@@ -199,10 +181,115 @@ def _int_unimodal(seq) -> bool:
     return rises == sorted(rises, reverse=True)
 
 
-def _q_coeff_seq(f: Poly):
-    """Integer coefficient sequence of a polynomial in q alone."""
-    cs, _ = _t_list(f.coefficients_in("q"), Poly.zero())
-    return [c.constant_value() for c in cs]
+# ---------------------------------------------------------------------------
+# the A family as q lists: the tables of eulerian, their marginals, and
+# sums of products compared packed at q = 2^w
+# ---------------------------------------------------------------------------
+
+
+def _lists(table, key):
+    """{key(fix, des, exc): the sum of the q lists of an A table at the rows
+    with that key}; a row whose key is None is left out."""
+    out = {}
+    for (f, d, e), a in table.items():
+        k = key(f, d, e)
+        if k is not None:
+            qlist_add(out.setdefault(k, []), a)
+    return out
+
+
+def _comaj(a, n):
+    """The comaj q list of S_n from a maj q list: q^binomial(n, 2) a(1/q)."""
+    return (0,) * (comb(n, 2) + 1 - len(a)) + tuple(reversed(a))
+
+
+def _trimmed(a):
+    """A q list without its trailing zeros, as a tuple."""
+    a = tuple(a)
+    while a and not a[-1]:
+        a = a[:-1]
+    return a
+
+
+# A sum of products is a list of terms (c, s, factors), each c q^s times the
+# product of the q lists in factors.
+
+
+def _sum_norm(terms):
+    """An L1 bound on a sum of products: the sum of |c| times the norms of
+    its factors."""
+    return sum(abs(c) * prod(map(qlist_norm, factors)) for c, _, factors in terms)
+
+
+def _packed_sum(terms, w):
+    """A sum of products evaluated at q = 2^w (qlist_pack)."""
+    return sum(c * prod(qlist_pack(a, w) for a in factors) << (w * s)
+               for c, s, factors in terms)
+
+
+def _sums_width(left, right):
+    """The packing width of _sums_agree: one bit above the largest L1 bound
+    of a side at any key, so that every coefficient of either side is below
+    2^(w-1) in absolute value and two sides pack to the same integer only
+    when they agree."""
+    bound = max((_sum_norm(terms) for side in (left, right) for terms in side.values()),
+                default=0)
+    return bound.bit_length() + 1
+
+
+def _sums_agree(left, right) -> bool:
+    """Do two {key: sum of products} agree at every key (a missing key is
+    the zero sum)?  Both are compared packed at the width of _sums_width:
+    a few integer products per term and one comparison per key."""
+    w = _sums_width(left, right)
+    return all(_packed_sum(left.get(key, ()), w) == _packed_sum(right.get(key, ()), w)
+               for key in left.keys() | right.keys())
+
+
+def _single(lists):
+    """{key: q list} as {key: sum of products} with one term per key."""
+    return {key: [(1, 0, (a,))] for key, a in lists.items()}
+
+
+# The shape records (symmetry, unimodality, log-concavity, binomial basis) of
+# an A enumerator in q and p read its t-coefficients after t -> t/q, each
+# times q^top, top the largest exc, so that no power is negative (a common
+# factor changes none of the shapes), and packed into one integer: q^a p^d
+# at 2^(w (a + stride d)), the stride above every q-degree of a product of
+# two coefficients.
+
+
+def _shape_width(norm, m):
+    """The packing width of the shape records of a t-sequence whose
+    coefficients have L1 norms summing to norm, with binomial-basis span m:
+    one bit above the larger of 2 norm^2, which bounds c_i^2 - c_(i-1)
+    c_(i+1), and norm prod_d (1 + 2^(m - 2d)), which bounds every value that
+    _gamma_positive computes (each of its steps adds at most 2^(m - 2d)
+    times the norm of the current gamma)."""
+    gamma = norm * prod(1 + (1 << (m - 2 * d)) for d in range(m // 2 + 1))
+    return max(2 * norm * norm, gamma).bit_length() + 1
+
+
+def _shapes(rows, m, des=True):
+    """(t-coefficients, nonnegativity test, zero) for the shape helpers, of
+    the enumerator sum q^maj p^des t^exc over rows (des, exc, maj q list)
+    shifted and packed as above, with p = 1 when des is False; m is the
+    span of its binomial-basis expansion.  Every coefficient the helpers
+    meet is below 2^(w-1) in absolute value, so the lowest negative one of
+    a value, if any, leaves the top bit of its w-bit digit set."""
+    if not rows:
+        return {}, None, 0
+    w = _shape_width(sum(qlist_norm(a) for _, _, a in rows), m)
+    top = max(e for _, e, _ in rows)
+    stride = 2 * (max(len(a) for _, _, a in rows) - 1 + top) + 1
+    digits = stride * (2 * max(d for d, _, _ in rows) + 1)
+    high = ((1 << w * digits) - 1) // ((1 << w) - 1) << (w - 1)
+    if not des:
+        stride = 0
+    packed = {}
+    for d, e, a in rows:
+        packed[e] = packed.get(e, 0) + (qlist_pack(a, w) << w * (top - e + stride * d))
+    return packed, lambda v: v >= 0 and not v & high, 0
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +342,18 @@ def verify_recurrences(n_max) -> VerifyReport:
             rhs = rhs + times_t_geometric(q_poly_oracle(k) * sym_h([n - k]), n - k)
         rep.record("two-variable recurrence", {"n": n}, q_poly_oracle(n) == rhs)
         rep.record("closed h-positive formula", {"n": n}, q_poly(n) == q_poly_oracle(n))
+    # A_n in maj, exc, fix as {(exc, fix): maj q list}: A_n = r^n plus the
+    # sum over k < n - 1 of [n choose k]_q A_k (tq + .. + (tq)^(n-k-1))
+    a = [_lists(_a_table(n), lambda f, d, e: (e, f)) for n in range(n_max + 1)]
     for n in range(n_max + 1):
-        an = a_poly(n)
-        rhs = Poly.term(1, r=n)
+        rhs = {(0, n): [(1, 0, ((1,),))]}
         for k in range(n - 1):
-            rhs = rhs + q_binomial(n, k) * a_poly(k) * _tq_geometric(n - k)
-        rep.record("three-statistic recurrence", {"n": n}, an == rhs)
-        rep.record("three-statistic closed formula", {"n": n}, an == _a_poly_closed(n))
+            binom = qlist_binomial(n, k)
+            for (e, f), x in a[k].items():
+                for i in range(1, n - k):
+                    rhs.setdefault((e + i, f), []).append((1, i, (binom, x)))
+        rep.record("three-statistic recurrence", {"n": n}, _sums_agree(_single(a[n]), rhs))
+        rep.record("three-statistic closed formula", {"n": n}, a_poly(n) == _a_poly_closed(n))
     return rep
 
 
@@ -272,16 +364,21 @@ def verify_qexp_generating_function(n_max) -> VerifyReport:
         sum_k [n choose k]_q ((tq)^k - tq) A_{n-k} = (1 - tq) r^n.
     """
     rep = VerifyReport("qexp")
-    tq = Poly.term(1, q=1, t=1)
-    A = QExpSeries([a_poly(n) for n in range(n_max + 1)])
-    lhs = (QExpSeries.geometric(tq, n_max) - QExpSeries.exp_q(n_max) * tq) * A
-    rhs = QExpSeries.geometric(Poly.var("r"), n_max) * (Poly.one() - tq)
+    # A_n as {(exc, fix): maj q list}; (tq)^k moves exc up by k and q by k
+    a = [_lists(_a_table(n), lambda f, d, e: (e, f)) for n in range(n_max + 1)]
     for n in range(n_max + 1):
-        rep.record("cleared q-exponential identity", {"n": n},
-                   lhs.coeffs[n] == rhs.coeffs[n])
+        lhs = {}
+        for k in range(n + 1):
+            binom = qlist_binomial(n, k)
+            for (e, f), x in a[n - k].items():
+                lhs.setdefault((e + k, f), []).append((1, k, (binom, x)))
+                lhs.setdefault((e + 1, f), []).append((-1, 1, (binom, x)))
+        rhs = {(0, n): [(1, 0, ((1,),))], (1, n): [(-1, 1, ((1,),))]}
+        rep.record("cleared q-exponential identity", {"n": n}, _sums_agree(lhs, rhs))
     for n in range(n_max + 1):
-        total = a_poly(n).substitute(t=1, r=1)
-        rep.record("total maj enumerator is [n]_q!", {"n": n}, total == q_factorial(n))
+        total = _lists(_a_table(n), lambda f, d, e: 0).get(0, ())
+        rep.record("total maj enumerator is [n]_q!", {"n": n},
+                   _trimmed(total) == qlist_factorial(n))
     return rep
 
 
@@ -437,15 +534,6 @@ def _packed_p_pochhammer(n, w):
     return tuple(qlist_pack(a, w) for a in qlist_p_pochhammer(n))
 
 
-def _p_rows(a):
-    """{d: [p^d] a as a q list} for a Poly a in q and p (qlist_from_poly); a
-    term in t or r, or a negative power of q or p, raises ValueError."""
-    rows = a.coefficients_in("p")
-    if rows and min(rows) < 0:
-        raise ValueError(f"negative power of p in {a}")
-    return {d: qlist_from_poly(c) for d, c in rows.items()}
-
-
 def _specialization_mismatch(n, pieces, j, lhs):
     """_first_p_mismatch for the series sum_i q^{i m + j} ps_m(pieces[i]),
     m = 0 .. n + 2.  The width comes first, from ps_norm (a shift by a power
@@ -478,8 +566,9 @@ def finite_specialization_check(lam, k_max, rep=None) -> VerifyReport:
     for k in range(k_max + 1):
         full = Partition(tuple(lam) + (1,) * k)
         n = full.n
+        table = _a_type_table(full)
         for j in range(max(n, 1)):
-            lhs = _p_rows(a_coeff(full, j))
+            lhs = {d: a for (_, d, e), a in table.items() if e == j}
             pieces = [q_qsym_type(Partition(tuple(lam) + (1,) * (k - i)), j)
                       for i in range(k + 1)]
             bad = _specialization_mismatch(n, pieces, j, lhs)
@@ -506,7 +595,7 @@ def verify_finite_specialization(total_max) -> VerifyReport:
     n = 4
     for k in range(n + 1):
         for j in range(n):
-            lhs = _p_rows(a_poly_fix(n, k).coefficient("t", j))
+            lhs = {d: a for (f, d, e), a in _a_table(n).items() if f == k and e == j}
             pieces = [q_qsym(n - i, j, k - i) for i in range(k + 1)]
             ok = _specialization_mismatch(n, pieces, j, lhs) is None
             rep.record("finite specialization, exc/fix form", {"n": n, "k": k, "j": j}, ok)
@@ -520,50 +609,60 @@ def verify_finite_specialization(total_max) -> VerifyReport:
 
 def verify_derangement_identities(n_max) -> VerifyReport:
     """Fixed-point reductions and inclusion-exclusion for maj/exc, their
-    comajor-index mirrors, and the comaj q-exponential identity."""
+    comajor-index mirrors, and the comaj q-exponential identity, on the q
+    lists of the A tables."""
     rep = VerifyReport("derangements")
+    tables = [_a_table(n) for n in range(n_max + 1)]
+    # per n: {(fix, exc): maj q list}, {exc: maj q list} and the derangements
+    fixed = [_lists(t, lambda f, d, e: (f, e)) for t in tables]
+    full = [_lists(t, lambda f, d, e: e) for t in tables]
+    der = [_lists(t, lambda f, d, e: e if f == 0 else None) for t in tables]
     for n in range(n_max + 1):
-        ok = all(
-            a_poly_fix(n, k, ("maj", "exc")) == q_binomial(n, k) * a_poly_derangements(n - k)
-            for k in range(n + 1)
-        )
-        rep.record("fixed-point reduction", {"n": n}, ok)
-        rhs = Poly.zero()
+        rhs = {}
         for k in range(n + 1):
-            rhs = rhs + (-1) ** k * Poly.var("q", comb(k, 2)) * q_binomial(n, k) * a_poly(
-                n - k, ("maj", "exc")
-            )
+            for e, x in der[n - k].items():
+                rhs[k, e] = [(1, 0, (qlist_binomial(n, k), x))]
+        rep.record("fixed-point reduction", {"n": n}, _sums_agree(_single(fixed[n]), rhs))
+        rhs = {}
+        for k in range(n + 1):
+            for e, x in full[n - k].items():
+                rhs.setdefault(e, []).append(((-1) ** k, comb(k, 2), (qlist_binomial(n, k), x)))
         rep.record("derangement inclusion-exclusion", {"n": n},
-                   a_poly_derangements(n) == rhs)
-        dn = a_poly_derangements(n).substitute(q=1, t=1).constant_value()
+                   _sums_agree(_single(der[n]), rhs))
+        dn = sum(map(sum, der[n].values()))
         classical = sum((-1) ** k * comb(n, k) * factorial(n - k) for k in range(n + 1))
         rep.record("derangement count", {"n": n}, dn == classical)
     for n in range(n_max + 1):
-        ok = all(
-            a_poly_fix(n, k, ("comaj", "exc"))
-            == Poly.var("q", comb(k, 2)) * q_binomial(n, k)
-            * a_poly_derangements(n - k, ("comaj", "exc"))
-            for k in range(n + 1)
-        )
-        rep.record("fixed-point reduction, comaj", {"n": n}, ok)
-        rhs = Poly.zero()
+        lhs = {key: [(1, 0, (_comaj(x, n),))] for key, x in fixed[n].items()}
+        rhs = {}
         for k in range(n + 1):
-            rhs = rhs + (-1) ** k * q_binomial(n, k) * a_poly(n - k, ("comaj", "exc"))
-        rep.record("derangement inclusion-exclusion, comaj", {"n": n},
-                   a_poly_derangements(n, ("comaj", "exc")) == rhs)
-    tq1 = Poly.term(1, q=-1, t=1)
-    A = QExpSeries([a_poly(n, ("comaj", "exc", "fix")) for n in range(n_max + 1)])
-    lhs = (_geom_upper(tq1, n_max) - QExpSeries.exp_q_upper(n_max) * tq1) * A
+            for e, x in der[n - k].items():
+                rhs[k, e] = [(1, comb(k, 2), (qlist_binomial(n, k), _comaj(x, n - k)))]
+        rep.record("fixed-point reduction, comaj", {"n": n}, _sums_agree(lhs, rhs))
+        lhs = {e: [(1, 0, (_comaj(x, n),))] for e, x in der[n].items()}
+        rhs = {}
+        for k in range(n + 1):
+            for e, x in full[n - k].items():
+                rhs.setdefault(e, []).append(((-1) ** k, 0, (qlist_binomial(n, k),
+                                                               _comaj(x, n - k))))
+        rep.record("derangement inclusion-exclusion, comaj", {"n": n}, _sums_agree(lhs, rhs))
+    # In the divided powers z^n / [n]_q!, with u = t/q, the cleared identity
+    # reads sum_k [n choose k]_q q^(k choose 2) (u^k - u) A_{n-k}(comaj, exc,
+    # fix) = q^(n choose 2) r^n (1 - u); both sides are taken times q, so
+    # that no power of q is negative.
+    comaj = [{(e, f): _comaj(x, n) for (f, e), x in fixed[n].items()}
+             for n in range(n_max + 1)]
     for n in range(n_max + 1):
-        rhs = Poly.var("q", comb(n, 2)) * Poly.term(1, r=n) * (Poly.one() - tq1)
-        rep.record("cleared q-exponential identity, comaj", {"n": n},
-                   lhs.coeffs[n] == rhs)
+        lhs = {}
+        for k in range(n + 1):
+            binom = qlist_binomial(n, k)
+            for (e, f), x in comaj[n - k].items():
+                lhs.setdefault((e + k, f), []).append((1, (k - 1) * (k - 2) // 2, (binom, x)))
+                lhs.setdefault((e + 1, f), []).append((-1, comb(k, 2), (binom, x)))
+        top = comb(n, 2)
+        rhs = {(0, n): [(1, top + 1, ((1,),))], (1, n): [(-1, top, ((1,),))]}
+        rep.record("cleared q-exponential identity, comaj", {"n": n}, _sums_agree(lhs, rhs))
     return rep
-
-
-def _geom_upper(u, order):
-    """Divided-power series with coefficients q^(n choose 2) u^n."""
-    return QExpSeries([Poly.var("q", comb(n, 2)) * u ** n for n in range(order + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -619,30 +718,31 @@ def verify_symmetry_unimodality(n_max) -> VerifyReport:
         ok_full = all(q_symf_oracle(n, j) == q_symf_oracle(n, n - 1 - j) for j in range(n))
         rep.record("full-slice palindromicity", {"n": n}, ok_full)
     for n in range(1, n_max + 1):
-        zero = Poly.zero()
+        table = _a_table(n)
         for k in range(n + 1):
-            af = a_poly_fix(n, k)
-            if af.is_zero():
+            rows = [(d, e, a) for (f, d, e), a in table.items() if f == k]
+            if not rows:
                 continue
-            shifted = shift_exc_by_qinv(af).coefficients_in("t")
+            shifted, nonneg, zero = _shapes(rows, n)
             rep.record("shifted fixed-fix enumerator t-symmetric", {"n": n, "k": k},
                        t_symmetric(shifted, n - k, zero))
             if k == 0:
                 rep.record("shifted derangement enumerator t-unimodal", {"n": n},
-                           t_unimodal(shifted, _poly_nonneg, zero))
+                           t_unimodal(shifted, nonneg, zero))
                 rep.record("binomial-basis q,p-nonnegativity, derangement case",
-                           {"n": n}, _gamma_positive(shifted, n, _poly_nonneg, zero))
-            at1 = shift_exc_by_qinv(af.substitute(p=1)).coefficients_in("t")
+                           {"n": n}, _gamma_positive(shifted, n, nonneg, zero))
+            at1, nonneg, zero = _shapes(rows, n - k, des=False)
             rep.record("shifted fixed-fix enumerator at p=1 symmetric unimodal",
                        {"n": n, "k": k},
-                       t_symmetric(at1, n - k, zero) and t_unimodal(at1, _poly_nonneg, zero))
+                       t_symmetric(at1, n - k, zero) and t_unimodal(at1, nonneg, zero))
             rep.record("binomial-basis q-nonnegativity at p=1", {"n": n, "k": k},
-                       _gamma_positive(at1, n - k, _poly_nonneg, zero))
-        full = shift_exc_by_qinv(a_poly(n, ("maj", "exc"))).coefficients_in("t")
+                       _gamma_positive(at1, n - k, nonneg, zero))
+        rows = [(d, e, a) for (_, d, e), a in table.items()]
+        full, nonneg, zero = _shapes(rows, n - 1, des=False)
         rep.record("shifted full enumerator t-symmetric and t-unimodal", {"n": n},
-                   t_symmetric(full, n - 1, zero) and t_unimodal(full, _poly_nonneg, zero))
+                   t_symmetric(full, n - 1, zero) and t_unimodal(full, nonneg, zero))
         rep.record("binomial-basis q-nonnegativity, full enumerator", {"n": n},
-                   _gamma_positive(full, n - 1, _poly_nonneg, zero))
+                   _gamma_positive(full, n - 1, nonneg, zero))
     a4 = shift_exc_by_qinv(a_poly(4, ("maj", "des", "exc")))
     t1 = a4.coefficient("t", 1)
     rep.record("four-letter witness coefficient", {"n": 4, "t": 1},
@@ -652,21 +752,27 @@ def verify_symmetry_unimodality(n_max) -> VerifyReport:
     for n in range(1, n_max + 1):
         for lam in partitions(n):
             k = lam.mult(1)
-            plain = a_poly_type(lam)
-            shifted = shift_exc_by_qinv(plain).coefficients_in("t")
+            table = _a_type_table(lam)
+            shifted, _, zero = _shapes([(d, e, a) for (_, d, e), a in table.items()], n - k)
             rep.record("shifted cycle-type enumerator t-symmetric",
                        {"lam": tuple(lam)},
-                       t_symmetric(shifted, n - k, Poly.zero()))
-            flipped = plain.substitute(q=Poly.term(1, q=-1), p=Poly.term(1, q=n, p=1))
+                       t_symmetric(shifted, n - k, zero))
+            # [t^j] of the enumerator as {(maj, des): count}, and the same
+            # after q -> 1/q, p -> q^n p
+            plain = {}
+            for (_, d, e), a in table.items():
+                plain.setdefault(e, {}).update({(i, d): c for i, c in enumerate(a) if c})
+            flipped = {e: {(n * d - i, d): c for (i, d), c in x.items()}
+                       for e, x in plain.items()}
             ok = all(
-                plain.coefficient("t", j) == flipped.coefficient("t", n - k - j)
+                plain.get(j, {}) == flipped.get(n - k - j, {})
                 for j in range(n)
                 if 0 <= n - k - j <= n
             )
             rep.record("value-reversal functional equation", {"lam": tuple(lam)}, ok)
             ok = all(
-                plain.coefficient("t", j)
-                == Poly.term(1, q=2 * j + k - n) * flipped.coefficient("t", j)
+                plain.get(j, {}) == {(i + 2 * j + k - n, d): c
+                                     for (i, d), c in flipped.get(j, {}).items()}
                 for j in range(n)
             )
             rep.record("self-reversal with q-power twist", {"lam": tuple(lam)}, ok)
@@ -715,14 +821,11 @@ def verify_positivity(n_max) -> VerifyReport:
                 for j in range(1, (n - k) // 2 + 1)
             )
             rep.record("cycle-type differences Schur positive", {"lam": tuple(lam)}, ok)
-            al = shift_exc_by_qinv(a_poly_type(lam))
+            table = _a_type_table(lam)
+            al, nonneg, zero = _shapes([(d, e, a) for (_, d, e), a in table.items()], n - k)
             rep.record("shifted cycle-type enumerator t-unimodal", {"lam": tuple(lam)},
-                       t_unimodal(al.coefficients_in("t"), _poly_nonneg, Poly.zero()))
-            ok = all(
-                _int_unimodal(_q_coeff_seq(pc))
-                for tc in a_poly_type(lam).coefficients_in("t").values()
-                for pc in tc.coefficients_in("p").values()
-            )
+                       t_unimodal(al, nonneg, zero))
+            ok = all(_int_unimodal(a) for a in table.values())
             rep.record("inner q-unimodality of cycle-type enumerator",
                        {"lam": tuple(lam)}, ok)
     # The oracles are in h, where a product is a concatenation of integer
@@ -741,13 +844,13 @@ def verify_positivity(n_max) -> VerifyReport:
                    {"n": n}, failures == expected,
                    witness="" if failures == expected else str(sorted(failures)))
     for n in range(1, n_max + 1):
-        ok = all(_log_concave(shift_exc_by_qinv(a_poly_fix(n, k)).coefficients_in("t"),
-                              _poly_nonneg, Poly.zero())
+        table = _a_table(n)
+        ok = all(_log_concave(*_shapes([(d, e, a) for (f, d, e), a in table.items() if f == k],
+                                       0))
                  for k in range(n + 1))
         rep.record("log-concavity of shifted fixed-fix enumerators", {"n": n}, ok)
-        full = shift_exc_by_qinv(a_poly(n, ("maj", "exc"))).coefficients_in("t")
-        rep.record("log-concavity of shifted full enumerator", {"n": n},
-                   _log_concave(full, _poly_nonneg, Poly.zero()))
+        full = _shapes([(d, e, a) for (_, d, e), a in table.items()], 0, des=False)
+        rep.record("log-concavity of shifted full enumerator", {"n": n}, _log_concave(*full))
     return rep
 
 
@@ -829,19 +932,25 @@ def verify_structure_identities(n_max, restrict_max, dims_max) -> VerifyReport:
             oracle = {(j, 0): v for j in range(n) if (v := _type_class_oracle(lam, j))}
             rep.record("plethysm product over cycle sizes", {"lam": tuple(lam)},
                        _type_classes(lam) == oracle)
+    # the maj/exc enumerator of each class as {exc: maj q list}
+    by_exc = {lam: _lists(_a_type_table(lam), lambda f, d, e: e)
+              for n in range(n_max + 1) for lam in partitions(n)}
     for total in range(2, n_max + 1):
         for a in range(1, total // 2 + 1):
             b = total - a
+            binom = qlist_binomial(total, a)
             for lam in partitions(a):
                 for mu in partitions(b):
                     if set(lam) & set(mu):
                         continue
                     joint = Partition(tuple(lam) + tuple(mu))
-                    ok = a_poly_type(joint, ("maj", "exc")) == q_binomial(
-                        total, a
-                    ) * a_poly_type(lam, ("maj", "exc")) * a_poly_type(mu, ("maj", "exc"))
+                    rhs = {}
+                    for e1, x in by_exc[lam].items():
+                        for e2, y in by_exc[mu].items():
+                            rhs.setdefault(e1 + e2, []).append((1, 0, (binom, x, y)))
                     rep.record("disjoint cycle-type product",
-                               {"lam": tuple(lam), "mu": tuple(mu)}, ok)
+                               {"lam": tuple(lam), "mu": tuple(mu)},
+                               _sums_agree(_single(by_exc[joint]), rhs))
     h2 = sym_h([2])
     for j in range(n_max // 2 + 1):
         for k in range(n_max - 2 * j + 1):
@@ -916,15 +1025,10 @@ def _cleared_stable(qs, n):
     return qs.ps_stable_qlist(n)
 
 
-def _q_terms(a, shift=0):
-    """The terms dict of the Poly q^shift sum_i a[i] q^i, for a q list a."""
-    return {(i, 0, 0, 0): c for i, c in enumerate(a, shift) if c}
-
-
-def _stable_matches(terms, qs, n, j) -> bool:
-    """Is the Poly whose terms dict is terms equal to q^j (q;q)_n ps_stable(qs)?"""
+def _stable_matches(a, qs, n, j) -> bool:
+    """Is the q list a equal to q^j (q;q)_n ps_stable(qs)?"""
     num = _cleared_stable(qs, n)
-    return num is not None and terms == _q_terms(num, j)
+    return num is not None and _trimmed(a) == _trimmed((0,) * j + tuple(num))
 
 
 def _summed_terms(slices):
@@ -940,20 +1044,19 @@ def verify_specializations(n_max) -> VerifyReport:
     """Stable and finite principal specializations against brute force, plus
     the partition-of-unity decompositions of the full EXD sum.  The stable
     identities [t^j] A = q^j (q;q)_n ps(Q) are checked with (q;q)_n cleared
-    on coefficient dicts and the finite ones on packed q polynomials, so
-    nothing is divided."""
+    on q lists and the finite ones on packed q polynomials, so nothing is
+    divided."""
     rep = VerifyReport("specializations")
     for n in range(n_max + 1):
-        ok = all(
-            _stable_matches(a_poly_type(lam, ("maj", "exc")).coefficient("t", j).terms,
-                            q_qsym_type(lam, j), n, j)
-            for lam in partitions(n)
-            for j in range(max(n, 1))
-        )
+        ok = True
+        for lam in partitions(n):
+            by_exc = _lists(_a_type_table(lam), lambda f, d, e: e)
+            ok = ok and all(_stable_matches(by_exc.get(j, ()), q_qsym_type(lam, j), n, j)
+                            for j in range(max(n, 1)))
         rep.record("stable specialization, cycle type", {"n": n}, ok)
+        by_fix_exc = _lists(_a_table(n), lambda f, d, e: (f, e))
         ok = all(
-            _stable_matches(a_poly_fix(n, k, ("maj", "exc")).coefficient("t", j).terms,
-                            q_qsym(n, j, k), n, j)
+            _stable_matches(by_fix_exc.get((k, j), ()), q_qsym(n, j, k), n, j)
             for k in range(n + 1)
             for j in range(max(n, 1))
         )
@@ -975,7 +1078,7 @@ def verify_specializations(n_max) -> VerifyReport:
             weighted = []
             for j, num in enumerate(nums):
                 qlist_add(weighted, num, j)
-            ok = _q_terms(weighted) == q_factorial(n).terms
+            ok = _trimmed(weighted) == qlist_factorial(n)
         rep.record("weighted stable specialization totals", {"n": n}, ok)
     for n in range(1, n_max + 1):
         ok = True
@@ -990,7 +1093,7 @@ def verify_specializations(n_max) -> VerifyReport:
                 for S, cnt in counter.items():
                     qlist_add(brute, (cnt,), sum(S))
                     qlist_add(witness.setdefault(len(S) + 1, []), (cnt,), sum(S))
-                if not _stable_matches(_q_terms(brute), qs, n, 0):
+                if not _stable_matches(brute, qs, n, 0):
                     ok = False
                 if any(c < 0 for w in [brute, *witness.values()] for c in w):
                     ok = False

@@ -208,6 +208,31 @@ def test_qfun_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("lam, message", [
+    # --lambda reads the parts of an expand atom: one comma between each two
+    # integers and none after the last
+    ("4,,2,", "error: expected integer, found ','"),
+    (",", "error: expected integer, found ','"),
+    ("4,2,", "error: expected more input, found None"),
+    ("4 2", "error: trailing input at '2'"),
+    ("4,0", "error: partition parts must be positive: (4, 0)"),
+])
+def test_qfun_lambda_takes_the_atom_grammar(capsys, lam, message):
+    assert cli.main(["qfun", "--lambda", lam, "--j", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
+def test_qfun_empty_lambda_is_the_empty_partition(capsys):
+    # as expand reads Q[(),0]
+    assert run(capsys, "qfun", "--lambda", "", "--j", "0") == (0, "1\n")
+    assert run(capsys, "expand", "Q[(),0]", "h") == (0, "1\n")
+    # whitespace around any token, at the end as well
+    assert run(capsys, "qfun", "--lambda", " 4, 2 ", "--j", "2") == (0, "h[4,2]\n")
+    assert run(capsys, "expand", " h[2] ", "h") == (0, "h[2]\n")
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--j", "-1"], "error: --j is required and must be nonnegative"),
     (["--j", "1", "--k", "-1"], "error: --k must be nonnegative"),

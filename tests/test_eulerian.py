@@ -229,13 +229,17 @@ def _ref_log_concave(cs, zero):
     lo, hi = span
     for i in range(lo + 1, hi):
         d = cs.get(i, zero) * cs.get(i, zero) - cs.get(i - 1, zero) * cs.get(i + 1, zero)
-        if not suites._poly_nonneg(d):
+        if not _poly_nonneg(d):
             return False
     return True
 
 
+def _poly_nonneg(f):
+    return all(c >= 0 for c in f.terms.values())
+
+
 def test_shape_helpers_match_their_references():
-    zero, nonneg = Poly.zero(), suites._poly_nonneg
+    zero, nonneg = Poly.zero(), _poly_nonneg
     for length in range(6):
         for seq in itertools.product(range(3), repeat=length):
             for offset in range(3):

@@ -49,15 +49,20 @@ def test_unmutated_suites_pass():
 
 
 def test_extra_class_term_fails_its_records(monkeypatch):
-    # a_(3) gains q p t: the finite identity breaks at p^1 for j = 1, and the
-    # stable one (which reads [t^1] of the maj/exc enumerator) at n = 3
-    original = suites.a_poly_type
+    # a_(3) gains q p t (its A table gains q at fix 0, des 1, exc 1): the
+    # finite identity breaks at p^1 for j = 1, and the stable one (which
+    # reads [t^1] of the maj/exc enumerator) at n = 3
+    original = suites._a_type_table
 
-    def mutated(lam, stats=("maj", "des", "exc")):
-        out = original(lam, stats)
-        return out + Poly.term(1, q=1, p=1, t=1) if tuple(lam) == (3,) else out
+    def mutated(lam):
+        out = original(lam)
+        if tuple(lam) != (3,):
+            return out
+        out = dict(out)
+        out[0, 1, 1] = tuple(qlist_add(list(out.get((0, 1, 1), ())), (1,), 1))
+        return out
 
-    monkeypatch.setattr(suites, "a_poly_type", mutated)
+    monkeypatch.setattr(suites, "_a_type_table", mutated)
     assert _run() == {
         ("finite-spec", "finite specialization of class enumerator",
          (("j", 1), ("k", 0), ("lam", (3,))), "p-degree 1"),
@@ -163,28 +168,24 @@ def test_packed_width_keeps_coefficients_strictly_below_its_half():
     assert _packed_mismatch(0, series, {0: [-15], 1: [-32, 1]}) == 1
 
 
-def test_p_rows_are_strict():
-    assert suites._p_rows(Poly.term(2, q=1, p=3) + 1) == {0: [1], 3: [0, 2]}
-    # a p term where only q may stand, or a term in t, raises
-    with pytest.raises(ValueError):
-        polyalg.qlist_from_poly(Poly.term(1, q=1, p=1))
-    with pytest.raises(ValueError):
-        suites._p_rows(Poly.term(1, q=1, p=1, t=1))
+def test_qlist_from_poly_is_strict():
+    assert polyalg.qlist_from_poly(Poly.term(2, q=1) + 1) == [1, 2]
+    # a p term where only q may stand, a term in t or a negative power of q
+    # raises
+    for bad in (Poly.term(1, q=1, p=1), Poly.term(1, t=1), Poly.term(1, q=-1)):
+        with pytest.raises(ValueError):
+            polyalg.qlist_from_poly(bad)
 
 
-@pytest.mark.parametrize("extra", [Poly.term(1, r=1), Poly.term(1, q=-1), Poly.term(1, p=-1)])
-def test_finite_check_refuses_what_no_q_list_holds(monkeypatch, extra):
-    # a term in r, or a negative power of q or p, in the t^1 slice of a_(2,1)
-    # raises instead of being dropped from the comparison
-    original = suites.a_poly_type
+def _p_rows(a):
+    """{d: [p^d] a as a q list} for a Poly a in q and p."""
+    return {d: polyalg.qlist_from_poly(c) for d, c in a.coefficients_in("p").items()}
 
-    def mutated(lam, stats=("maj", "des", "exc")):
-        out = original(lam, stats)
-        return out + extra * Poly.var("t") if tuple(lam) == (2, 1) else out
 
-    monkeypatch.setattr(suites, "a_poly_type", mutated)
-    with pytest.raises(ValueError):
-        finite_specialization_check((2,), 1)
+def _class_rows(lam, j):
+    """The finite-spec left side of the class lam at exc = j, from the
+    public enumerator rather than the A table the suite reads."""
+    return _p_rows(eulerian.a_poly_type(lam).coefficient("t", j))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +228,7 @@ def test_scaled_piece_gives_the_list_reference_record(monkeypatch, scaled):
     for check in rep.checks:
         k, j = check.params["k"], check.params["j"]
         full = Partition((2,) + (1,) * k)
-        lhs = suites._p_rows(suites.a_coeff(full, j))
+        lhs = _class_rows(full, j)
         pieces = [mutated(Partition((2,) + (1,) * (k - i)), j) for i in range(k + 1)]
         bad = _reference_mismatch(full.n, _shifted_qlists(pieces, j, full.n + 2), lhs)
         assert check.status == ("pass" if bad is None else "fail")
@@ -237,7 +238,7 @@ def test_scaled_piece_gives_the_list_reference_record(monkeypatch, scaled):
 def test_scaled_piece_alone_matches_the_list_reference():
     # the piece alone, scaled by -2^40, against the unscaled left side
     qs = -2**40 * eulerian.q_qsym(4, 1, 1)
-    lhs = suites._p_rows(eulerian.a_poly_fix(4, 1).coefficient("t", 1))
+    lhs = _p_rows(eulerian.a_poly_fix(4, 1).coefficient("t", 1))
     series = _shifted_qlists([qs], 0, 6)
     assert suites._specialization_mismatch(4, [qs], 0, lhs) == _reference_mismatch(4, series, lhs)
     assert _reference_mismatch(4, series, lhs) is not None
