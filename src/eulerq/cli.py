@@ -630,9 +630,37 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        return _closed_pipe()
+
+
+def _closed_pipe():
+    """The reader closed the pipe early and wants no more output: point
+    stdout at /dev/null, so that no later flush fails, and exit 0."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return 0
+
+
+def run():
+    """The process entry point, of `python -m eulerq.cli` and of the eulerq
+    console script: main, then flush stdout and stderr, then os._exit.  That
+    skips the interpreter's teardown (its last collections and the clean-up
+    of every module and cache), which eulerq does not need: no module
+    registers an atexit hook or leaves a file it writes open.  A closed pipe
+    met by the flush is handled as main handles one."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's help and usage errors
+        code = exc.code
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at launch
+                stream.flush()
+    except BrokenPipeError:
+        code = _closed_pipe()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -415,15 +415,14 @@ def verify_four_stat_series(z_max) -> VerifyReport:
 
 def _series_groups(z_max):
     """For n = 0 .. z_max, A_n(maj, des, exc, fix) as {(des, exc, fix): maj
-    q list}: the p, t and r exponents of a_poly's terms and their q lists.
-    A negative exponent raises ValueError."""
+    q list}: the A table of S_n, re-keyed by the p, t and r exponents.  A
+    negative exponent raises ValueError."""
     groups = []
     for n in range(z_max + 1):
-        g = {}
-        for e, c in a_poly(n, ("maj", "des", "exc", "fix")).terms.items():
-            if min(e) < 0:
-                raise ValueError(f"negative exponent in A_{n}: {e}")
-            qlist_add(g.setdefault(e[1:], []), (c,), e[0])
+        g = {(d, e, f): a for (f, d, e), a in _a_table(n).items()}
+        bad = [key for key in g if min(key) < 0]
+        if bad:
+            raise ValueError(f"negative exponent in A_{n}: {bad[0]}")
         groups.append(g)
     return groups
 

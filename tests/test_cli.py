@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -22,7 +23,7 @@ from eulerq.report import VerifyReport
 from eulerq.symfunc import MonExpansion
 from fixtures_tables import CHAR_TABLES
 from fixtures_usage import USAGE_OUTPUTS
-from test_digests import WORKLOADS
+from test_digests import DIGESTS, WORKLOADS
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -750,7 +751,73 @@ def test_entry_point_matches_module_main():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
         scripts = tomllib.load(fh).get("project", {}).get("scripts", {})
-    assert scripts.get("eulerq") == "eulerq.cli:main"
+    assert scripts.get("eulerq") == "eulerq.cli:run"
     module_name, _, attr = scripts["eulerq"].partition(":")
     target = getattr(importlib.import_module(module_name), attr)
-    assert target is cli.main and callable(target)
+    assert target is cli.run and callable(target)
+    # `python -m eulerq.cli` calls the same entry point, and only it
+    tree = ast.parse(Path(cli.__file__).read_text())
+    guard = next(node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    assert [ast.unparse(node) for node in guard.body] == ["run()"]
+
+
+def _launch(*argv, **popen):
+    """`python -m eulerq.cli argv` in a fresh interpreter whose stdout is
+    block-buffered: PYTHONUNBUFFERED, which would hide a missing flush, is
+    dropped from its environment.  COLUMNS is 80, as the recorded argparse
+    bytes assume."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
+    return subprocess.Popen([sys.executable, "-m", "eulerq.cli", *argv], env=env, cwd=ROOT,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen)
+
+
+def _launched(*argv):
+    """(exit code, stdout, stderr) of _launch(argv), as bytes."""
+    proc = _launch(*argv)
+    out, err = proc.communicate(timeout=120)
+    return proc.returncode, out, err
+
+
+def test_launch_prints_every_byte_main_prints(capsys):
+    """The launch ends in os._exit, after the flush: the 78 KB of verify's
+    JSON all reach the pipe, byte for byte as main prints them."""
+    argv = ["verify", "all", "--mode", "ci", "--output", "json"]
+    code, out, err = _launched(*argv)
+    assert (code, err) == (0, b"")
+    assert len(out) > 64 * 1024
+    assert hashlib.sha256(out).hexdigest() == DIGESTS[" ".join(argv)]
+    assert cli.main(argv) == 0
+    assert out == capsys.readouterr().out.encode()
+
+
+def test_launch_keeps_the_usage_error_exit_code():
+    assert _launched("qfun", "--n", "99", "--j", "1") == (
+        2, b"", b"error: degree 99 exceeds the limit 23\n")
+
+
+@pytest.mark.parametrize("command", ["stats --n x", "verify all --mode fast", "qfun --help"])
+def test_launch_prints_the_recorded_argparse_bytes(command):
+    code, out, err = USAGE_OUTPUTS[command]
+    assert _launched(*command.split()) == (code, out.encode(), err.encode())
+
+
+@pytest.mark.parametrize("argv", [["chartable", "8"], ["stats", "--n", "7", "--table", "maj,des"]],
+                         ids=["buffered-to-the-end", "written-by-main"])
+def test_closed_pipe_exits_quietly(argv):
+    """A reader that closes the pipe before the output comes: chartable's
+    1 KB waits in the buffer for run's flush, and the stats table's 110 KB
+    meets the closed pipe inside main.  Either way the launch exits 0 and
+    writes nothing to stderr."""
+    proc = _launch(*argv)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (0, b"")
+
+
+def test_launch_with_stdout_closed():
+    """With descriptor 1 closed at launch sys.stdout is None: the launch
+    prints nothing and exits 0, as the normal interpreter exit did."""
+    proc = _launch("qfun", "--n", "3", "--j", "1", preexec_fn=lambda: os.close(1))
+    assert (*proc.communicate(timeout=120), proc.returncode) == (b"", b"", 0)

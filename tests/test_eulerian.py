@@ -378,25 +378,37 @@ def test_suite_registry_names():
     assert [n for n, _ in cli.selected_entries("all", "extended", 0)][:11] == names
 
 
-SERIES_STATS = ("maj", "des", "exc", "fix")
+def _with_term(n, exps, coeff):
+    """suites._a_table with coeff q^i p^d t^e r^f added to A_n, exps being
+    (i, d, e, f): a copy of the table {(fix, des, exc): maj q list}, so the
+    cached one is left as it was."""
+    real = suites._a_table
+    i, d, e, f = exps
+
+    def wrong(k, *qstat):
+        got = real(k, *qstat)
+        if (k, qstat) != (n, ()):
+            return got
+        a = list(got.get((f, d, e), ()))
+        a += [0] * (i + 1 - len(a))
+        a[i] += coeff
+        return {**got, (f, d, e): tuple(a)}
+
+    return wrong
 
 
 def test_series_suite_fails_on_a_wrong_enumerator(monkeypatch):
     """An extra term p in the brute-force A_3(q, p, t, r), or its q p t
     coefficient raised from 1 to 2, reaches the left side at z^3 in every
     row of p-order 1 or more, and in no other place."""
-    real = suites.a_poly
-    assert real(3, SERIES_STATS).terms[(1, 1, 1, 0)] == 1
-    for extra in (Poly.var("p"), Poly.term(1, q=1, p=1, t=1)):
-        def wrong(n, which=("maj", "exc", "fix"), extra=extra):
-            got = real(n, which)
-            return got + extra if (n, tuple(which)) == (3, SERIES_STATS) else got
-
-        monkeypatch.setattr(suites, "a_poly", wrong)
+    assert suites._a_table(3)[(0, 1, 1)][1] == 1
+    for exps in ((0, 1, 0, 0), (1, 1, 1, 0)):
+        monkeypatch.setattr(suites, "_a_table", _with_term(3, exps, 1))
         rep = verify_four_stat_series(5)
         status = {c.params["p_order"]: (c.status, c.witness) for c in rep.checks}
         assert status == {0: ("pass", ""),
                           **{m: ("fail", "first mismatch at z^3") for m in range(1, 6)}}
+        monkeypatch.undo()
 
 
 def test_series_suite_at_order_zero():
@@ -406,15 +418,16 @@ def test_series_suite_at_order_zero():
 
 
 def test_series_suite_refuses_a_negative_exponent(monkeypatch):
-    real = suites.a_poly
-
-    def wrong(n, which=("maj", "exc", "fix")):
-        got = real(n, which)
-        return got + Poly.term(1, q=-1) if (n, tuple(which)) == (2, SERIES_STATS) else got
-
-    monkeypatch.setattr(suites, "a_poly", wrong)
+    monkeypatch.setattr(suites, "_a_table", _with_term(2, (0, -1, 0, 0), 1))
     with pytest.raises(ValueError, match="negative exponent"):
         verify_four_stat_series(3)
+
+
+def _table_poly(n):
+    """A_n(maj, des, exc, fix) as a Poly in q, p, t and r, read off the A
+    table that the series suite reads."""
+    return Poly({(i, d, e, f): c for (f, d, e), a in suites._a_table(n).items()
+                 for i, c in enumerate(a)})
 
 
 def _poly_series_sides(z_max, m):
@@ -437,15 +450,20 @@ def _poly_series_sides(z_max, m):
 
     left = []
     for n in range(z_max + 1):
-        by_p = suites.a_poly(n, SERIES_STATS).coefficients_in("p")
         acc = Poly.zero()
-        for b, coeff in by_p.items():
+        for b, coeff in _table_poly(n).coefficients_in("p").items():
             if b <= m:
                 acc = acc + coeff * q_binomial(m - b + n, n)
         left.append(acc)
     zq, zt, zr = poch(one, m), poch(qt, m), poch(r, m + 1)
     den = mul([a - qt * b for a, b in zip(zq, zt)], zr)
     return mul(left, den), mul(mul(zq, zt), [one - qt])
+
+
+def test_series_reference_reads_the_census():
+    """The Poly reference's A_n, read off the table, is a_poly's A_n."""
+    for n in range(6):
+        assert _table_poly(n) == eulerian.a_poly(n, ("maj", "des", "exc", "fix"))
 
 
 @pytest.mark.parametrize("z_max", range(5))
@@ -463,13 +481,7 @@ def test_series_width_keeps_coefficients_strictly_below_its_half(monkeypatch):
     """A_0 = 1 - 2^40 makes L den - num = -2^40 (1 - qt) at z_max = 0, whose
     coefficients meet the L1 bound 2^40 exactly: w = 42 keeps them below
     2^(w-1), where w = 41, without the extra bit, would not."""
-    real = suites.a_poly
-
-    def wrong(n, which=("maj", "exc", "fix")):
-        got = real(n, which)
-        return got - 2 ** 40 if (n, tuple(which)) == (0, SERIES_STATS) else got
-
-    monkeypatch.setattr(suites, "a_poly", wrong)
+    monkeypatch.setattr(suites, "_a_table", _with_term(0, (0, 0, 0, 0), -(2 ** 40)))
     w = suites._series_width(suites._series_groups(0))
     lden, num = _poly_series_sides(0, 0)
     assert lden[0] - num[0] == Poly.term(-(2 ** 40)) + Poly.term(2 ** 40, q=1, t=1)
@@ -484,16 +496,9 @@ def test_series_records_match_poly_products(n, exps, coeff):
     """With one term of some A_n changed, the packed suite reports the first
     mismatch of the Poly products in every row, and the width still covers
     the (now nonzero) difference."""
-    real = suites.a_poly
-    extra = Poly({exps: coeff})
-
-    def wrong(k, which=("maj", "exc", "fix")):
-        got = real(k, which)
-        return got + extra if (k, tuple(which)) == (n, SERIES_STATS) else got
-
     z_max = 3
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(suites, "a_poly", wrong)
+        mp.setattr(suites, "_a_table", _with_term(n, exps, coeff))
         rep = verify_four_stat_series(z_max)
         w = suites._series_width(suites._series_groups(z_max))
         expected = []

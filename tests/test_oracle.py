@@ -283,8 +283,8 @@ def test_ci_suites_build_no_fraction(monkeypatch):
 # The suites that check the A family, on the q lists of the A tables.  Two
 # still build a Poly, for what is a Poly by nature; every other runs with
 # Poly refused.
-A_SUITES = ("derangements", "recurrences", "qexp", "symmetry", "positivity", "finite-spec",
-            "specializations", "structure")
+A_SUITES = ("derangements", "recurrences", "qexp", "series", "symmetry", "positivity",
+            "finite-spec", "specializations", "structure")
 NEEDS_POLY = {
     "recurrences": "compares A_n with the closed formula _a_poly_closed, a Poly",
     "symmetry": "renders the four-letter witness coefficient, a Poly",
@@ -355,6 +355,92 @@ def test_no_module_imports_the_cache_placeholder():
     """eulerq keeps no on-disk store: cache.py stays empty, for the
     benchmark's tracer only, and nothing in the package reads it."""
     assert {path.stem for path in SRC.glob("*.py") if "cache" in _imports(path.stem)} == set()
+
+
+# A launch ends in cli.run with os._exit, which runs no atexit hook and
+# flushes no file object left open.  That is safe while no module imports
+# atexit and every file a module opens for writing is closed: each open()
+# in a write mode is a with item or is bound to a name that the module
+# closes.
+
+def _absolute_imports(tree):
+    """The top-level names of the modules a tree imports absolutely."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.partition(".")[0])
+    return out
+
+
+def _opens_for_writing(node):
+    """Whether node calls some open (builtin, os., io. or a Path's) to
+    write: its mode or flags, the argument after the path (a Path's open
+    takes none before), name a write or are not a literal."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        args = node.args[1:]
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        path_first = isinstance(func.value, ast.Name) and func.value.id in ("os", "io")
+        args = node.args[1:] if path_first else node.args
+    else:
+        return False
+    mode = args[0] if args else next(
+        (k.value for k in node.keywords if k.arg in ("mode", "flags")), None)
+    if mode is None:
+        return False
+    if isinstance(mode, ast.Constant):
+        return bool(set(str(mode.value)) & set("wax+"))
+    names = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(mode)}
+    return "O_RDONLY" not in names or bool(names & {"O_WRONLY", "O_RDWR"})
+
+
+def _unclosed_writes(tree):
+    """The lines of the open calls in a tree that open for writing and are
+    neither a with item nor bound to a name the tree closes, by
+    name.close() or os.close(name)."""
+    nodes = list(ast.walk(tree))
+    in_with = {id(n.context_expr) for n in nodes if isinstance(n, ast.withitem)}
+    bound = {id(n.value): n.targets[0].id for n in nodes
+             if isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Name)}
+    closed = {ast.unparse(n.args[0] if n.args else n.func.value) for n in nodes
+              if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "close"}
+    return [n.lineno for n in nodes if _opens_for_writing(n)
+            and id(n) not in in_with and bound.get(id(n)) not in closed]
+
+
+def test_no_module_needs_the_interpreter_teardown():
+    for path in SRC.glob("*.py"):
+        tree = _tree(path.stem)
+        assert "atexit" not in _absolute_imports(tree), path.stem
+        assert _unclosed_writes(tree) == [], path.stem
+
+
+@pytest.mark.parametrize("source, unclosed", [
+    ("def f(p):\n    with open(p, 'w') as fh:\n        fh.write('x')\n", []),
+    ("def f(p):\n    with p.open(mode='a') as fh:\n        fh.write('x')\n", []),
+    ("def f(p):\n    return open(p).read() + open(p, 'rb').read()\n", []),
+    ("def f(p):\n    fh = open(p, 'w')\n    fh.write('x')\n", [2]),
+    ("def f(p):\n    fh = open(p, 'w')\n    fh.write('x')\n    fh.close()\n", []),
+    ("def f(p, mode):\n    return open(p, mode)\n", [2]),
+    ("def f(p):\n    return p.open('r+')\n", [2]),
+    ("def f():\n    fd = os.open(os.devnull, os.O_WRONLY)\n    os.dup2(fd, 1)\n", [2]),
+    ("def f():\n    fd = os.open(os.devnull, os.O_WRONLY)\n    os.dup2(fd, 1)\n"
+     "    os.close(fd)\n", []),
+    ("def f():\n    fd = os.open(os.devnull, os.O_RDONLY)\n", []),
+    ("fh = open('log', 'a')\n", [1]),
+])
+def test_unclosed_writes_reads_what_it_should(source, unclosed):
+    assert _unclosed_writes(ast.parse(source)) == unclosed
+
+
+def test_absolute_imports_see_atexit():
+    for source in ("import atexit", "from atexit import register", "import atexit as a"):
+        assert "atexit" in _absolute_imports(ast.parse(source))
+    assert "atexit" not in _absolute_imports(ast.parse("from . import atexit_free"))
 
 
 def test_the_models_import_nothing_from_the_formulas():
