@@ -43,8 +43,7 @@ _EXPORTS = {
         "parse_banner", "parse_ornament",
     ),
     "related": (
-        "ConstrainedWord", "MultisetDerangement", "d_poly", "multiset_derangements",
-        "y_poly",
+        "MultisetDerangement", "d_poly", "multiset_derangements", "y_poly",
     ),
     "report": ("Check", "VerifyReport"),
     "suites": ("verify_related",),

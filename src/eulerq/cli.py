@@ -2,9 +2,10 @@
 suites (`suites`), character tables and expression expansion.
 
 Exit codes are stable for scripting: 0 success, 1 a verification check
-failed, 2 usage or parse error.  JSON output is key-sorted and compact, and
-verify runs its suites one after another in suite table order, so identical
-inputs produce byte-identical bytes.
+failed, 2 usage or parse error, 120 output that cannot be written.  JSON
+output is key-sorted and compact, and verify runs its suites one after
+another in suite table order, so identical inputs produce byte-identical
+bytes.
 
 At module level this imports only the standard library, and `import eulerq`
 loads no package module, so a launch loads what its command reads: stats
@@ -113,19 +114,8 @@ def cmd_verify(args):
     reports = [report_fn() for _, report_fn in entries]
     passed = all(r.ok for r in reports)
     if args.output == "json":
-        import json
-        # The bytes of json.dumps(envelope, sort_keys=True) with the reports
-        # under "suites", written one report at a time: "suites" sorts after
-        # every other envelope key, so the envelope is its head, then the
-        # reports, then the closing brackets.
-        head = {"command": "verify", "mode": args.mode, "suite": args.suite, "passed": passed}
-        out = sys.stdout
-        out.write(json.dumps(head, sort_keys=True, separators=(",", ":"))[:-1] + ',"suites":[')
-        for i, r in enumerate(reports):
-            if i:
-                out.write(",")
-            out.write(json.dumps(r.to_jsonable(), sort_keys=True, separators=(",", ":")))
-        out.write("]}\n")
+        _print_json({"command": "verify", "mode": args.mode, "suite": args.suite,
+                     "passed": passed, "suites": [r.to_jsonable() for r in reports]})
     else:
         for r in reports:
             print(r.summary())
@@ -629,8 +619,6 @@ def main(argv=None):
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        return _closed_pipe()
 
 
 def _closed_pipe():
@@ -642,23 +630,38 @@ def _closed_pipe():
     return 0
 
 
+def _write_error(exc):
+    """The output cannot be written (a full disk, say): one error line and
+    exit 120, the code the interpreter gives a failed final flush."""
+    try:
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr, flush=True)
+    except OSError:  # stderr cannot be written either
+        pass
+    return 120
+
+
 def run():
     """The process entry point, of `python -m eulerq.cli` and of the eulerq
     console script: main, then flush stdout and stderr, then os._exit.  That
     skips the interpreter's teardown (its last collections and the clean-up
     of every module and cache), which eulerq does not need: no module
-    registers an atexit hook or leaves a file it writes open.  A closed pipe
-    met by the flush is handled as main handles one."""
+    registers an atexit hook or leaves a file it writes open.
+
+    An OSError out of main or the flush is a failed write, as eulerq does no
+    other I/O, and it takes one policy wherever it is met: a closed pipe
+    exits 0 quietly, any other write error prints one line and exits 120."""
     try:
-        code = main()
-    except SystemExit as exc:  # argparse's help and usage errors
-        code = exc.code
-    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's help and usage errors
+            code = exc.code
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:  # None when the descriptor was closed at launch
                 stream.flush()
     except BrokenPipeError:
         code = _closed_pipe()
+    except OSError as exc:
+        code = _write_error(exc)
     os._exit(code)
 
 

@@ -201,7 +201,6 @@ def _a_poly_closed(n) -> Poly:
     return out
 
 
-@lru_cache(maxsize=None)
 def q_symf(n, j, k=None) -> SymF:
     """Q(n, j, k) in the h basis: [t^j r^k] of q_poly(n), summed over k when
     k is None."""
@@ -255,7 +254,6 @@ def q_type_poly(lam) -> SymPoly:
     return SymPoly({key: q_symf_type(lam, key[0]) for key in _type_classes(lam)})
 
 
-@lru_cache(maxsize=None)
 def q_symf_type(lam, j, basis="p") -> SymF:
     """Q(lam, j) in basis, from the class values of the t^j slice of
     _type_classes(lam): in p each divided by z_mu, in h, e, s and m through
@@ -350,18 +348,15 @@ def _a_view(table, n, stats, fix=None) -> Poly:
     return Poly(acc)
 
 
-@lru_cache(maxsize=None)
 def a_poly(n, stats=("maj", "exc", "fix")) -> Poly:
     return _a_view(_table_for(_a_table, n, stats), n, stats)
 
 
-@lru_cache(maxsize=None)
 def a_poly_fix(n, k, stats=("maj", "des", "exc")) -> Poly:
     """a_poly over the permutations of S_n with k fixed points."""
     return _a_view(_table_for(_a_table, n, stats), n, stats, fix=k)
 
 
-@lru_cache(maxsize=None)
 def a_poly_type(lam, stats=("maj", "des", "exc")) -> Poly:
     lam = Partition(lam)
     return _a_view(_table_for(_a_type_table, lam, stats), lam.n, stats)

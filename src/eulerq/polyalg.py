@@ -80,17 +80,6 @@ class Poly:
     def is_one(self):
         return self.terms == {_ZERO4: 1}
 
-    def is_constant(self):
-        return all(e == _ZERO4 for e in self.terms)
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self}")
-        return self.terms.get(_ZERO4, 0)
-
-    def has_integer_coeffs(self):
-        return all(isinstance(c, _SCALARS) and c.denominator == 1 for c in self.terms.values())
-
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
         if not isinstance(other, Poly):
@@ -327,7 +316,6 @@ def q_int(n):
     return Poly({(i, 0, 0, 0): 1 for i in range(n)})
 
 
-@lru_cache(maxsize=None)
 def q_factorial(n):
     """[n]_q! with [0]_q! = 1 (see qlist_factorial)."""
     if n < 0:
@@ -694,11 +682,6 @@ class QExpSeries:
     @classmethod
     def exp_q(cls, order):
         return cls([Poly.one()] * (order + 1))
-
-    @classmethod
-    def exp_q_upper(cls, order):
-        """Exp_q: c_n = q^(n choose 2)."""
-        return cls([Poly.var("q", comb(n, 2)) for n in range(order + 1)])
 
     def __add__(self, other):
         n = min(self.order, other.order)

@@ -83,63 +83,6 @@ class MultisetDerangement:
         return hash((self.top, self.bottom))
 
 
-WORD_CONSTRAINTS = ("no_adjacent_repeat", "no_double_descent_last",
-                    "no_double_descent_first_last")
-
-
-class ConstrainedWord:
-    """A word over the positive integers together with a constraint tag.
-
-    no_adjacent_repeat bans w(i) = w(i+1); the other two tags ban descents
-    in adjacent positions and in the last position, the stricter one also in
-    the first position.
-    """
-
-    __slots__ = ("word", "constraint")
-
-    def __init__(self, word, constraint):
-        word = tuple(word)
-        if constraint not in WORD_CONSTRAINTS:
-            raise ValueError(f"unknown constraint {constraint!r}")
-        if any(x < 1 for x in word):
-            raise ValueError("letters must be positive")
-        if not _word_ok(word, constraint):
-            raise ValueError(f"word {word} violates {constraint}")
-        self.word = word
-        self.constraint = constraint
-
-    @property
-    def n(self):
-        return len(self.word)
-
-    def des(self):
-        return sum(1 for i in range(len(self.word) - 1)
-                   if self.word[i] > self.word[i + 1])
-
-    def monomial(self, N):
-        e = [0] * N
-        for v in self.word:
-            e[v - 1] += 1
-        return tuple(e)
-
-    def __repr__(self):
-        return f"ConstrainedWord({self.word}, {self.constraint!r})"
-
-
-def _word_ok(word, constraint):
-    n = len(word)
-    steps = [word[i] > word[i + 1] for i in range(n - 1)]
-    if constraint == "no_adjacent_repeat":
-        return all(word[i] != word[i + 1] for i in range(n - 1))
-    if any(a and b for a, b in zip(steps, steps[1:])):
-        return False
-    if steps and steps[-1]:
-        return False
-    if constraint == "no_double_descent_first_last" and steps and steps[0]:
-        return False
-    return True
-
-
 def multiset_derangements(n, N):
     """All multiset derangements of order n with entries at most N, listed
     apart from the count by content."""

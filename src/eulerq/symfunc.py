@@ -20,10 +20,10 @@ integer for a virtual character: s -> class takes the same dot product with
 the border-strip columns as s -> m takes with the Kostka columns, and
 class -> s sums (n!/z_mu) chi_f(mu) chi^lam(mu) over those columns in plain
 integers and divides once per result by n!, so an integral answer comes
-back in ints.  p -> s is that sum with the input scaled by the lcm of its
-denominators, and s -> p divides each class value by z_mu, which serves the
-p target alone.  Products of s or m operands are taken in h, where they are
-concatenations; plethysm works on class values, where a product is an
+back in ints.  p -> s is class -> s applied to the class values c z_mu of
+the terms c p_mu, and s -> p divides each class value by z_mu, which serves
+the p target alone.  Products of s or m operands are taken in h, where they
+are concatenations; plethysm works on class values, where a product is an
 induction with integer weights and p_k[-] rescales the classes.
 """
 from __future__ import annotations
@@ -599,22 +599,46 @@ def _column_dots(strips, n, vec):
     return out
 
 
-def _schur_of_columns(n, scaled, d):
-    """{lam: sum_j scaled[j] chi^lam(mu_j) / d}, mu_j = partitions(n)[j]:
-    integer sums over the border-strip columns, then one exact division per
-    result, which keeps a Fraction only where it is not integral."""
+def _column_sums(strips, n, vec):
+    """sum_j vec[j] column_j as a list by position in partitions(n), for vec a
+    dict from position j in partitions(n) to coefficient: with
+    _horizontal_strips the Schur coefficients of sum_j vec[j] h_{mu_j}, with
+    _border_strips the sum over the classes mu_j of vec[j] chi^lam(mu_j)."""
     plist = partitions(n)
-    acc = {}
-    for j, c in scaled.items():
-        for i, k in _column(_border_strips, plist[j]).items():
-            acc[i] = acc.get(i, 0) + c * k
-    return {plist[i]: _exact(c, d) for i, c in acc.items() if c}
+    out = [0] * len(plist)
+    for j, c in vec.items():
+        if c:
+            for i, k in _column(strips, plist[j]).items():
+                out[i] += c * k
+    return out
+
+
+def _class_to_s(values):
+    """Schur coefficients of the class function {mu: chi_f(mu)}: degree n
+    sums (n!/z_mu) chi_f(mu) chi^lam(mu) over the border-strip columns,
+    scaled by the lcm d of the values' denominators, in plain integers, and
+    divides once per result by n! d, which keeps a Fraction only where the
+    coefficient is not integral."""
+    out = {}
+    for n, vec in _by_degree(values).items():
+        d = lcm(*(c.denominator for c in vec.values()))
+        top = factorial(n)
+        plist = partitions(n)
+        scaled = {j: c.numerator * (d // c.denominator) * (top // plist[j].z())
+                  for j, c in vec.items()}
+        for i, c in enumerate(_column_sums(_border_strips, n, scaled)):
+            if c:
+                out[plist[i]] = _exact(c, top * d)
+    return out
 
 
 def _to_s(basis, terms):
     """Schur coefficients of the coefficient dict terms in basis."""
     if basis == "s":
         return terms
+    if basis == "p":
+        # p_mu has class value z_mu at mu and 0 elsewhere
+        return _class_to_s({mu: c * mu.z() for mu, c in terms.items()})
     out = {}
     for n, vec in _by_degree(terms).items():
         plist = partitions(n)
@@ -629,31 +653,11 @@ def _to_s(basis, terms):
             for i, c in b.items():
                 out[plist[i]] = c
             continue
-        if basis == "p":
-            # p_mu is column mu of the character table: scale the vector by
-            # the lcm d of its denominators and divide once per result
-            d = lcm(*(c.denominator for c in vec.values()))
-            out.update(_schur_of_columns(n, {j: c.numerator * (d // c.denominator)
-                                             for j, c in vec.items()}, d))
-            continue
         # h_mu is column mu of K, e_mu the same with conjugated shapes
         target = _conjugates(n) if basis == "e" else range(len(plist))
-        for i, c in enumerate(_kostka_sum(n, vec)):
+        for i, c in enumerate(_column_sums(_horizontal_strips, n, vec)):
             if c:
                 out[plist[target[i]]] = c
-    return out
-
-
-def _kostka_sum(d, hvec):
-    """The Schur coefficients of sum_mu hvec[mu] h_mu, for hvec a dict from
-    position in partitions(d) to coefficient, as a list by position: h_mu is
-    Kostka column mu."""
-    plist = partitions(d)
-    out = [0] * len(plist)
-    for m, c in hvec.items():
-        if c:
-            for i, k in _column(_horizontal_strips, plist[m]).items():
-                out[i] += c * k
     return out
 
 
@@ -684,7 +688,7 @@ def schur_of_products(d, products):
                     row = cat[i]
                     for j, y in gv.items():
                         hvec[row[j]] = hvec.get(row[j], 0) + c * x * y
-    return _kostka_sum(d, hvec)
+    return _column_sums(_horizontal_strips, d, hvec)
 
 
 def _h_positions(f):
@@ -955,6 +959,18 @@ def sym_m(lam, coeff=1):
 # symmetric function valued polynomials in t and r
 # ---------------------------------------------------------------------------
 
+def _addsym(d, k, f):
+    """d[k] += f for a SymF f, storing no zero coefficient."""
+    if k in d:
+        s = d[k] + f
+        if s.is_zero():
+            del d[k]
+        else:
+            d[k] = s
+    elif not f.is_zero():
+        d[k] = f
+
+
 class SymPoly:
     """A polynomial in t and r whose coefficients are symmetric functions:
     the constructor refuses any coefficient that is not a SymF.  In +, -
@@ -974,10 +990,6 @@ class SymPoly:
     @classmethod
     def zero(cls):
         return cls()
-
-    @classmethod
-    def one(cls, basis="h"):
-        return cls({(0, 0): SymF.one(basis)})
 
     @classmethod
     def wrap(cls, f, t=0, r=0):
@@ -1004,14 +1016,7 @@ class SymPoly:
             return NotImplemented
         out = dict(self.terms)
         for k, f in other.terms.items():
-            if k in out:
-                s = out[k] + f
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-            else:
-                out[k] = f
+            _addsym(out, k, f)
         return SymPoly(out)
 
     def __radd__(self, other):
@@ -1051,17 +1056,7 @@ class SymPoly:
         out = {}
         for (a1, b1), f1 in self.terms.items():
             for (a2, b2), f2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                prod = f1 * f2
-                if k in out:
-                    s = out[k] + prod
-                    if s.is_zero():
-                        del out[k]
-                    else:
-                        out[k] = s
-                else:
-                    if not prod.is_zero():
-                        out[k] = prod
+                _addsym(out, (a1 + a2, b1 + b2), f1 * f2)
         return SymPoly(out)
 
     __rmul__ = __mul__
@@ -1102,20 +1097,11 @@ def class_values(f):
 
 
 def from_class_values(values, basis):
-    """The SymF in basis with class values {mu: chi_f(mu)}.  To s, degree n
-    sums (n!/z_mu) chi_f(mu) chi^lam(mu) over mu, scaled by the lcm d of
-    the values' denominators, and divides once by n! d."""
+    """The SymF in basis with class values {mu: chi_f(mu)}: in p each value
+    divided by z_mu, in any other basis through s (_class_to_s)."""
     if basis == "p":
         return SymF("p", {mu: _exact(c, mu.z()) for mu, c in values.items()})
-    out = {}
-    for n, vec in _by_degree(values).items():
-        d = lcm(*(c.denominator for c in vec.values()))
-        top = factorial(n)
-        plist = partitions(n)
-        scaled = {j: c.numerator * (d // c.denominator) * (top // plist[j].z())
-                  for j, c in vec.items()}
-        out.update(_schur_of_columns(n, scaled, top * d))
-    return SymF(basis, _from_s(out, basis))
+    return SymF(basis, _from_s(_class_to_s(values), basis))
 
 
 @lru_cache(maxsize=None)

@@ -762,7 +762,7 @@ def test_entry_point_matches_module_main():
     assert [ast.unparse(node) for node in guard.body] == ["run()"]
 
 
-def _launch(*argv, **popen):
+def _launch(*argv, stdout=subprocess.PIPE, **popen):
     """`python -m eulerq.cli argv` in a fresh interpreter whose stdout is
     block-buffered: PYTHONUNBUFFERED, which would hide a missing flush, is
     dropped from its environment.  COLUMNS is 80, as the recorded argparse
@@ -770,7 +770,7 @@ def _launch(*argv, **popen):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env.update(PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
     return subprocess.Popen([sys.executable, "-m", "eulerq.cli", *argv], env=env, cwd=ROOT,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen)
+                            stdout=stdout, stderr=subprocess.PIPE, **popen)
 
 
 def _launched(*argv):
@@ -803,8 +803,14 @@ def test_launch_prints_the_recorded_argparse_bytes(command):
     assert _launched(*command.split()) == (code, out.encode(), err.encode())
 
 
-@pytest.mark.parametrize("argv", [["chartable", "8"], ["stats", "--n", "7", "--table", "maj,des"]],
-                         ids=["buffered-to-the-end", "written-by-main"])
+# chartable's 1 KB waits in the buffer for run's flush; the stats table's
+# 110 KB is written out inside main
+UNWRITTEN = pytest.mark.parametrize(
+    "argv", [["chartable", "8"], ["stats", "--n", "7", "--table", "maj,des"]],
+    ids=["buffered-to-the-end", "written-by-main"])
+
+
+@UNWRITTEN
 def test_closed_pipe_exits_quietly(argv):
     """A reader that closes the pipe before the output comes: chartable's
     1 KB waits in the buffer for run's flush, and the stats table's 110 KB
@@ -814,6 +820,19 @@ def test_closed_pipe_exits_quietly(argv):
     proc.stdout.close()
     err = proc.stderr.read()
     assert (proc.wait(timeout=120), err) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@UNWRITTEN
+def test_write_error_prints_one_line(argv):
+    """Output to a full device fails at run's flush or inside main alike:
+    one error line on stderr, no traceback, and exit 120."""
+    with open("/dev/full", "wb") as full:
+        proc = _launch(*argv, stdout=full)
+        err = proc.communicate(timeout=120)[1]
+    assert proc.returncode == 120
+    lines = err.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write output: "), lines
 
 
 def test_launch_with_stdout_closed():

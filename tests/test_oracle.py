@@ -4,6 +4,7 @@ compare it with its oracle, and no other record."""
 
 import ast
 import fractions
+import re
 from pathlib import Path
 
 import pytest
@@ -166,8 +167,7 @@ def test_production_bases():
 
 # The production functions with an lru_cache, held here so the caches can be
 # cleared around a mutation even while a module attribute is patched.
-PRODUCTION_CACHES = (eulerian.q_poly, eulerian.q_symf, eulerian._single_cycle_classes,
-                     eulerian._type_classes, eulerian.q_symf_type, eulerian.a_poly)
+PRODUCTION_CACHES = (eulerian.q_poly, eulerian._single_cycle_classes, eulerian._type_classes)
 
 SUITES = [
     (verify_main_generating_function, (4,)),
@@ -435,6 +435,80 @@ def test_no_module_needs_the_interpreter_teardown():
 ])
 def test_unclosed_writes_reads_what_it_should(source, unclosed):
     assert _unclosed_writes(ast.parse(source)) == unclosed
+
+
+# No orphaned code: every public module-level function and class of the
+# package is named somewhere outside its own definition, elsewhere in its
+# module or in another file of src, tests or perfbench.
+
+def _named(node, strings=True):
+    """The identifiers a syntax tree names: variables, attributes, imported
+    names and, with strings, the words of its string constants (a command
+    table may name its handlers so).  A docstring or any other bare string
+    statement names nothing."""
+    prose = {id(n.value) for n in ast.walk(node) if isinstance(n, ast.Expr)}
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.update(n.name.split("."))
+        elif (strings and isinstance(n, ast.Constant) and isinstance(n.value, str)
+              and id(n) not in prose):
+            out.update(re.findall(r"\w+", n.value))
+    return out
+
+
+def _orphans(modules, tests=(), others=()):
+    """{(module, name)} for the public module-level functions and classes of
+    modules ({module: source}) that nothing else names: no other statement
+    of their module, no other module, no test and no other source.  The
+    export table _EXPORTS of __init__ does not count, and a test's strings
+    do not either, as test_package lists every exported name in strings."""
+    statements = [(module, node) for module, source in modules.items()
+                  for node in ast.parse(source).body
+                  if not (module == "__init__" and isinstance(node, ast.Assign)
+                          and [ast.unparse(t) for t in node.targets] == ["_EXPORTS"])]
+    outside = set()
+    for source in tests:
+        outside |= _named(ast.parse(source), strings=False)
+    for source in others:
+        outside |= _named(ast.parse(source))
+    named = [(node, _named(node)) for _, node in statements]
+    return {(module, node.name) for module, node in statements
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in outside
+            and not any(node.name in names for other, names in named if other is not node)}
+
+
+def test_no_public_name_is_orphaned():
+    root = SRC.parents[1]
+    modules = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    tests = [path.read_text() for path in (root / "tests").glob("*.py")]
+    others = [path.read_text() for path in (root / "perfbench").glob("*.py")]
+    assert _orphans(modules, tests, others) == set()
+
+
+@pytest.mark.parametrize("modules, tests, orphans", [
+    ({"a": "def f():\n    pass\n"}, [], {("a", "f")}),
+    ({"a": "def f():\n    pass\n", "b": "from .a import f\n"}, [], set()),
+    ({"a": "def f():\n    pass\n\ng = f\n"}, [], set()),
+    ({"a": "def f(n):\n    return f(n - 1)\n"}, [], {("a", "f")}),
+    ({"a": "def _f():\n    pass\n\nclass C:\n    pass\n"}, [], {("a", "C")}),
+    ({"a": "class C:\n    pass\n"}, ["from eulerq.a import C\n"], set()),
+    ({"a": "class C:\n    pass\n"}, ["def test():\n    assert a.C\n"], set()),
+    ({"a": "class C:\n    pass\n"}, ["NAMES = ['C']\n"], {("a", "C")}),
+    ({"a": "def f():\n    pass\n\nTABLE = {'x': 'f'}\n"}, [], set()),
+    ({"a": "def f():\n    pass\n\ndef g():\n    '''Not f.'''\n\nh = g\n"}, [], {("a", "f")}),
+    ({"a": "def f():\n    pass\n", "__init__": "_EXPORTS = {'a': ('f',)}\n"}, [], {("a", "f")}),
+    ({"a": "def f():\n    pass\n", "__init__": "__all__ = ['f']\n"}, [], set()),
+], ids=["unnamed", "imported", "bound", "recursive", "private-and-class", "test-import",
+        "test-attribute", "test-string", "handler-table", "docstring", "export-table",
+        "other-init-code"])
+def test_orphans_reads_what_it_should(modules, tests, orphans):
+    assert _orphans(modules, tests) == orphans
 
 
 def test_absolute_imports_see_atexit():

@@ -22,7 +22,7 @@ PUBLIC_NAMES = [
     "enumerate_banners", "enumerate_necklaces", "enumerate_ornaments", "gamma",
     "gamma_inverse", "gr_eta", "gr_phi", "increasing_factorize", "lyndon_factorize",
     "ornament_to_banner", "parse_banner", "parse_ornament",
-    "ConstrainedWord", "MultisetDerangement", "d_poly", "multiset_derangements", "y_poly",
+    "MultisetDerangement", "d_poly", "multiset_derangements", "y_poly",
     "Check", "VerifyReport",
     "verify_related",
 ]

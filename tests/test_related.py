@@ -7,7 +7,6 @@ from math import comb
 import pytest
 
 from eulerq import (
-    ConstrainedWord,
     MonExpansion,
     MultisetDerangement,
     Partition,
@@ -21,7 +20,6 @@ from eulerq import (
 )
 from eulerq import cli, related, suites
 from eulerq.related import (
-    WORD_CONSTRAINTS,
     derangement_counts,
     no_double_descent_counts,
     no_repeat_counts,
@@ -40,28 +38,6 @@ def test_multiset_derangement_basics():
         MultisetDerangement((1, 2), (1, 2))  # equal column
     with pytest.raises(ValueError):
         MultisetDerangement((1, 2), (2, 2))  # bottom not a rearrangement
-
-
-def test_constrained_word_basics():
-    w = ConstrainedWord((1, 2, 1), "no_adjacent_repeat")
-    assert w.des() == 1
-    assert w.monomial(2) == (2, 1)
-    with pytest.raises(ValueError):
-        ConstrainedWord((1, 1, 2), "no_adjacent_repeat")
-    with pytest.raises(ValueError):
-        ConstrainedWord((1, 2), "unknown_tag")
-    # equal adjacent letters are fine here; 3,1,2 has one isolated descent
-    ConstrainedWord((1, 1, 2), "no_double_descent_last")
-    ConstrainedWord((3, 1, 2), "no_double_descent_last")
-    with pytest.raises(ValueError):
-        ConstrainedWord((3, 2, 1, 1), "no_double_descent_last")  # double
-    with pytest.raises(ValueError):
-        ConstrainedWord((1, 3, 2), "no_double_descent_last")  # final descent
-    with pytest.raises(ValueError):
-        ConstrainedWord((2, 1, 3), "no_double_descent_first_last")
-    assert set(WORD_CONSTRAINTS) == {
-        "no_adjacent_repeat", "no_double_descent_last",
-        "no_double_descent_first_last"}
 
 
 def test_smallest_cases():

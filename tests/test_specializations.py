@@ -168,15 +168,6 @@ def test_packed_width_keeps_coefficients_strictly_below_its_half():
     assert _packed_mismatch(0, series, {0: [-15], 1: [-32, 1]}) == 1
 
 
-def test_qlist_from_poly_is_strict():
-    assert polyalg.qlist_from_poly(Poly.term(2, q=1) + 1) == [1, 2]
-    # a p term where only q may stand, a term in t or a negative power of q
-    # raises
-    for bad in (Poly.term(1, q=1, p=1), Poly.term(1, t=1), Poly.term(1, q=-1)):
-        with pytest.raises(ValueError):
-            polyalg.qlist_from_poly(bad)
-
-
 def _p_rows(a):
     """{d: [p^d] a as a q list} for a Poly a in q and p."""
     return {d: polyalg.qlist_from_poly(c) for d, c in a.coefficients_in("p").items()}

@@ -792,6 +792,10 @@ def test_schur_class_round_trip(n):
     assert all(type(c) is int for c in from_class_values(values, "s").terms.values())
     for basis in BASES:
         assert from_class_values(values, basis).terms == total.to_basis(basis).terms
+    # p -> s takes the same route, from the class values c z_mu of c p_mu
+    as_p = SymF("p", {mu: Fraction(v, mu.z()) for mu, v in values.items()})
+    assert as_p.to_basis("s") == total
+    assert all(type(c) is int for c in as_p.to_basis("s").terms.values())
 
 
 def test_class_to_s_keeps_a_fraction_where_the_answer_is_not_integral():
@@ -804,6 +808,19 @@ def test_class_to_s_keeps_a_fraction_where_the_answer_is_not_integral():
     got = from_class_values({Partition([2]): 1}, "s").terms
     assert got == {Partition([2]): Fraction(1, 2), Partition([1, 1]): Fraction(-1, 2)}
     assert class_values(sym_p([1], Fraction(1, 2))) == {Partition([1]): Fraction(1, 2)}
+    # several degrees in one SymF, each with its own denominators: the
+    # coefficient of s_lam in p_mu is chi^lam(mu)
+    mixed = SymF("p", {Partition([1]): Fraction(1, 2), Partition([2]): 1,
+                       Partition([2, 1]): Fraction(1, 3), Partition([3]): 3})
+    want = {}
+    for mu, c in mixed.terms.items():
+        for lam in partitions(mu.n):
+            want[lam] = want.get(lam, 0) + c * mn_character(lam, mu)
+    want = {lam: c for lam, c in want.items() if c}
+    got = mixed.to_basis("s").terms
+    assert got == want
+    assert type(got[Partition([2, 1])]) is int and type(got[Partition([3])]) is Fraction
+    assert from_class_values(class_values(mixed), "s").terms == want
 
 
 # ---------------------------------------------------------------------------
