@@ -11,17 +11,16 @@ At module level this imports only the standard library, and `import eulerq`
 loads no package module, so a launch loads what its command reads: stats
 the census (`permstats`); qfun and chartable the formulas (`eulerian`);
 expand the bases (`symfunc`), and `eulerian` only for a Q[..] atom; verify
-the suites, and every layer under them.  `json` loads only where JSON is
-written.  `main` reads a plain command line (a command, its positionals,
-then `--flag value` pairs) from the grammar table `COMMANDS` itself.  It
-loads `argparse` only for help, usage errors and the rarer valid forms, and
-builds from the same table the parser of the command named, or of every
-command when none is.
+the suites, and every layer under them.  `_print_json` writes JSON itself, so
+no command loads `json`.  `main` reads a plain command line (a command, its
+positionals, then `--flag value` pairs) from the grammar table `COMMANDS`
+itself.  It loads `argparse` only for help, usage errors and the rarer valid
+forms, and builds from the same table the parser of the command named, or of
+every command when none is.
 """
 
 import itertools
 import os
-import re
 import sys
 from collections import namedtuple
 from math import factorial
@@ -44,10 +43,69 @@ _MAX_DEGREE = 23
 _MAX_TABLE_ROWS = 50_000
 
 
+# JSON's two-character escapes; every other character outside printable
+# ASCII is written as \uXXXX, as json.dumps writes it with ensure_ascii.
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+                 "\b": "\\b", "\f": "\\f"}
+
+
+def _json_string(s):
+    """s as a JSON string, escaped as json.dumps escapes it."""
+    if type(s) is not str:
+        raise TypeError(f"JSON keys must be str, not {type(s).__name__}")
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    out = []
+    for ch in s:
+        escaped = _JSON_ESCAPES.get(ch)
+        if escaped is None:
+            code = ord(ch)
+            if 0x20 <= code < 0x7f:
+                escaped = ch
+            elif code < 0x10000:
+                escaped = f"\\u{code:04x}"
+            else:  # a surrogate pair
+                code -= 0x10000
+                escaped = f"\\u{0xd800 | code >> 10:04x}\\u{0xdc00 | code & 0x3ff:04x}"
+        out.append(escaped)
+    return '"' + "".join(out) + '"'
+
+
 def _print_json(payload):
-    """payload as one line of key-sorted, compact JSON."""
-    import json
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    """payload as one line of key-sorted, compact JSON: the bytes of
+    json.dumps(payload, sort_keys=True, separators=(",", ":")), for the
+    types the commands print (dicts with str keys, lists, tuples, str, int,
+    bool and None), without loading `json`.  Any other type, a subclass of
+    these included, raises TypeError.  Each distinct string is escaped once,
+    as the verify report repeats its keys and identities."""
+    quoted = {}
+    seen = quoted.get
+
+    def string(s):
+        q = quoted[s] = _json_string(s)
+        return q
+
+    def value(x):
+        t = type(x)
+        if t is dict:
+            return "{" + ",".join([(seen(k) or string(k)) + ":"
+                                   + ((seen(v) or string(v)) if type(v) is str else value(v))
+                                   for k, v in sorted(x.items())]) + "}"
+        if t is str:
+            return seen(x) or string(x)
+        if t is int:
+            return repr(x)
+        if t is list or t is tuple:
+            return "[" + ",".join([value(v) for v in x]) + "]"
+        if x is None:
+            return "null"
+        if x is True:
+            return "true"
+        if x is False:
+            return "false"
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+    print(value(payload))
 
 
 def _check_degree(degree):
@@ -330,16 +388,20 @@ def cmd_chartable(args):
 # expression expansion
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_]+|[\[\](),+*-])")
+# One token of an expression.  `re` compiles it, and caches it, on the first
+# tokenize, so that no other command loads or compiles it.
+_TOKEN = r"\s*(\d+|[A-Za-z_]+|[\[\](),+*-])"
 
 
 def _tokenize(text):
+    import re
+    token = re.compile(_TOKEN)
     # each token takes the whitespace before it, so trailing whitespace is
     # dropped here
     text = text.rstrip()
     out, pos = [], 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = token.match(text, pos)
         if not m:
             raise UsageError(f"bad character at {text[pos:pos + 8]!r}")
         out.append(m.group(1))

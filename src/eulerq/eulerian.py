@@ -15,8 +15,6 @@ reads the census.  Brute force over the census is kept only as the oracle,
 behind the *_oracle names, and the A family of statistic polynomials is read
 off it.  The suites that compare formulas with oracles live in `suites`.
 """
-from __future__ import annotations
-
 from collections import Counter
 from functools import lru_cache
 from math import comb, factorial, gcd, prod

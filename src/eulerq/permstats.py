@@ -31,8 +31,6 @@ prefix, so one pass over the words of S_n keys each row by its cycle type
 and serves every class of S_n.  Other modules read a row only through
 `row_stat`, so the row layout is known to this module alone.
 """
-from __future__ import annotations
-
 import itertools
 from collections import Counter, namedtuple
 from functools import lru_cache
@@ -113,20 +111,22 @@ def z_lambda(lam) -> int:
 @lru_cache(maxsize=None)
 def partitions(n) -> tuple:
     """All partitions of n, ordered by (length, descending lex)."""
-    if n < 0:
-        return ()
+    if n <= 0:
+        return () if n else (Partition(),)
 
-    def gen(remaining, largest):
-        if remaining == 0:
-            yield ()
+    def gen(remaining, length, largest):
+        # the partitions of remaining into length parts of at most largest,
+        # in descending lex order: the first part leaves each later part at
+        # least 1 and at most itself, so every branch yields
+        if length == 1:
+            yield (remaining,)
             return
-        for first in range(min(remaining, largest), 0, -1):
-            for rest in gen(remaining - first, first):
+        for first in range(min(largest, remaining - length + 1), -(-remaining // length) - 1, -1):
+            for rest in gen(remaining - first, length - 1, first):
                 yield (first,) + rest
 
-    raw = [Partition(p) for p in gen(n, n)] if n > 0 else [Partition()]
-    raw.sort(key=lambda p: (p.length, tuple(-x for x in p)))
-    return tuple(raw)
+    return tuple(tuple.__new__(Partition, p) for length in range(1, n + 1)
+                 for p in gen(n, length, n))
 
 
 class Permutation:

@@ -8,16 +8,20 @@ level, never inside a coefficient.  Polynomials in q alone also have a dense
 form, integer coefficient lists (the qlist_* functions), which the principal
 specializations use.
 """
-from __future__ import annotations
-
+import sys
 from functools import lru_cache
 from math import comb
-from numbers import Rational
 
-# The exact scalars, int first so that the common case passes a plain type
-# check before the ABC's: bool, Fraction and every other numbers.Rational
-# pass, float, Decimal and str do not.
-_SCALARS = (int, Rational)
+
+def _is_scalar(x):
+    """x is an exact scalar: an int (bool included) or a Fraction, of any
+    subclass.  float, Decimal and str are not.  A Fraction exists only once
+    `fractions` is loaded, so its class is read from sys.modules, and a
+    launch that builds none never imports it."""
+    if isinstance(x, int):
+        return True
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
 
 
 def _fraction(*args):
@@ -83,7 +87,7 @@ class Poly:
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
         if not isinstance(other, Poly):
-            if not isinstance(other, _SCALARS):
+            if not _is_scalar(other):
                 return NotImplemented
             other = Poly.const(other)
         out = dict(self.terms)
@@ -101,7 +105,7 @@ class Poly:
         return Poly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Poly) and not isinstance(other, _SCALARS):
+        if not isinstance(other, Poly) and not _is_scalar(other):
             return NotImplemented
         return self + (-_coerce(other))
 
@@ -110,7 +114,7 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            if not isinstance(other, _SCALARS):
+            if not _is_scalar(other):
                 return NotImplemented
             return Poly({e: c * other for e, c in self.terms.items()}) if other else Poly()
         out = {}
@@ -152,7 +156,7 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.terms == other.terms
-        return isinstance(other, _SCALARS) and self.terms == Poly.const(other).terms
+        return _is_scalar(other) and self.terms == Poly.const(other).terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -244,7 +248,7 @@ class Poly:
 def _coerce(x):
     if isinstance(x, Poly):
         return x
-    if isinstance(x, _SCALARS):
+    if _is_scalar(x):
         return Poly.const(x)
     raise TypeError(f"cannot coerce {x!r} to Poly")
 
@@ -542,7 +546,7 @@ class PolyFraction:
 def _coerce_frac(x):
     if isinstance(x, PolyFraction):
         return x
-    if isinstance(x, Poly) or isinstance(x, _SCALARS):
+    if isinstance(x, Poly) or _is_scalar(x):
         return PolyFraction(_coerce(x))
     raise TypeError(f"cannot coerce {x!r} to PolyFraction")
 
@@ -608,7 +612,7 @@ class TruncSeries:
         return TruncSeries(self.var, self.order, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, Poly) or isinstance(other, _SCALARS):
+        if isinstance(other, Poly) or _is_scalar(other):
             return TruncSeries(self.var, self.order, [c * other for c in self.coeffs])
         other, order = self._align(other)
         out = [Poly.zero() for _ in range(order + 1)]
@@ -692,7 +696,7 @@ class QExpSeries:
         return QExpSeries([a - b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])])
 
     def __mul__(self, other):
-        if isinstance(other, Poly) or isinstance(other, _SCALARS):
+        if isinstance(other, Poly) or _is_scalar(other):
             return QExpSeries([c * other for c in self.coeffs])
         n = min(self.order, other.order)
         out = []

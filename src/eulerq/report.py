@@ -4,8 +4,6 @@ A VerifyReport is an ordered list of Check records.  Suites append checks in a
 deterministic order, so two runs over the same parameters serialize to the
 same JSON bytes regardless of how the work was scheduled.
 """
-from __future__ import annotations
-
 from collections import namedtuple
 
 

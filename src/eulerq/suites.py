@@ -12,8 +12,6 @@ always means an implementation bug), and the bridges from the models of
 `related` to the Q family.  The formulas and the census oracles are in
 `eulerian` and the models in `related`; neither imports this module.
 """
-from __future__ import annotations
-
 import itertools
 from collections import Counter
 from functools import lru_cache
@@ -54,15 +52,6 @@ from .polyalg import (
     qlist_norm,
     qlist_p_pochhammer,
     qlist_pack,
-)
-from .related import (
-    _table,
-    d_poly,
-    derangement_counts,
-    multiset_derangements,
-    no_double_descent_counts,
-    no_repeat_counts,
-    y_poly,
 )
 from .report import VerifyReport
 from .symfunc import (
@@ -1109,10 +1098,12 @@ def verify_specializations(n_max) -> VerifyReport:
 # Each model is read from its table of m coefficients into the basis its
 # identities are stated in (e for the derangements and no-repeat words, h for
 # the no-double-descent words), so that their products are concatenations
-# and their comparisons dict comparisons.
+# and their comparisons dict comparisons.  Only these checks read `related`,
+# so they import it where they run and no other suite loads it.
 
 def _model_sympoly(counts, n, basis, *args):
     """The table of a model at order n as a SymPoly in t, each grade in basis."""
+    from .related import _table
     return SymPoly({(j, 0): SymF("m", m).to_basis(basis)
                     for j, m in _table(counts, n, *args).items()})
 
@@ -1144,6 +1135,15 @@ DERANGEMENT_COUNTS = [1, 0, 1, 2, 9, 44, 265, 1854]
 def verify_related(n_words, n_gessel) -> VerifyReport:
     """Check the companion models against the Q family and their own
     generating identities."""
+    from .related import (
+        _table,
+        d_poly,
+        derangement_counts,
+        multiset_derangements,
+        no_double_descent_counts,
+        no_repeat_counts,
+        y_poly,
+    )
     rep = VerifyReport("related")
 
     one2 = MonExpansion(2, {(1, 1): 1})

@@ -26,8 +26,6 @@ the p target alone.  Products of s or m operands are taken in h, where they
 are concatenations; plethysm works on class values, where a product is an
 induction with integer weights and p_k[-] rescales the classes.
 """
-from __future__ import annotations
-
 import itertools
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
@@ -36,8 +34,8 @@ from .permstats import Partition, partitions
 from .polyalg import (
     Poly,
     PolyFraction,
-    _SCALARS,
     _fraction,
+    _is_scalar,
     _join_signed,
     _signed_chunks,
     _term_body,
@@ -102,7 +100,7 @@ class QSymF:
         return self + (-1) * other
 
     def __mul__(self, c):
-        if not isinstance(c, _SCALARS):
+        if not _is_scalar(c):
             return NotImplemented
         return QSymF({k: v * c for k, v in self.terms.items()})
 
@@ -403,7 +401,7 @@ class MonExpansion:
         return self + (-1) * other
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
+        if _is_scalar(other):
             return MonExpansion(self.N, {e: c * other for e, c in self.terms.items()})
         self._chk(other)
         out = {}
@@ -789,7 +787,7 @@ class SymF:
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
         if not isinstance(other, SymF):
-            if not isinstance(other, _SCALARS):
+            if not _is_scalar(other):
                 return NotImplemented
             other = SymF(self.basis, {Partition(): other})
         if other.basis != self.basis:
@@ -805,13 +803,13 @@ class SymF:
         return -1 * self
 
     def __sub__(self, other):
-        if not isinstance(other, SymF) and isinstance(other, _SCALARS):
+        if not isinstance(other, SymF) and _is_scalar(other):
             other = SymF(self.basis, {Partition(): other})
         return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, SymF):
-            if not isinstance(other, _SCALARS):
+            if not _is_scalar(other):
                 return NotImplemented
             return SymF(self.basis, {lam: c * other for lam, c in self.terms.items()})
         if self.basis == other.basis and self.basis in ("h", "e", "p"):
@@ -834,7 +832,7 @@ class SymF:
 
     def __eq__(self, other):
         if not isinstance(other, SymF):
-            if not isinstance(other, _SCALARS):
+            if not _is_scalar(other):
                 return NotImplemented
             other = SymF(self.basis, {Partition(): other})
         if self.basis == other.basis:
@@ -1048,7 +1046,7 @@ class SymPoly:
         return SymPoly({(a + t, b + r): f for (a, b), f in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
+        if _is_scalar(other):
             return self.scale(other)
         other = self._operand(other)
         if other is None:

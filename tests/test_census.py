@@ -229,3 +229,36 @@ def test_stats_reaches_the_cap(capsys):
     out = capsys.readouterr().out
     assert "permutations: 3628800" in out
     assert "cross-check vs closed forms: OK" in out
+
+
+# p(n), the number of partitions of n, for n = 0..20 (OEIS A000041).
+PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297,
+                    385, 490, 627]
+
+
+def sorted_partitions(n):
+    """The definition partitions() keeps: every partition of n, validated
+    through Partition, sorted by (length, descending lex)."""
+    if n < 0:
+        return ()
+
+    def gen(remaining, largest):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(remaining, largest), 0, -1):
+            for rest in gen(remaining - first, first):
+                yield (first,) + rest
+
+    return tuple(sorted((Partition(p) for p in gen(n, n)),
+                        key=lambda p: (p.length, tuple(-x for x in p))))
+
+
+@pytest.mark.parametrize("n", range(-2, 21))
+def test_partitions_are_generated_in_order(n):
+    got = partitions(n)
+    assert got == sorted_partitions(n)
+    assert all(type(p) is Partition for p in got)
+    assert len(got) == (PARTITION_COUNTS[n] if n >= 0 else 0)
+    if n == 0:
+        assert got == (Partition(),)

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -530,6 +531,87 @@ def test_verify_json_deterministic_across_runs(capsys):
     assert len(payload["suites"]) == 12
 
 
+def dumps(payload):
+    """The reference for cli._print_json: json.dumps as the CLI once called it."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# One command of each JSON payload the command line prints, run with
+# --output json.
+JSON_COMMANDS = [
+    ["verify", "series", "--n-max", "3"],
+    ["verify", "all", "--n-max", "2"],
+    ["stats", "32541"],
+    ["stats", "--n", "4"],
+    ["stats", "--n", "3", "--table", "maj,exc"],
+    ["chartable", "4"],
+    ["qfun", "--n", "4", "--j", "1", "--basis", "p"],
+    ["qfun", "--n", "4", "--j", "1", "--k", "0"],
+    ["qfun", "--lambda", "3,1", "--j", "1", "--basis", "m"],
+    ["expand", "m[2,1]", "h"],
+    ["expand", "Q[3,1]", "m", "--vars", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=" ".join)
+def test_json_writer_matches_json_dumps_on_every_payload(argv, capsys, monkeypatch):
+    payloads = []
+    write = cli._print_json
+
+    def recorded(payload):
+        payloads.append(payload)
+        write(payload)
+
+    monkeypatch.setattr(cli, "_print_json", recorded)
+    assert cli.main(argv + ["--output", "json"]) == 0
+    [payload] = payloads
+    assert capsys.readouterr().out == dumps(payload)
+
+
+def test_json_writer_matches_json_dumps_on_a_failed_check(capsys):
+    report = VerifyReport("demo")
+    report.record("a \"quoted\" identity", {"lam": (2, 1), "n": 3}, False, 'got "x"\n\tnot y\\z')
+    report.record("holds", {"n": 0}, True)
+    cli._print_json(report.to_jsonable())
+    assert capsys.readouterr().out == dumps(report.to_jsonable())
+
+
+JSON_STRINGS = ['"', "\\", "\t\n\r\b\f", "".join(map(chr, range(0x20))), "\x7f", "é",
+                " ", "\U0001F600", "", 'a "quoted" \\path\\', "plain text, 100%"]
+
+
+@pytest.mark.parametrize("text", JSON_STRINGS, ids=ascii)
+def test_json_writer_escapes_as_json_dumps(text, capsys):
+    payload = {text: [text, (text,)], "value": text}
+    cli._print_json(payload)
+    assert capsys.readouterr().out == dumps(payload)
+
+
+def test_json_writer_keeps_bools_apart_from_ints(capsys):
+    payload = {"flags": [True, 1, 0, False, None], "nested": (1, (True, (False, ())), []),
+               "empty": {}}
+    cli._print_json(payload)
+    out = capsys.readouterr().out
+    assert out == '{"empty":{},"flags":[true,1,0,false,null],"nested":[1,[true,[false,[]]],[]]}\n'
+    assert out == dumps(payload)
+
+
+@pytest.mark.parametrize("payload", [1.5, Fraction(1, 2), {1: "one"}, {"a": [0.5]}],
+                         ids=["float", "Fraction", "int key", "nested float"])
+def test_json_writer_refuses_other_types(payload, capsys):
+    with pytest.raises(TypeError):
+        cli._print_json(payload)
+    assert capsys.readouterr().out == ""
+
+
+def test_expand_json_escapes_the_echoed_expression(capsys):
+    # the bytes json.dumps wrote for this command: the tab as \t
+    rc, out = run(capsys, "expand", "h[2]\t+ e[1,1]", "s", "--output", "json")
+    assert rc == 0
+    assert out == ('{"basis":"s","command":"expand","expr":"h[2]\\t+ e[1,1]",'
+                   '"value":"2*s[2] + s[1,1]","vars":null}\n')
+
+
 # Loads eulerq.cli, runs the command in argv and writes the sorted module
 # names loaded after the import and after the command to stderr, as its
 # first and last lines, so stdout holds the command's output alone.
@@ -546,30 +628,55 @@ finally:
 # Each probed command, its stdout (None: not checked here), and what it may
 # not load: no command loads the empty `eulerq.cache` module; every command
 # leaves the suites and the modules only they read unloaded unless it
-# verifies; a command with integer coefficients loads no `fractions` or the
-# `decimal` it imports; and text output from qfun and chartable loads
-# neither `json` nor `hashlib`.
-NO_STORE = {"eulerq.cache", "json", "hashlib"}
+# verifies, and `verify series` leaves the models of `related` unloaded; a
+# command with integer coefficients loads no `fractions`, nor the `decimal`
+# and `numbers` it imports; and no command loads `hashlib`.
+NO_STORE = {"eulerq.cache", "hashlib"}
 NOT_VERIFY = {"eulerq.suites", "eulerq.bijections", "eulerq.related"}
+NO_FRACTIONS = {"fractions", "decimal", "numbers"}
 STARTUP_COMMANDS = [
     (["stats", "--n", "5"], None,
-     {"eulerq.symfunc", "eulerq.eulerian", "eulerq.suites", "eulerq.cache", "fractions"}),
+     {"eulerq.symfunc", "eulerq.eulerian", "eulerq.suites", "eulerq.cache"} | NO_FRACTIONS),
+    (["stats", "--n", "3", "--output", "json"], None,
+     {"eulerq.symfunc", "eulerq.eulerian", "eulerq.suites", "eulerq.cache"} | NO_FRACTIONS),
+    (["stats", "--n", "3", "--table", "des,inv", "--output", "json"], None,
+     {"eulerq.symfunc", "eulerq.eulerian", "eulerq.suites", "eulerq.cache"} | NO_FRACTIONS),
     (["expand", "m[2,1]", "h"], "-3*h[3] + 5*h[2,1] - 2*h[1,1,1]\n",
-     NOT_VERIFY | {"eulerq.cache", "json", "fractions", "decimal"}),
+     NOT_VERIFY | {"eulerq.cache"} | NO_FRACTIONS),
+    (["expand", "m[2,1]", "h", "--output", "json"],
+     '{"basis":"h","command":"expand","expr":"m[2,1]",'
+     '"value":"-3*h[3] + 5*h[2,1] - 2*h[1,1,1]","vars":null}\n',
+     NOT_VERIFY | {"eulerq.cache"} | NO_FRACTIONS),
     (["qfun", "--n", "4", "--j", "1"], "h[4] + h[3,1] + h[2,2]\n",
-     NOT_VERIFY | NO_STORE | {"fractions", "decimal"}),
+     NOT_VERIFY | NO_STORE | NO_FRACTIONS),
+    (["qfun", "--n", "4", "--j", "1", "--output", "json"],
+     '{"basis":"h","command":"qfun","params":["n",4,"j",1,"k",null],'
+     '"value":"h[4] + h[3,1] + h[2,2]"}\n',
+     NOT_VERIFY | NO_STORE | NO_FRACTIONS),
     (["qfun", "--n", "4", "--j", "1", "--basis", "p"],
      "1/4*p[4] + 2/3*p[3,1] + 3/8*p[2,2] + 5/4*p[2,1,1] + 11/24*p[1,1,1,1]\n",
      NOT_VERIFY | NO_STORE),
     (["qfun", "--lambda", "3,1", "--j", "1"], "h[3,1]\n",
-     NOT_VERIFY | NO_STORE | {"fractions", "decimal"}),
+     NOT_VERIFY | NO_STORE | NO_FRACTIONS),
     (["chartable", "4"],
      " lambda  (4,1)  (4,2)\n      4      1      0\n    3,1      1      1\n"
      "    2,2      1      0\n  2,1,1      1      2\n1,1,1,1      1      4\n",
-     NOT_VERIFY | NO_STORE | {"fractions", "decimal"}),
-    (["verify", "series", "--mode", "ci"], None, {"eulerq.cache", "fractions", "decimal"}),
-    (["verify", "all", "--mode", "ci"], None, {"eulerq.cache", "fractions", "decimal"}),
+     NOT_VERIFY | NO_STORE | NO_FRACTIONS),
+    (["chartable", "2", "--output", "json"],
+     '{"columns":[[2,1]],"command":"chartable","n":2,'
+     '"rows":[{"lam":[2],"values":[1]},{"lam":[1,1],"values":[1]}]}\n',
+     NOT_VERIFY | NO_STORE | NO_FRACTIONS),
+    (["verify", "series", "--mode", "ci"], None,
+     {"eulerq.cache", "eulerq.related"} | NO_FRACTIONS),
+    (["verify", "series", "--mode", "extended", "--n-max", "5", "--output", "json"], None,
+     {"eulerq.cache", "eulerq.related", "hashlib"} | NO_FRACTIONS),
+    (["verify", "all", "--mode", "ci"], None, {"eulerq.cache", "hashlib"} | NO_FRACTIONS),
 ]
+
+# What no command loads: JSON is written without `json`, and no module asks
+# for `__future__`.  `numbers` loads only with the `fractions` that imports
+# it, so the commands above that build no Fraction leave it unloaded.
+NEVER = {"json", "_json", "__future__"}
 
 
 # argparse and what it loads to translate its messages: only help and usage
@@ -597,12 +704,24 @@ def test_startup_imports_stay_light():
     for argv, stdout, not_loaded in STARTUP_COMMANDS:
         proc, ran = probe(argv)
         assert proc.returncode == 0, (argv, proc.stderr)
-        assert (not_loaded | ARGPARSE) & ran == set(), argv
+        assert (not_loaded | ARGPARSE | NEVER) & ran == set(), argv
         if stdout is not None:
             assert proc.stdout == stdout
     proc, ran = probe(["stats", "--n", "x"])
     assert proc.returncode == 2
     assert "argparse" in ran
+    assert NEVER & ran == set()
+
+
+def test_cli_import_compiles_no_regex():
+    """`import eulerq.cli` loads no `re`: the expression tokenizer compiles
+    its pattern on first use.  Run with -S, since a site hook may import
+    `re` before any eulerq code runs."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys; import eulerq.cli; print('re' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, cwd=ROOT,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_one_command_parser_reads_as_the_full_one(capsys):

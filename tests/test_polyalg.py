@@ -36,6 +36,10 @@ coeffs = st.integers(min_value=-9, max_value=9)
 exps = st.integers(min_value=0, max_value=3)
 
 
+class Ratio(Fraction):
+    """A Fraction subclass, which is still an exact scalar."""
+
+
 @st.composite
 def polys(draw):
     terms = draw(st.dictionaries(
@@ -189,7 +193,7 @@ def test_trunc_series_inverse_needs_unit_constant_term():
     assert neg * neg.inverse() == TruncSeries.one("z", 4)
 
 
-@pytest.mark.parametrize("scalar", [3, True, Fraction(-2, 3)])
+@pytest.mark.parametrize("scalar", [3, True, Fraction(-2, 3), Ratio(5, 7)])
 def test_exact_scalars_act_as_constants(scalar):
     q, c = Poly.var("q"), Poly.const(scalar)
     assert q * scalar == scalar * q == q * c
@@ -208,6 +212,20 @@ def test_inexact_scalars_are_refused(scalar):
         with pytest.raises(TypeError):
             op()
     assert Poly.one() != scalar
+
+
+def test_a_rational_that_is_no_fraction_is_refused():
+    """Scalars are int and Fraction: a type registered as numbers.Rational
+    without being a Fraction is no constant."""
+    import numbers
+
+    class Tally:
+        numerator, denominator = 1, 1
+
+    numbers.Rational.register(Tally)
+    q = Poly.var("q")
+    for op in (q.__mul__, q.__add__, q.__sub__, q.__eq__):
+        assert op(Tally()) in (NotImplemented, False)
 
 
 def test_trunc_series_holds_polys_only():

@@ -18,7 +18,7 @@ from eulerq import (
     verify_related,
     y_poly,
 )
-from eulerq import cli, related, suites
+from eulerq import cli, related
 from eulerq.related import (
     derangement_counts,
     no_double_descent_counts,
@@ -189,8 +189,8 @@ def test_each_model_table_is_built_once(cold_tables, monkeypatch):
             counter[(tuple(content),) + args] += 1
             return original(content, *args)
 
-        for module in (related, suites):
-            monkeypatch.setattr(module, name, counted)
+        # verify_related imports the counts from related when it runs
+        monkeypatch.setattr(related, name, counted)
     assert verify_related(5, 4).ok
     for name, counter in calls.items():
         assert counter and max(counter.values()) == 1, (name, counter)

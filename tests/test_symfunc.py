@@ -45,6 +45,10 @@ from eulerq.symfunc import (
 BASES = "hespm"
 
 
+class Ratio(Fraction):
+    """A Fraction subclass, which is still an exact scalar."""
+
+
 def small_partitions(max_n=5):
     out = []
     for n in range(max_n + 1):
@@ -270,7 +274,7 @@ def test_render_parse():
     assert SymF.zero().render() == "0"
 
 
-@pytest.mark.parametrize("scalar", [3, True, Fraction(-2, 3)])
+@pytest.mark.parametrize("scalar", [3, True, Fraction(-2, 3), Ratio(5, 7)])
 def test_exact_scalars_act_as_constants(scalar):
     f, c = sym_h([2]), SymF("h", {(): scalar})
     assert f * scalar == scalar * f == f * c
