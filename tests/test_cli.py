@@ -626,57 +626,52 @@ finally:
 """
 
 # Each probed command, its stdout (None: not checked here), and what it may
-# not load: no command loads the empty `eulerq.cache` module; every command
-# leaves the suites and the modules only they read unloaded unless it
-# verifies, and `verify series` leaves the models of `related` unloaded; a
-# command with integer coefficients loads no `fractions`, nor the `decimal`
-# and `numbers` it imports; and no command loads `hashlib`.
-NO_STORE = {"eulerq.cache", "hashlib"}
+# not load besides NEVER: every command leaves the suites and the modules only
+# they read unloaded unless it verifies, and `verify series` leaves the models
+# of `related` unloaded; a command with integer coefficients loads no
+# `fractions`, nor the `decimal` and `numbers` it imports.
 NOT_VERIFY = {"eulerq.suites", "eulerq.bijections", "eulerq.related"}
 NO_FRACTIONS = {"fractions", "decimal", "numbers"}
+STATS = {"eulerq.symfunc", "eulerq.eulerian", "eulerq.suites"} | NO_FRACTIONS
 STARTUP_COMMANDS = [
-    (["stats", "--n", "5"], None,
-     {"eulerq.symfunc", "eulerq.eulerian", "eulerq.suites", "eulerq.cache"} | NO_FRACTIONS),
-    (["stats", "--n", "3", "--output", "json"], None,
-     {"eulerq.symfunc", "eulerq.eulerian", "eulerq.suites", "eulerq.cache"} | NO_FRACTIONS),
-    (["stats", "--n", "3", "--table", "des,inv", "--output", "json"], None,
-     {"eulerq.symfunc", "eulerq.eulerian", "eulerq.suites", "eulerq.cache"} | NO_FRACTIONS),
+    (["stats", "--n", "5"], None, STATS),
+    (["stats", "--n", "3", "--output", "json"], None, STATS),
+    (["stats", "--n", "3", "--table", "des,inv", "--output", "json"], None, STATS),
     (["expand", "m[2,1]", "h"], "-3*h[3] + 5*h[2,1] - 2*h[1,1,1]\n",
-     NOT_VERIFY | {"eulerq.cache"} | NO_FRACTIONS),
+     NOT_VERIFY | NO_FRACTIONS),
     (["expand", "m[2,1]", "h", "--output", "json"],
      '{"basis":"h","command":"expand","expr":"m[2,1]",'
      '"value":"-3*h[3] + 5*h[2,1] - 2*h[1,1,1]","vars":null}\n',
-     NOT_VERIFY | {"eulerq.cache"} | NO_FRACTIONS),
+     NOT_VERIFY | NO_FRACTIONS),
     (["qfun", "--n", "4", "--j", "1"], "h[4] + h[3,1] + h[2,2]\n",
-     NOT_VERIFY | NO_STORE | NO_FRACTIONS),
+     NOT_VERIFY | NO_FRACTIONS),
     (["qfun", "--n", "4", "--j", "1", "--output", "json"],
      '{"basis":"h","command":"qfun","params":["n",4,"j",1,"k",null],'
      '"value":"h[4] + h[3,1] + h[2,2]"}\n',
-     NOT_VERIFY | NO_STORE | NO_FRACTIONS),
+     NOT_VERIFY | NO_FRACTIONS),
     (["qfun", "--n", "4", "--j", "1", "--basis", "p"],
      "1/4*p[4] + 2/3*p[3,1] + 3/8*p[2,2] + 5/4*p[2,1,1] + 11/24*p[1,1,1,1]\n",
-     NOT_VERIFY | NO_STORE),
+     NOT_VERIFY),
     (["qfun", "--lambda", "3,1", "--j", "1"], "h[3,1]\n",
-     NOT_VERIFY | NO_STORE | NO_FRACTIONS),
+     NOT_VERIFY | NO_FRACTIONS),
     (["chartable", "4"],
      " lambda  (4,1)  (4,2)\n      4      1      0\n    3,1      1      1\n"
      "    2,2      1      0\n  2,1,1      1      2\n1,1,1,1      1      4\n",
-     NOT_VERIFY | NO_STORE | NO_FRACTIONS),
+     NOT_VERIFY | NO_FRACTIONS),
     (["chartable", "2", "--output", "json"],
      '{"columns":[[2,1]],"command":"chartable","n":2,'
      '"rows":[{"lam":[2],"values":[1]},{"lam":[1,1],"values":[1]}]}\n',
-     NOT_VERIFY | NO_STORE | NO_FRACTIONS),
-    (["verify", "series", "--mode", "ci"], None,
-     {"eulerq.cache", "eulerq.related"} | NO_FRACTIONS),
+     NOT_VERIFY | NO_FRACTIONS),
+    (["verify", "series", "--mode", "ci"], None, {"eulerq.related"} | NO_FRACTIONS),
     (["verify", "series", "--mode", "extended", "--n-max", "5", "--output", "json"], None,
-     {"eulerq.cache", "eulerq.related", "hashlib"} | NO_FRACTIONS),
-    (["verify", "all", "--mode", "ci"], None, {"eulerq.cache", "hashlib"} | NO_FRACTIONS),
+     {"eulerq.related"} | NO_FRACTIONS),
+    (["verify", "all", "--mode", "ci"], None, NO_FRACTIONS),
 ]
 
-# What no command loads: JSON is written without `json`, and no module asks
-# for `__future__`.  `numbers` loads only with the `fractions` that imports
-# it, so the commands above that build no Fraction leave it unloaded.
-NEVER = {"json", "_json", "__future__"}
+# What no command loads: the empty `eulerq.cache` module, `hashlib`, `json`
+# (JSON is written without it) and `__future__`.  `numbers` loads only with
+# the `fractions` that imports it, so it is in NO_FRACTIONS instead.
+NEVER = {"eulerq.cache", "hashlib", "json", "_json", "__future__"}
 
 
 # argparse and what it loads to translate its messages: only help and usage
