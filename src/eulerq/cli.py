@@ -11,8 +11,9 @@ At module level this imports only the standard library, and `import eulerq`
 loads no package module, so a launch loads what its command reads: stats
 the census (`permstats`); qfun and chartable the formulas (`eulerian`);
 expand the bases (`symfunc`), and `eulerian` only for a Q[..] atom; verify
-the suites, and every layer under them.  `_print_json` writes JSON itself, so
-no command loads `json`.  `main` reads a plain command line (a command, its
+the suites, and every layer under them.  `_print_json` writes JSON itself, and
+`_print_verify_json` the verify report straight from its checks through the
+same encoder, so no command loads `json`.  `main` reads a plain command line (a command, its
 positionals, then `--flag value` pairs) from the grammar table `COMMANDS`
 itself.  It loads `argparse` only for help, usage errors and the rarer valid
 forms, and builds from the same table the parser of the command named, or of
@@ -71,13 +72,14 @@ def _json_string(s):
     return '"' + "".join(out) + '"'
 
 
-def _print_json(payload):
-    """payload as one line of key-sorted, compact JSON: the bytes of
-    json.dumps(payload, sort_keys=True, separators=(",", ":")), for the
-    types the commands print (dicts with str keys, lists, tuples, str, int,
-    bool and None), without loading `json`.  Any other type, a subclass of
-    these included, raises TypeError.  Each distinct string is escaped once,
-    as the verify report repeats its keys and identities."""
+def _json_encoder():
+    """The encoders of one JSON document, for the types the commands print
+    (dicts with str keys, lists, tuples, str, int, bool and None): value(x)
+    writes x as compact, key-sorted JSON, and any other type, a subclass of
+    these included, raises TypeError.  Each distinct string is escaped once
+    per document: seen(s) is its escaped form if it was, else None, and
+    string(s) escapes and keeps it.  seen takes a str subclass equal to a
+    kept string for that string, so test a key's type before reading it."""
     quoted = {}
     seen = quoted.get
 
@@ -88,7 +90,7 @@ def _print_json(payload):
     def value(x):
         t = type(x)
         if t is dict:
-            return "{" + ",".join([(seen(k) or string(k)) + ":"
+            return "{" + ",".join([((type(k) is str and seen(k)) or string(k)) + ":"
                                    + ((seen(v) or string(v)) if type(v) is str else value(v))
                                    for k, v in sorted(x.items())]) + "}"
         if t is str:
@@ -105,7 +107,52 @@ def _print_json(payload):
             return "false"
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
-    print(value(payload))
+    return seen, string, value
+
+
+def _print_json(payload):
+    """payload as one line of key-sorted, compact JSON: the bytes of
+    json.dumps(payload, sort_keys=True, separators=(",", ":")), for the
+    types _json_encoder writes, without loading `json`."""
+    print(_json_encoder()[2](payload))
+
+
+def _print_verify_json(mode, suite, passed, reports):
+    """The verify envelope and its reports as one line of JSON, written
+    straight from the reports: the bytes _print_json writes for
+    {"command": "verify", "mode": mode, "passed": passed, "suite": suite,
+    "suites": [r.to_jsonable() for r in reports]}, and TypeError where it
+    raises.  The keys of the envelope, a report and a check are written in
+    their sorted order; only a check's params are sorted, once, and, as
+    Check.to_jsonable does, any list or tuple in them, a subclass included,
+    is written as a list."""
+    seen, string, value = _json_encoder()
+
+    def plain(v):
+        if type(v) is int:
+            return repr(v)
+        if isinstance(v, (list, tuple)):
+            return "[" + ",".join([plain(x) for x in v]) + "]"
+        return value(v)
+
+    out = []
+    for r in reports:
+        checks = []
+        for identity, params, status, witness in r.checks:
+            line = ('{"identity":' + ((seen(identity) or string(identity))
+                                      if type(identity) is str else value(identity))
+                    + ',"params":{'
+                    + ",".join([((type(k) is str and seen(k)) or string(k)) + ":" + plain(v)
+                                for k, v in sorted(params.items())])
+                    + '},"status":' + ((seen(status) or string(status))
+                                       if type(status) is str else value(status)))
+            if witness:
+                line += ',"witness":' + value(witness)
+            checks.append(line + "}")
+        out.append('{"checks":[' + ",".join(checks) + '],"failed":' + value(r.failed)
+                   + ',"passed":' + value(r.passed) + ',"suite":' + value(r.name) + "}")
+    print('{"command":"verify","mode":' + value(mode) + ',"passed":' + value(passed)
+          + ',"suite":' + value(suite) + ',"suites":[' + ",".join(out) + "]}")
 
 
 def _check_degree(degree):
@@ -172,8 +219,7 @@ def cmd_verify(args):
     reports = [report_fn() for _, report_fn in entries]
     passed = all(r.ok for r in reports)
     if args.output == "json":
-        _print_json({"command": "verify", "mode": args.mode, "suite": args.suite,
-                     "passed": passed, "suites": [r.to_jsonable() for r in reports]})
+        _print_verify_json(args.mode, args.suite, passed, reports)
     else:
         for r in reports:
             print(r.summary())

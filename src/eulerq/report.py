@@ -2,7 +2,9 @@
 
 A VerifyReport is an ordered list of Check records.  Suites append checks in a
 deterministic order, so two runs over the same parameters serialize to the
-same JSON bytes regardless of how the work was scheduled.
+same JSON bytes regardless of how the work was scheduled.  The command line
+writes those bytes straight from the checks (`cli._print_verify_json`);
+to_jsonable gives the same document as a tree of dicts and lists.
 """
 from collections import namedtuple
 

@@ -553,16 +553,30 @@ JSON_COMMANDS = [
 ]
 
 
+def verify_tree(mode, suite, passed, reports):
+    """The verify document as the tree of dicts and lists that
+    _print_verify_json writes without building."""
+    return {"command": "verify", "mode": mode, "suite": suite, "passed": passed,
+            "suites": [r.to_jsonable() for r in reports]}
+
+
 @pytest.mark.parametrize("argv", JSON_COMMANDS, ids=" ".join)
 def test_json_writer_matches_json_dumps_on_every_payload(argv, capsys, monkeypatch):
+    """Each command writes through one of the two writers, and its bytes are
+    json.dumps of the payload, for verify the tree of its reports."""
     payloads = []
-    write = cli._print_json
+    write, write_verify = cli._print_json, cli._print_verify_json
 
     def recorded(payload):
         payloads.append(payload)
         write(payload)
 
+    def recorded_verify(*args):
+        payloads.append(verify_tree(*args))
+        write_verify(*args)
+
     monkeypatch.setattr(cli, "_print_json", recorded)
+    monkeypatch.setattr(cli, "_print_verify_json", recorded_verify)
     assert cli.main(argv + ["--output", "json"]) == 0
     [payload] = payloads
     assert capsys.readouterr().out == dumps(payload)
