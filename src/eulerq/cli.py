@@ -13,11 +13,11 @@ the census (`permstats`); qfun and chartable the formulas (`eulerian`);
 expand the bases (`symfunc`), and `eulerian` only for a Q[..] atom; verify
 the suites, and every layer under them.  `_print_json` writes JSON itself, and
 `_print_verify_json` the verify report straight from its checks through the
-same encoder, so no command loads `json`.  `main` reads a plain command line (a command, its
-positionals, then `--flag value` pairs) from the grammar table `COMMANDS`
-itself.  It loads `argparse` only for help, usage errors and the rarer valid
-forms, and builds from the same table the parser of the command named, or of
-every command when none is.
+same encoder, so no command loads `json`.  `main` reads a plain command line
+(a command, its positionals, then `--flag value` pairs) from the grammar
+table `COMMANDS` itself.  It loads `argparse` only for help, usage errors and
+the rarer valid forms, and builds from the same table the parser of the
+command named, or of every command when none is.
 """
 
 import itertools

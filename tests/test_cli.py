@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eulerq import cli, enumerate_permutations, eulerian, statistics, suites
-from eulerq.permstats import DEFAULT_CAP
+from eulerq.permstats import DEFAULT_CAP, Partition
 from eulerq.report import VerifyReport
 from eulerq.symfunc import MonExpansion
 from fixtures_tables import CHAR_TABLES
@@ -590,6 +590,41 @@ def test_json_writer_matches_json_dumps_on_a_failed_check(capsys):
     assert capsys.readouterr().out == dumps(report.to_jsonable())
 
 
+def test_failed_verify_run_writes_the_reference_bytes(capsys, monkeypatch):
+    """A run in which one suite records a failure with a witness exits 1.
+    Its JSON is the reference encoding of its reports' tree, and its text
+    output reads as before."""
+    reports = []
+
+    def recorded(row):
+        def run(n, mode):
+            report = row.run(n, mode)
+            if row.name == "series":
+                report.record('a "planted" failure', {"n": n, "lam": Partition([2, 1])}, False,
+                              'got "x",\tnot \\y')
+            reports.append(report)
+            return report
+        return row._replace(run=run)
+
+    monkeypatch.setattr(cli, "SUITES", tuple(recorded(row) for row in cli.SUITES))
+    rc, out = run(capsys, "verify", "all", "--n-max", "2", "--output", "json")
+    assert rc == 1
+    assert out == dumps(verify_tree("ci", "all", False, reports))
+    (series,) = [r for r in reports if r.name == "series"]
+    assert series.failed == 1 and series.passed > 0
+    assert '"passed":false,"suite":"all"' in out
+    assert f'"failed":1,"passed":{series.passed},"suite":"series"' in out
+    reports.clear()
+    rc, out = run(capsys, "verify", "all", "--n-max", "2")
+    assert rc == 1
+    lines = out.splitlines()
+    assert lines[-1] == "result: FAIL"
+    assert [line for line in lines if "FAIL" in line] == [
+        f"series: FAIL ({series.passed} passed, 1 failed)",
+        "  FAIL a \"planted\" failure {'n': 2, 'lam': Partition((2, 1))} got \"x\",\tnot \\y",
+        "result: FAIL"]
+
+
 JSON_STRINGS = ['"', "\\", "\t\n\r\b\f", "".join(map(chr, range(0x20))), "\x7f", "é",
                 " ", "\U0001F600", "", 'a "quoted" \\path\\', "plain text, 100%"]
 
@@ -610,8 +645,15 @@ def test_json_writer_keeps_bools_apart_from_ints(capsys):
     assert out == dumps(payload)
 
 
-@pytest.mark.parametrize("payload", [1.5, Fraction(1, 2), {1: "one"}, {"a": [0.5]}],
-                         ids=["float", "Fraction", "int key", "nested float"])
+class Key(str):
+    pass
+
+
+# The last payload's str subclass key equals a string written before it.
+@pytest.mark.parametrize("payload", [1.5, Fraction(1, 2), {1: "one"}, {"a": [0.5]},
+                                     {"a": "k", Key("k"): 1}],
+                         ids=["float", "Fraction", "int key", "nested float",
+                              "str subclass key"])
 def test_json_writer_refuses_other_types(payload, capsys):
     with pytest.raises(TypeError):
         cli._print_json(payload)
@@ -640,13 +682,14 @@ finally:
 """
 
 # Each probed command, its stdout (None: not checked here), and what it may
-# not load besides NEVER: every command leaves the suites and the modules only
-# they read unloaded unless it verifies, and `verify series` leaves the models
-# of `related` unloaded; a command with integer coefficients loads no
-# `fractions`, nor the `decimal` and `numbers` it imports.
-NOT_VERIFY = {"eulerq.suites", "eulerq.bijections", "eulerq.related"}
+# not load besides NEVER: every command leaves the suites, their reports and
+# the modules only they read unloaded unless it verifies, and `verify series`
+# leaves the models of `related` unloaded; a command with integer
+# coefficients loads no `fractions`, nor the `decimal` and `numbers` it
+# imports.
+NOT_VERIFY = {"eulerq.suites", "eulerq.report", "eulerq.bijections", "eulerq.related"}
 NO_FRACTIONS = {"fractions", "decimal", "numbers"}
-STATS = {"eulerq.symfunc", "eulerq.eulerian", "eulerq.suites"} | NO_FRACTIONS
+STATS = {"eulerq.symfunc", "eulerq.eulerian", "eulerq.suites", "eulerq.report"} | NO_FRACTIONS
 STARTUP_COMMANDS = [
     (["stats", "--n", "5"], None, STATS),
     (["stats", "--n", "3", "--output", "json"], None, STATS),
