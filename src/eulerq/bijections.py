@@ -614,20 +614,20 @@ def _linked_words(n, max_value):
     """The words of length n >= 1 over 1..max_value, barred and unbarred, in
     which each letter may follow the one before it (_pair_ok), in the
     lexicographic order of letters_upto."""
-    alphabet = letters_upto(max_value)
-    word = []
+    return _linked_from([], n, letters_upto(max_value))
 
-    def rec():
-        if len(word) == n:
-            yield tuple(word)
-            return
-        for a in alphabet:
-            if not word or _pair_ok(word[-1], a):
-                word.append(a)
-                yield from rec()
-                word.pop()
 
-    return rec()
+def _linked_from(word, n, alphabet):
+    """The words of _linked_words that extend word to length n, each yielded
+    as a tuple."""
+    if len(word) == n:
+        yield tuple(word)
+        return
+    for a in alphabet:
+        if not word or _pair_ok(word[-1], a):
+            word.append(a)
+            yield from _linked_from(word, n, alphabet)
+            word.pop()
 
 
 def enumerate_necklaces(size, max_value):

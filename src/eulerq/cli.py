@@ -72,49 +72,57 @@ def _json_string(s):
     return '"' + "".join(out) + '"'
 
 
-def _json_encoder():
-    """The encoders of one JSON document, for the types the commands print
-    (dicts with str keys, lists, tuples, str, int, bool and None): value(x)
-    writes x as compact, key-sorted JSON, and any other type, a subclass of
-    these included, raises TypeError.  Each distinct string is escaped once
-    per document: seen(s) is its escaped form if it was, else None, and
-    string(s) escapes and keeps it.  seen takes a str subclass equal to a
-    kept string for that string, so test a key's type before reading it."""
-    quoted = {}
-    seen = quoted.get
+# The JSON writers below take `quoted`, a dict of the strings one document
+# has written so far, each to its escaped form, so that each distinct string
+# is escaped once per document.  quoted.get takes a str subclass equal to a
+# kept string for that string, so test a key's type before reading it.
 
-    def string(s):
-        q = quoted[s] = _json_string(s)
-        return q
+def _json_keep(s, quoted):
+    """s escaped (TypeError unless s is a str), kept in quoted."""
+    q = quoted[s] = _json_string(s)
+    return q
 
-    def value(x):
-        t = type(x)
-        if t is dict:
-            return "{" + ",".join([((type(k) is str and seen(k)) or string(k)) + ":"
-                                   + ((seen(v) or string(v)) if type(v) is str else value(v))
-                                   for k, v in sorted(x.items())]) + "}"
-        if t is str:
-            return seen(x) or string(x)
-        if t is int:
-            return repr(x)
-        if t is list or t is tuple:
-            return "[" + ",".join([value(v) for v in x]) + "]"
-        if x is None:
-            return "null"
-        if x is True:
-            return "true"
-        if x is False:
-            return "false"
-        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
-    return seen, string, value
+def _json_value(x, quoted):
+    """x as compact, key-sorted JSON, for the types the commands print
+    (dicts with str keys, lists, tuples, str, int, bool and None); any other
+    type, a subclass of these included, raises TypeError."""
+    t = type(x)
+    if t is dict:
+        return "{" + ",".join([((type(k) is str and quoted.get(k)) or _json_keep(k, quoted))
+                               + ":" + ((quoted.get(v) or _json_keep(v, quoted))
+                                        if type(v) is str else _json_value(v, quoted))
+                               for k, v in sorted(x.items())]) + "}"
+    if t is str:
+        return quoted.get(x) or _json_keep(x, quoted)
+    if t is int:
+        return repr(x)
+    if t is list or t is tuple:
+        return "[" + ",".join([repr(v) if type(v) is int else _json_value(v, quoted)
+                               for v in x]) + "]"
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def _json_param(v, quoted):
+    """A check's param value as Check.to_jsonable writes it: any list or
+    tuple, a subclass included, as a list."""
+    if isinstance(v, (list, tuple)):
+        return "[" + ",".join([repr(x) if type(x) is int else _json_param(x, quoted)
+                               for x in v]) + "]"
+    return _json_value(v, quoted)
 
 
 def _print_json(payload):
     """payload as one line of key-sorted, compact JSON: the bytes of
     json.dumps(payload, sort_keys=True, separators=(",", ":")), for the
-    types _json_encoder writes, without loading `json`."""
-    print(_json_encoder()[2](payload))
+    types _json_value writes, without loading `json`."""
+    print(_json_value(payload, {}))
 
 
 def _print_verify_json(mode, suite, passed, reports):
@@ -123,36 +131,33 @@ def _print_verify_json(mode, suite, passed, reports):
     {"command": "verify", "mode": mode, "passed": passed, "suite": suite,
     "suites": [r.to_jsonable() for r in reports]}, and TypeError where it
     raises.  The keys of the envelope, a report and a check are written in
-    their sorted order; only a check's params are sorted, once, and, as
-    Check.to_jsonable does, any list or tuple in them, a subclass included,
-    is written as a list."""
-    seen, string, value = _json_encoder()
-
-    def plain(v):
-        if type(v) is int:
-            return repr(v)
-        if isinstance(v, (list, tuple)):
-            return "[" + ",".join([plain(x) for x in v]) + "]"
-        return value(v)
-
+    their sorted order; only a check's params are sorted, once, and written
+    by _json_param."""
+    quoted = {}
+    seen = quoted.get
     out = []
     for r in reports:
         checks = []
         for identity, params, status, witness in r.checks:
-            line = ('{"identity":' + ((seen(identity) or string(identity))
-                                      if type(identity) is str else value(identity))
+            line = ('{"identity":' + ((seen(identity) or _json_keep(identity, quoted))
+                                      if type(identity) is str
+                                      else _json_value(identity, quoted))
                     + ',"params":{'
-                    + ",".join([((type(k) is str and seen(k)) or string(k)) + ":" + plain(v)
+                    + ",".join([((type(k) is str and seen(k)) or _json_keep(k, quoted))
+                                + ":" + (repr(v) if type(v) is int else _json_param(v, quoted))
                                 for k, v in sorted(params.items())])
-                    + '},"status":' + ((seen(status) or string(status))
-                                       if type(status) is str else value(status)))
+                    + '},"status":' + ((seen(status) or _json_keep(status, quoted))
+                                       if type(status) is str
+                                       else _json_value(status, quoted)))
             if witness:
-                line += ',"witness":' + value(witness)
+                line += ',"witness":' + _json_value(witness, quoted)
             checks.append(line + "}")
-        out.append('{"checks":[' + ",".join(checks) + '],"failed":' + value(r.failed)
-                   + ',"passed":' + value(r.passed) + ',"suite":' + value(r.name) + "}")
-    print('{"command":"verify","mode":' + value(mode) + ',"passed":' + value(passed)
-          + ',"suite":' + value(suite) + ',"suites":[' + ",".join(out) + "]}")
+        out.append('{"checks":[' + ",".join(checks) + '],"failed":'
+                   + _json_value(r.failed, quoted) + ',"passed":' + _json_value(r.passed, quoted)
+                   + ',"suite":' + _json_value(r.name, quoted) + "}")
+    print('{"command":"verify","mode":' + _json_value(mode, quoted)
+          + ',"passed":' + _json_value(passed, quoted)
+          + ',"suite":' + _json_value(suite, quoted) + ',"suites":[' + ",".join(out) + "]}")
 
 
 def _check_degree(degree):
@@ -303,7 +308,7 @@ def cmd_stats(args):
     if n < 0:
         raise UsageError("--n must be nonnegative")
     names = _STAT_NAMES
-    if args.table:
+    if args.table is not None:
         names = tuple(s.strip() for s in args.table.split(","))
         bad = [s for s in names if s not in _STAT_NAMES]
         if bad:
@@ -333,7 +338,7 @@ def cmd_stats(args):
     total = sum(counts.values())
     # word and statistics per permutation, only when a table is asked for
     rows = []
-    if args.table:
+    if args.table is not None:
         reads = [row_stat(s, n) for s in names]
         for w in itertools.permutations(range(1, n + 1)):
             row = _row(w)
@@ -345,7 +350,7 @@ def cmd_stats(args):
             "n": n,
             "permutations": total,
             "columns": list(names),
-            "rows": [[list(w)] + vals for w, vals in rows] if args.table else None,
+            "rows": [[list(w)] + vals for w, vals in rows] if args.table is not None else None,
             "sums": {s: sums[s] for s in names},
             "cross_check": checked,
         }
@@ -353,7 +358,7 @@ def cmd_stats(args):
     else:
         if n == 0:
             print("S_0 holds one permutation, the empty word; every statistic is 0")
-        if args.table:
+        if args.table is not None:
             width = max(n, 4)
             print("word".ljust(width) + "  " + "  ".join(s.rjust(5) for s in names))
             for w, vals in rows:
@@ -574,10 +579,10 @@ class _ExprParser:
 
 
 def cmd_expand(args):
-    if args.vars < 0:
+    if args.vars is not None and args.vars < 0:
         raise UsageError("--vars must be nonnegative")
     value = _ExprParser(args.expr).parse()
-    if args.vars:
+    if args.vars is not None:
         # every value is symmetric: in x_1..x_N, m_lam vanishes exactly when
         # l(lam) > N and the others stay independent, but a kept term of
         # degree past N does not determine the function it came from
@@ -591,7 +596,7 @@ def cmd_expand(args):
     rendered = value.to_basis(args.basis).render()
     if args.output == "json":
         out = {"command": "expand", "expr": args.expr, "basis": args.basis,
-               "vars": args.vars or None, "value": rendered}
+               "vars": args.vars, "value": rendered}
         _print_json(out)
     else:
         print(rendered)
@@ -643,7 +648,7 @@ COMMANDS = {
     "expand": Command("cmd_expand", "evaluate an expression over Q and bases", (
         Arg("expr", "expr"),
         Arg("basis", "basis", nargs="?", default="m", choices=_BASES),
-        Arg("--vars", "vars", type=int, default=0,
+        Arg("--vars", "vars", type=int,
             help="restrict to x_1..x_N before rendering"),
     )),
 }
@@ -750,14 +755,20 @@ def _write_error(exc):
 
 def run():
     """The process entry point, of `python -m eulerq.cli` and of the eulerq
-    console script: main, then flush stdout and stderr, then os._exit.  That
-    skips the interpreter's teardown (its last collections and the clean-up
-    of every module and cache), which eulerq does not need: no module
-    registers an atexit hook or leaves a file it writes open.
+    console script: main with the cyclic garbage collector off, then flush
+    stdout and stderr, then os._exit.  That skips the interpreter's teardown
+    (its last collections and the clean-up of every module and cache), which
+    eulerq does not need: no module registers an atexit hook or leaves a file
+    it writes open.  Nor does a launch need the collector: no command leaves
+    a reference cycle behind, so reference counting frees all it allocates.
+    main itself leaves the collector as it finds it, for callers in the same
+    process.
 
     An OSError out of main or the flush is a failed write, as eulerq does no
     other I/O, and it takes one policy wherever it is met: a closed pipe
     exits 0 quietly, any other write error prints one line and exits 120."""
+    import gc
+    gc.disable()
     try:
         try:
             code = main()

@@ -108,25 +108,25 @@ def z_lambda(lam) -> int:
     return Partition(lam).z()
 
 
+def _partitions_into(remaining, length, largest):
+    """The partitions of remaining into length parts of at most largest, as
+    tuples in descending lex order: the first part leaves each later part at
+    least 1 and at most itself, so every branch yields."""
+    if length == 1:
+        yield (remaining,)
+        return
+    for first in range(min(largest, remaining - length + 1), -(-remaining // length) - 1, -1):
+        for rest in _partitions_into(remaining - first, length - 1, first):
+            yield (first,) + rest
+
+
 @lru_cache(maxsize=None)
 def partitions(n) -> tuple:
     """All partitions of n, ordered by (length, descending lex)."""
     if n <= 0:
         return () if n else (Partition(),)
-
-    def gen(remaining, length, largest):
-        # the partitions of remaining into length parts of at most largest,
-        # in descending lex order: the first part leaves each later part at
-        # least 1 and at most itself, so every branch yields
-        if length == 1:
-            yield (remaining,)
-            return
-        for first in range(min(largest, remaining - length + 1), -(-remaining // length) - 1, -1):
-            for rest in gen(remaining - first, length - 1, first):
-                yield (first,) + rest
-
     return tuple(tuple.__new__(Partition, p) for length in range(1, n + 1)
-                 for p in gen(n, length, n))
+                 for p in _partitions_into(n, length, n))
 
 
 class Permutation:

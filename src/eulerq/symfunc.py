@@ -287,20 +287,21 @@ def _rearrangements(vec):
     left = {}
     for v in vec:
         left[v] = left.get(v, 0) + 1
-    word = [None] * len(vec)
+    return _place(left, [None] * len(vec), 0)
 
-    def place(i):
-        if i == len(word):
-            yield tuple(word)
-            return
-        for v, m in left.items():
-            if m:
-                left[v] = m - 1
-                word[i] = v
-                yield from place(i + 1)
-                left[v] = m
 
-    return place(0)
+def _place(left, word, i):
+    """The words that fill word[i:] with the letters left ({letter: count
+    still to place}), word[:i] kept, each yielded as a tuple of all of word."""
+    if i == len(word):
+        yield tuple(word)
+        return
+    for v, m in left.items():
+        if m:
+            left[v] = m - 1
+            word[i] = v
+            yield from _place(left, word, i + 1)
+            left[v] = m
 
 
 def _partial_sums(parts):
@@ -347,21 +348,21 @@ def _weakly_decreasing_sequences(n, N, strict_at):
     if n == 0:
         yield ()
         return
-    strict_at = frozenset(strict_at)
-    seq = [0] * n
+    yield from _decreasing_from([0] * n, 0, N, frozenset(strict_at))
 
-    def rec(i, hi):
-        if hi < 1:
-            return
-        if i == n:
-            yield tuple(seq)
-            return
-        for v in range(hi, 0, -1):
-            seq[i] = v
-            nxt = v - 1 if (i + 1) in strict_at else v
-            yield from rec(i + 1, nxt)
 
-    yield from rec(0, N)
+def _decreasing_from(seq, i, hi, strict_at):
+    """The sequences of _weakly_decreasing_sequences that keep seq[:i] and
+    start seq[i:] at most hi, each yielded as a tuple of all of seq."""
+    if hi < 1:
+        return
+    if i == len(seq):
+        yield tuple(seq)
+        return
+    for v in range(hi, 0, -1):
+        seq[i] = v
+        nxt = v - 1 if (i + 1) in strict_at else v
+        yield from _decreasing_from(seq, i + 1, nxt, strict_at)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -68,6 +69,24 @@ def test_stats_usage_errors(capsys):
     assert cli.main(["stats", "--n", "4", "--table", "zeta"]) == 2
     assert cli.main(["stats", "--n", "11"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("table", ["", " "])
+def test_stats_table_refuses_an_empty_name(capsys, table):
+    # an empty --table names one empty statistic; it does not drop the table
+    assert cli.main(["stats", "--n", "3", "--table", table, "--output", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: unknown statistics ['']; choose from "
+                            "('des', 'exc', 'maj', 'comaj', 'inv', 'fix')\n")
+
+
+def test_expand_json_echoes_vars_zero(capsys):
+    # --vars 0 restricts (only the constant term survives) and is echoed as
+    # 0, apart from an absent --vars, echoed as null
+    rc, out = run(capsys, "expand", "2 + p[2,1]", "m", "--vars", "0", "--output", "json")
+    assert (rc, out) == (0, '{"basis":"m","command":"expand","expr":"2 + p[2,1]",'
+                            '"value":"2","vars":0}\n')
 
 
 def test_stats_table_refuses_a_repeated_statistic(capsys):
@@ -296,7 +315,8 @@ def test_expand_usage_errors(capsys):
     capsys.readouterr()
 
 
-# (expression, basis) pairs restricted to x_1..x_N for every N <= 8: each
+# (expression, basis) pairs restricted to x_1..x_N for every N <= 8, N = 0
+# included (only the constant term survives there): each
 # basis atom, Q in all three forms, omega, products, sums and constants
 VARS_GRID = [
     ("h[3]", "m"), ("e[2,1]", "s"), ("s[3,2,1]", "m"), ("p[4]", "h"), ("m[2,1,1]", "e"),
@@ -310,7 +330,7 @@ def test_expand_vars_matches_the_monomial_round_trip(capsys, expr, basis):
     # the restriction in m gives what listing every exponent vector in N
     # variables and reading the vectors back gives, error included
     value = cli._ExprParser(expr).parse()
-    for N in range(1, 9):
+    for N in range(9):
         rc = cli.main(["expand", expr, basis, "--vars", str(N)])
         captured = capsys.readouterr()
         try:
@@ -1011,3 +1031,117 @@ def test_launch_with_stdout_closed():
     prints nothing and exits 0, as the normal interpreter exit did."""
     proc = _launch("qfun", "--n", "3", "--j", "1", preexec_fn=lambda: os.close(1))
     assert (*proc.communicate(timeout=120), proc.returncode) == (b"", b"", 0)
+
+
+# cli.run turns the cyclic garbage collector off for the launch: every
+# command must then leave no reference cycle, so that reference counting
+# frees all it allocates.  The probe runs, in one fresh interpreter with the
+# collector off and saving what it finds, the first candidate of every slot
+# of every benchmark workload and three usage errors, each with every
+# lru_cache of the package cleared first; it prints, per command, how many
+# unreachable objects a collection finds after it, and their types, and then
+# frees them.
+CYCLE_COMMANDS = [
+    ["qfun", "--n", "24", "--j", "1"],  # past the degree limit
+    ["expand", "Q[4"],  # a bad expression
+    ["expand", "h[2]", "--vars", "1"],  # too few variables
+]
+
+CYCLE_PROBE = """
+import contextlib, functools, gc, io, sys
+gc.disable()
+gc.set_debug(gc.DEBUG_SAVEALL)
+sys.path.insert(0, "perfbench")
+import workloads
+from eulerq import cli
+commands = [candidates[0] for name in workloads.WORKLOADS
+            for candidates, _ in workloads.slots(name)] + COMMANDS
+gc.collect()
+gc.garbage.clear()
+for argv in commands:
+    for name, module in list(sys.modules.items()):
+        if name.startswith("eulerq"):
+            for value in list(vars(module).values()):
+                if isinstance(value, functools._lru_cache_wrapper):
+                    value.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    found = gc.collect()
+    kinds = sorted({type(x).__name__ for x in gc.garbage})
+    # free what was found, so the next command is charged for its own only
+    gc.set_debug(0)
+    gc.garbage.clear()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    print(repr((argv, code, found, kinds)))
+"""
+
+
+def test_no_command_leaves_a_reference_cycle():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = CYCLE_PROBE.replace("COMMANDS", repr(CYCLE_COMMANDS))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    results = [ast.literal_eval(line) for line in proc.stdout.splitlines()]
+    assert [argv for argv, *_ in results[-3:]] == CYCLE_COMMANDS
+    assert [code for _, code, *_ in results[-3:]] == [2, 2, 2]
+    assert len(results) == sum(len(WORKLOADS.slots(name)) for name in WORKLOADS.WORKLOADS) + 3
+    assert [r for r in results if r[2]] == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_finds_it(capsys, enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert cli.main(["stats", "--n", "3"]) == 0
+        assert cli.main(["qfun", "--n", "24", "--j", "1"]) == 2
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+# Installed as sitecustomize in a launch: on the first call of cli.main it
+# writes whether the collector is on, and each collection that starts while
+# main runs writes one line.
+COLLECTOR_HOOK = """
+import gc, os, sys
+
+def _in_main():
+    frame = sys._getframe(1)
+    while frame is not None:
+        code = frame.f_code
+        if code.co_name == "main" and code.co_filename.endswith("cli.py"):
+            return True
+        frame = frame.f_back
+    return False
+
+def _collection(phase, info):
+    if phase == "start" and _in_main():
+        os.write(2, b"collection inside main\\n")
+
+def _profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_name == "main" and code.co_filename.endswith("cli.py"):
+        os.write(2, b"main: collector on\\n" if gc.isenabled() else b"main: collector off\\n")
+        sys.setprofile(None)
+
+gc.callbacks.append(_collection)
+sys.setprofile(_profile)
+"""
+
+
+def test_launch_runs_main_with_the_collector_off(tmp_path):
+    """A launch through cli.run runs main with the collector off, so no
+    collection starts inside it.  At the collector's default thresholds
+    verify specializations would start several."""
+    (tmp_path / "sitecustomize.py").write_text(COLLECTOR_HOOK)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=os.pathsep.join([str(tmp_path), str(ROOT / "src")]))
+    argv = ["verify", "specializations", "--mode", "ci", "--output", "json"]
+    proc = subprocess.run([sys.executable, "-m", "eulerq.cli", *argv], env=env, cwd=ROOT,
+                          capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"main: collector off\n")
+    assert hashlib.sha256(proc.stdout).hexdigest() == DIGESTS[" ".join(argv)]

@@ -437,6 +437,42 @@ def test_unclosed_writes_reads_what_it_should(source, unclosed):
     assert _unclosed_writes(ast.parse(source)) == unclosed
 
 
+# cli.run also turns the cyclic garbage collector off, which is safe while no
+# call leaves a reference cycle behind.  A nested function that names itself
+# (a recursive closure) holds itself through its closure cell, so every call
+# of its parent leaves one cycle.
+
+def _self_naming_closures(tree):
+    """The lines of the functions nested in another function of a tree that
+    name themselves in their own body."""
+    nested = {id(inner): inner for outer in ast.walk(tree)
+              if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+              for inner in ast.walk(outer)
+              if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return sorted(f.lineno for f in nested.values()
+                  if any(isinstance(n, ast.Name) and n.id == f.name
+                         for stmt in f.body for n in ast.walk(stmt)))
+
+
+def test_no_function_nests_a_recursive_closure():
+    for path in SRC.glob("*.py"):
+        assert _self_naming_closures(_tree(path.stem)) == [], path.stem
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("def f(n):\n    return f(n - 1) if n else 0\n", []),
+    ("def f(n):\n    def g(k):\n        yield from g(k - 1)\n    return g(n)\n", [2]),
+    ("def f(n):\n    def g(k):\n        return [g] * k\n    return g(n)\n", [2]),
+    ("def f(n):\n    def g(k):\n        return k\n    return g(n)\n", []),
+    ("class C:\n    def m(self):\n        return self.m\n", []),
+    ("def f():\n    class C:\n        def m(self):\n            return m\n    return C\n", [3]),
+    ("def f():\n    def g():\n        def h():\n            return h\n        return h\n"
+     "    return g\n", [3]),
+])
+def test_self_naming_closures_reads_what_it_should(source, lines):
+    assert _self_naming_closures(ast.parse(source)) == lines
+
+
 # No orphaned code: every public module-level function and class of the
 # package is named somewhere outside its own definition, elsewhere in its
 # module or in another file of src, tests or perfbench.
