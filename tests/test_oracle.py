@@ -446,7 +446,7 @@ def _self_naming_closures(tree):
     """The lines of the functions nested in another function of a tree that
     name themselves in their own body."""
     nested = {id(inner): inner for outer in ast.walk(tree)
-              if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+              if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef))
               for inner in ast.walk(outer)
               if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))}
     return sorted(f.lineno for f in nested.values()
