@@ -13,11 +13,10 @@ the census (`permstats`); qfun and chartable the formulas (`eulerian`);
 expand the bases (`symfunc`), and `eulerian` only for a Q[..] atom; verify
 the suites, and every layer under them.  `_print_json` writes JSON itself, and
 `_print_verify_json` the verify report straight from its checks through the
-same encoder, so no command loads `json`.  `main` reads a plain command line
+same writer, so no command loads `json`.  `main` reads a plain command line
 (a command, its positionals, then `--flag value` pairs) from the grammar
 table `COMMANDS` itself.  It loads `argparse` only for help, usage errors and
-the rarer valid forms, and builds from the same table the parser of the
-command named, or of every command when none is.
+the rarer valid forms, and builds every command's parser from the same table.
 """
 
 import itertools
@@ -85,8 +84,10 @@ def _json_keep(s, quoted):
 
 def _json_value(x, quoted):
     """x as compact, key-sorted JSON, for the types the commands print
-    (dicts with str keys, lists, tuples, str, int, bool and None); any other
-    type, a subclass of these included, raises TypeError."""
+    (dicts with str keys, lists, tuples, str, int, bool and None).  A list or
+    tuple, a subclass included (a Partition), is written as a list, as
+    json.dumps writes it; any other type, a subclass of the others included,
+    raises TypeError."""
     t = type(x)
     if t is dict:
         return "{" + ",".join([((type(k) is str and quoted.get(k)) or _json_keep(k, quoted))
@@ -97,7 +98,7 @@ def _json_value(x, quoted):
         return quoted.get(x) or _json_keep(x, quoted)
     if t is int:
         return repr(x)
-    if t is list or t is tuple:
+    if isinstance(x, (list, tuple)):
         return "[" + ",".join([repr(v) if type(v) is int else _json_value(v, quoted)
                                for v in x]) + "]"
     if x is None:
@@ -107,15 +108,6 @@ def _json_value(x, quoted):
     if x is False:
         return "false"
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-
-
-def _json_param(v, quoted):
-    """A check's param value as Check.to_jsonable writes it: any list or
-    tuple, a subclass included, as a list."""
-    if isinstance(v, (list, tuple)):
-        return "[" + ",".join([repr(x) if type(x) is int else _json_param(x, quoted)
-                               for x in v]) + "]"
-    return _json_value(v, quoted)
 
 
 def _print_json(payload):
@@ -131,8 +123,7 @@ def _print_verify_json(mode, suite, passed, reports):
     {"command": "verify", "mode": mode, "passed": passed, "suite": suite,
     "suites": [r.to_jsonable() for r in reports]}, and TypeError where it
     raises.  The keys of the envelope, a report and a check are written in
-    their sorted order; only a check's params are sorted, once, and written
-    by _json_param."""
+    their sorted order; only a check's params are sorted, once."""
     quoted = {}
     seen = quoted.get
     out = []
@@ -144,7 +135,7 @@ def _print_verify_json(mode, suite, passed, reports):
                                       else _json_value(identity, quoted))
                     + ',"params":{'
                     + ",".join([((type(k) is str and seen(k)) or _json_keep(k, quoted))
-                                + ":" + (repr(v) if type(v) is int else _json_param(v, quoted))
+                                + ":" + (repr(v) if type(v) is int else _json_value(v, quoted))
                                 for k, v in sorted(params.items())])
                     + '},"status":' + ((seen(status) or _json_keep(status, quoted))
                                        if type(status) is str
@@ -395,7 +386,8 @@ def cmd_qfun(args):
             raise UsageError("--k applies only with --n")
         lam = _parse_partition(args.lam)
         params = ["lam", list(lam), "j", args.j]
-        build = lambda eulerian: eulerian.q_symf_type(lam, args.j, args.basis)
+        from .eulerian import q_symf_type
+        value = q_symf_type(lam, args.j, args.basis)
     else:
         if args.n < 0:
             raise UsageError("--n must be nonnegative")
@@ -403,9 +395,9 @@ def cmd_qfun(args):
         if args.k is not None and args.k < 0:
             raise UsageError("--k must be nonnegative")
         params = ["n", args.n, "j", args.j, "k", args.k]
-        build = lambda eulerian: eulerian.q_symf(args.n, args.j, args.k)
-    from . import eulerian
-    rendered = build(eulerian).to_basis(args.basis).render()
+        from .eulerian import q_symf
+        value = q_symf(args.n, args.j, args.k)
+    rendered = value.to_basis(args.basis).render()
     if args.output == "json":
         out = {"command": "qfun", "params": params, "basis": args.basis,
                "value": rendered}
@@ -692,24 +684,15 @@ def _parse(argv):
     return SimpleNamespace(cmd=argv[0], fn=globals()[command.handler], **values)
 
 
-def _parser(only=None):
-    """The argument parser with every command's parser, or with only the
-    one named, built from COMMANDS.  With one, the command metavar lists
-    every command, so its usage line reads as the full parser's; the full
-    parser sets none, as a metavar would also stand for "cmd" in its error
-    messages."""
+def _parser():
+    """The argument parser of every command, built from COMMANDS."""
     import argparse
     top = argparse.ArgumentParser(
         prog="eulerq",
         description="Exact fixed-excedance quasisymmetric functions: "
                     "statistics, expansions, and machine verification.")
-    if only is None:
-        sub = top.add_subparsers(dest="cmd", required=True)
-    else:
-        sub = top.add_subparsers(dest="cmd", required=True,
-                                 metavar="{" + ",".join(COMMANDS) + "}")
-    for name in COMMANDS if only is None else (only,):
-        command = COMMANDS[name]
+    sub = top.add_subparsers(dest="cmd", required=True)
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         for arg in command.args + _COMMON:
             # argparse takes the dest of a positional from its name only
@@ -724,9 +707,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = _parse(argv)
     if args is None:
-        # help, a missing command and an unknown one need every command's parser
-        only = argv[0] if argv and argv[0] in COMMANDS else None
-        args = _parser(only).parse_args(argv)
+        args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except UsageError as e:

@@ -213,6 +213,8 @@ def character_poly(lam) -> Poly:
     exponent shares a factor with the gcd of the parts (A_m the descent
     enumerator of S_m)."""
     lam = Partition(lam)
+    if not lam:
+        raise ValueError("the single-cycle slices have no character at the empty class ()")
     out = Poly.var("t") * eulerian_poly(lam.length - 1)
     for part in lam:
         out = out * Poly({(0, 0, i, 0): 1 for i in range(part)})
@@ -265,6 +267,8 @@ def character_value(n, j, mu) -> int:
     mu = Partition(mu)
     if mu.n != n:
         raise ValueError("partition sizes differ")
+    if not mu:
+        raise ValueError("the single-cycle slices have no character at the empty class ()")
     return _type_classes(Partition([n])).get((j, 0), {}).get(mu, 0)
 
 
@@ -289,14 +293,14 @@ def char_table(n):
 _VAR_OF = {"maj": "q", "comaj": "q", "inv": "q", "des": "p", "exc": "t", "fix": "r"}
 
 
-def _a_lists(rows, fields, qstat):
-    """The A table of a Counter of census rows with the given fields, its q
-    lists holding qstat ("maj" or "inv")."""
-    fix, des, exc, q = map(fields.index, ("fix", "des", "exc", qstat))
+def _a_lists(rows, n, fields, qstat):
+    """The A table of a Counter of census rows of S_n with the given fields,
+    its q lists holding qstat ("maj" or "inv")."""
+    fix, des, exc, q = (row_stat(s, n, fields) for s in ("fix", "des", "exc", qstat))
     out = {}
     for row, count in rows.items():
-        a = out.setdefault((row[fix], row[des], row[exc]), [])
-        i = row[q]
+        a = out.setdefault((fix(row), des(row), exc(row)), [])
+        i = q(row)
         if len(a) <= i:
             a.extend([0] * (i + 1 - len(a)))
         a[i] += count
@@ -307,14 +311,14 @@ def _a_lists(rows, fields, qstat):
 def _a_table(n, qstat="maj"):
     """{(fix, des, exc): qstat q list} over S_n, qstat "maj" or "inv"."""
     rows, fields = _oracle_census(n, (qstat,))
-    return _a_lists(rows, fields, qstat)
+    return _a_lists(rows, n, fields, qstat)
 
 
 @lru_cache(maxsize=None)
 def _a_type_table(lam, qstat="maj"):
     """{(fix, des, exc): qstat q list} over the class of type lam."""
     lam = Partition(lam)
-    return _a_lists(class_census(lam), CENSUS_FIELDS, qstat)
+    return _a_lists(class_census(lam), lam.n, CENSUS_FIELDS, qstat)
 
 
 def _table_for(table, key, stats):

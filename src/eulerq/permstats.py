@@ -35,6 +35,7 @@ import itertools
 from collections import Counter, namedtuple
 from functools import lru_cache
 from math import comb, factorial, gcd
+from operator import itemgetter
 from types import MappingProxyType
 
 DEFAULT_CAP = 10
@@ -301,7 +302,7 @@ def row_stat(name, n, fields=CENSUS_FIELDS):
         return lambda row: top - row[index]
     if name == "exd_set":
         return lambda row: _mask_set(row[index])
-    return lambda row: row[index]
+    return itemgetter(index)
 
 
 def _field_bits(name, n):
@@ -434,17 +435,16 @@ def class_census(lam) -> MappingProxyType:
 @lru_cache(maxsize=None)
 def eulerian_counts(n) -> tuple:
     """Coefficients (a_{n,0}, ..., a_{n,n-1}) of the Eulerian polynomial
-    A_n(t), by the classical recurrence.  The tests compare it with the
-    descent and the excedance distributions over S_n."""
-    if n == 0:
-        return (1,)
-    prev = eulerian_counts(n - 1)
-    cur = [0] * n
-    for j in range(n):
-        a = (j + 1) * prev[j] if j < len(prev) else 0
-        b = (n - j) * prev[j - 1] if j >= 1 else 0
-        cur[j] = a + b
-    return tuple(cur)
+    A_n(t), by the classical recurrence a_{m,j} = (j+1) a_{m-1,j} +
+    (m-j) a_{m-1,j-1}, row after row from A_0 = 1.  The tests compare it
+    with the descent and the excedance distributions over S_n."""
+    if n < 0:
+        raise ValueError(f"the Eulerian polynomial A_n needs n >= 0, not {n}")
+    row = (1,)
+    for m in range(1, n + 1):
+        row = tuple((j + 1) * (row[j] if j < len(row) else 0)
+                    + (m - j) * (row[j - 1] if j else 0) for j in range(m))
+    return row
 
 
 def eulerian_number(n, j) -> int:

@@ -356,12 +356,13 @@ def pochhammer(a, n):
 
 
 # Polynomials in q alone as coefficient lists: index i holds the coefficient
-# of q^i.  The principal specializations (QSymF.ps_at and ps_stable) and the
-# specialization suites run on these, or on them packed into integers by
-# qlist_pack, with no dict per term.  Cached values are tuples and
-# accumulators are lists.  A list may end in zeros, so compare two of them
-# through qlist_to_poly, which drops zero coefficients, or packed, which
-# ignores them; qlist_unpack reads a packed one back without them.
+# of q^i.  The principal specializations (QSymF.ps_at and ps_stable) run on
+# these, and the specialization suites on them or on them packed into
+# integers by qlist_pack (QSymF.ps_packed), with no dict per term.  Cached
+# values are tuples and accumulators are lists.  A list may end in zeros, so
+# compare two of them through qlist_to_poly, which drops zero coefficients,
+# or packed, which ignores them; qlist_unpack reads a packed one back
+# without them.
 
 def qlist_add(acc, a, shift=0, coeff=1):
     """acc += coeff q^shift a, in place; returns acc."""

@@ -45,7 +45,6 @@ from .polyalg import (
     qlist_pack,
     qlist_pochhammer,
     qlist_to_poly,
-    qlist_unpack,
 )
 
 BASES = ("m", "h", "e", "p", "s")
@@ -236,8 +235,8 @@ class QSymF:
         as the sum of c 2^(w sum S), times the packed
         [m - k - 1 + n choose n]_q, for m >= k + 1 (or n = 0).  Packing is
         evaluation at 2^w, so these are exact at every w; a width above
-        ps_norm(depth).bit_length() also lets qlist_unpack read them back.
-        Integer coefficients."""
+        ps_norm(depth).bit_length() also lets the specialization suites
+        compare them as integers.  Integer coefficients."""
         groups = {}
         for (n, S), c in self.terms.items():
             key = (n, len(S))
@@ -265,16 +264,14 @@ class QSymF:
     def ps_at(self, m):
         """Principal specialization in m variables, x_i -> q^{i-1} for i <= m.
 
-        F_{S,n} contributes q^{sum S} [m - |S| - 1 + n choose n]_q when
-        m >= |S| + 1 and zero otherwise; F_{emptyset,0} contributes 1.  Taken
-        on packed integers (ps_packed) with rational coefficients scaled to
-        integers by the lcm of their denominators.
+        F_{S,n} contributes q^{sum S} [m - |S| - 1 + n choose n]_q, which is
+        zero when m <= |S|; F_{emptyset,0} contributes 1.  Summed over the
+        numerators of _ps_numerators as coefficient lists.
         """
-        scale = lcm(*(c.denominator for c in self.terms.values()))
-        f = self if scale == 1 else QSymF({key: int(c * scale) for key, c in self.terms.items()})
-        w = f.ps_norm(m).bit_length() + 1
-        a = qlist_unpack(f.ps_packed(m, w)[m], w)
-        return qlist_to_poly(a if scale == 1 else [_fraction(c, scale) for c in a])
+        out = []
+        for (n, k), num in self._ps_numerators().items():
+            qlist_add(out, qlist_mul(num, qlist_binomial(m - k - 1 + n, n)) if n else num)
+        return qlist_to_poly(out)
 
 
 def fundamental(S, n):

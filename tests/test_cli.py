@@ -645,6 +645,13 @@ def test_failed_verify_run_writes_the_reference_bytes(capsys, monkeypatch):
         "result: FAIL"]
 
 
+def test_json_writer_writes_a_partition_as_a_list(capsys):
+    # a list or tuple subclass is written as a list, as json.dumps writes it
+    payload = {"lam": Partition([3, 1]), "rows": [(Partition([2]), [Partition(())])]}
+    cli._print_json(payload)
+    assert capsys.readouterr().out == dumps(payload) == '{"lam":[3,1],"rows":[[[2],[[]]]]}\n'
+
+
 JSON_STRINGS = ['"', "\\", "\t\n\r\b\f", "".join(map(chr, range(0x20))), "\x7f", "é",
                 " ", "\U0001F600", "", 'a "quoted" \\path\\', "plain text, 100%"]
 
@@ -796,21 +803,6 @@ def test_cli_import_compiles_no_regex():
     assert proc.stdout == "False\n"
 
 
-def test_one_command_parser_reads_as_the_full_one(capsys):
-    """main builds only the named command's parser: its help, and a usage
-    error the top parser reports, read as with every command's parser."""
-    def output(parse, argv):
-        with pytest.raises(SystemExit) as exc:
-            parse(argv)
-        return exc.value.code, capsys.readouterr()
-
-    for command in cli.COMMANDS:
-        argv = [command, "--help"]
-        assert output(cli.main, argv) == output(cli._parser().parse_args, argv)
-    argv = ["stats", "1", "2"]
-    assert output(cli.main, argv) == output(cli._parser().parse_args, argv)
-
-
 @pytest.mark.parametrize("command", sorted(USAGE_OUTPUTS))
 def test_help_and_usage_errors_print_the_recorded_bytes(command, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
@@ -825,8 +817,7 @@ def _argparse_vars(argv):
     """vars() of argparse's namespace for argv, or None where it exits."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            only = argv[0] if argv and argv[0] in cli.COMMANDS else None
-            return vars(cli._parser(only).parse_args(argv))
+            return vars(cli._parser().parse_args(argv))
         except SystemExit:
             return None
 

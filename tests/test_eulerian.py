@@ -149,6 +149,14 @@ def test_character_value_refuses_a_class_of_another_size():
     assert character_value(3, 5, (3,)) == 0
 
 
+def test_characters_refuse_the_empty_class():
+    with pytest.raises(ValueError, match=r"empty class \(\)"):
+        character_poly(())
+    for j in (0, 1):
+        with pytest.raises(ValueError, match=r"empty class \(\)"):
+            character_value(0, j, ())
+
+
 def test_four_statistic_witness():
     a4 = shift_exc_by_qinv(a_poly(4, ("maj", "des", "exc")))
     assert a4.coefficient("t", 1) == parse_poly(A4_T1_COEFF)

@@ -473,6 +473,73 @@ def test_self_naming_closures_reads_what_it_should(source, lines):
     assert _self_naming_closures(ast.parse(source)) == lines
 
 
+# A census row's layout is known to permstats alone: every other module reads
+# a row through row_stat, never by a field's position in a fields tuple.
+
+ROW_LAYOUTS = {"fields", "CENSUS_FIELDS", "_ORACLE_FIELDS"}
+
+
+def _row_positions(tree):
+    """The lines of a tree that name .index on a fields tuple, called or not
+    (map(fields.index, ...) reads positions too), bare or as an attribute
+    (permstats.CENSUS_FIELDS.index)."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr == "index"
+                  and getattr(n.value, "id", getattr(n.value, "attr", None)) in ROW_LAYOUTS)
+
+
+def test_only_permstats_reads_a_census_row_by_position():
+    for path in SRC.glob("*.py"):
+        if path.stem != "permstats":
+            assert _row_positions(_tree(path.stem)) == [], path.stem
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("i = fields.index('maj')\n", [1]),
+    ("a, b = map(fields.index, ('des', 'maj'))\n", [1]),
+    ("i = permstats.CENSUS_FIELDS.index('exc')\n", [1]),
+    ("def f():\n    return _ORACLE_FIELDS.index('fix')\n", [2]),
+    ("i = words.index(3)\nread = row_stat('maj', n, fields)\n", []),
+])
+def test_row_positions_reads_what_it_should(source, lines):
+    assert _row_positions(ast.parse(source)) == lines
+
+
+# A module-level import that its module never uses costs every launch that
+# loads the module, and keeps a name alive that nothing needs.
+
+def _unused_imports(tree):
+    """The names that a tree's module-level imports bind and that no other
+    statement of it names (from __future__ imports aside)."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(name for name in bound if name not in used)
+
+
+def test_no_module_keeps_an_unused_import():
+    for path in SRC.glob("*.py"):
+        if path.stem != "__init__":
+            assert _unused_imports(_tree(path.stem)) == [], path.stem
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("import os\nos.getcwd()\n", []),
+    ("import os.path\nos.path.join('a')\n", []),
+    ("import os\n", ["os"]),
+    ("from math import comb, lcm\nx = comb(3, 2)\n", ["lcm"]),
+    ("from .polyalg import qlist_unpack as unpack\ndef f(v):\n    return unpack(v, 3)\n", []),
+    ("from __future__ import annotations\n", []),
+    ("def f():\n    import re\n    return 1\n", []),
+])
+def test_unused_imports_reads_what_it_should(source, unused):
+    assert _unused_imports(ast.parse(source)) == unused
+
+
 # No orphaned code: every public module-level function and class of the
 # package is named somewhere outside its own definition, elsewhere in its
 # module or in another file of src, tests or perfbench.

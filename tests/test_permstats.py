@@ -93,6 +93,20 @@ def test_eulerian_numbers():
     assert p.coefficient("t", 1) == 11
 
 
+def test_eulerian_rows_refuse_a_negative_n():
+    for call in (eulerian_counts, eulerian_poly):
+        with pytest.raises(ValueError, match="n >= 0, not -1"):
+            call(-1)
+
+
+def test_eulerian_rows_need_no_recursion():
+    # from a cold cache, a row far past the recursion limit
+    eulerian_counts.cache_clear()
+    row = eulerian_counts(1200)
+    assert len(row) == 1200 and row[:2] == (1, 2 ** 1200 - 1201) and row == row[::-1]
+    assert sum(row) == math.factorial(1200)
+
+
 @pytest.mark.parametrize("n", range(0, 7))
 def test_maj_inv_equidistribution(n):
     maj_hist = {}

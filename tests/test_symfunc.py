@@ -230,9 +230,12 @@ def test_ps_at_matches_substitution(f):
     for m in range(1, 5):
         assert f.ps_at(m) == _substituted(f, m), m
     assert f.ps_at(0) == Poly.const(f.terms.get((0, frozenset()), 0))
-    # rational coefficients are scaled to integers and back
+    # rational coefficients, and integral Fractions mixed with ints
     g = Fraction(2, 3) * f + QSymF({(2, (1,)): Fraction(1, 5)})
-    assert g.ps_at(3) == _substituted(g, 3)
+    h = Fraction(2, 1) * f + QSymF({(2, frozenset()): 1, (3, frozenset({1})): Fraction(4, 2)})
+    for m in range(4):
+        assert g.ps_at(m) == _substituted(g, m), m
+        assert h.ps_at(m) == _substituted(h, m), m
 
 
 @given(qsym_functions())
